@@ -1,17 +1,26 @@
 """Lossless draft-verify-accept speculative decoding, generic over strategy.
 
 One speculation round drafts ``k`` tokens with a masked sub-model, verifies
-them with the full model in one batched forward over the drafted tokens, and
-accepts the longest prefix under the standard rejection rule: token ``x`` is
-accepted with probability ``min(1, P_H(x)/P_S(x))``; the first rejection is
-replaced by a sample from the residual ``norm(max(0, P_H - P_S))``; full
-acceptance earns a bonus token from the target distribution. Under greedy
-decoding the rule degenerates to per-position argmax agreement. Either way
-the emitted stream follows the target distribution exactly.
+them with the full model in one batched forward, and accepts the longest
+prefix under the standard rejection rule: token ``x`` is accepted with
+probability ``min(1, P_H(x)/P_S(x))``; the first rejection is replaced by a
+sample from the residual ``norm(max(0, P_H - P_S))``; full acceptance earns a
+bonus token from the target distribution. Under greedy decoding the rule
+degenerates to per-position argmax agreement. Either way the emitted stream
+follows the target distribution.
 
-Draft and verify keep separate decode states (no cache sharing); recurrent
-states cannot be rewound, so both sides snapshot per drafted position and
-roll back to the accepted prefix before consuming the round's final token.
+Draft and verify keep separate decode states (no cache sharing). Both are
+driven by a *pending* input: tokens already emitted that the side has not
+consumed yet. Both states start from ``forward_prefix(prompt[:-1])`` with
+``prompt[-1]`` pending. A round is exactly k draft forwards (the pending
+input, then k-1 drafted tokens, one row each except a two-token pending
+input) and one (k+1)-row verify forward over the pending token plus the
+draft; the logits of each forward are those the next sampling step needs,
+so no extra forward resynchronises either side. Recurrent states cannot be
+rewound, so both sides record a snapshot per fed position and roll back to
+the accepted prefix: the emitted token becomes the next pending input, and
+after full acceptance the draft side's pending input is ``[d_k, bonus]``
+because it never fed ``d_k``.
 """
 
 from __future__ import annotations
@@ -169,30 +178,32 @@ def residual_distribution(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarr
 
 
 def draft_k(model: HybridModel, mask: ComponentMask, state: DecodeState,
-            settings: DecodeSettings, rng: RngState):
-    """Draft ``settings.k`` tokens autoregressively from the masked model.
+            pending: list[int], settings: DecodeSettings, rng: RngState):
+    """Feed ``pending`` and draft ``settings.k`` tokens from the masked model.
 
-    Returns the draft plus rollback snapshots: ``snaps[j]`` restores the
-    state to "prefix plus the first j drafted tokens consumed".
+    Makes exactly k forwards: the pending input (one or two tokens), then
+    each drafted token but the last. Returns the draft plus rollback
+    snapshots: ``snaps[j]`` restores the state to "pending input plus the
+    first j drafted tokens consumed".
     """
     if state.mask != mask:
         raise ValueError("state was built under a different mask")
-    if state.next_logits is None:
-        raise ValueError("state has no pending logits; run a prefix pass first")
+    if len(pending) == 0:
+        raise ValueError("draft needs a pending input to feed")
     k, temp = settings.k, settings.temperature
+    base_pos = state.pos + len(pending)
     tokens: list[int] = []
     dists: list[np.ndarray] = []
-    base_pos = state.pos
-    snaps: list[SsmSnapshot] = [state.snapshot()]
-    dist = softmax(state.next_logits, temp)
-    for i in range(k):
+    snaps: list[SsmSnapshot] = []
+    feed = list(pending)
+    for _ in range(k):
+        logits, hist = model.forward_chunk(state, feed, record_states=True)
+        snaps.append(hist[-1])
+        dist = softmax(logits[-1], temp)
         tok = argmax_tiebreak(dist) if temp == 0.0 else sample_categorical(dist, rng)
         tokens.append(tok)
         dists.append(dist)
-        if i < k - 1:
-            logits, hist = model.forward_chunk(state, [tok], record_states=True)
-            snaps.append(hist[0])
-            dist = softmax(logits[0], temp)
+        feed = [tok]
     return DraftSequence(tokens, dists, base_pos), snaps
 
 
@@ -240,34 +251,27 @@ def accept_draft(target_dists: list[np.ndarray], draft: DraftSequence,
     return SpecRoundResult(accepted, accepted == k, emitted, matches)
 
 
-def verify_and_accept(model: HybridModel, state: DecodeState,
+def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
                       draft: DraftSequence, settings: DecodeSettings,
                       rng: RngState) -> SpecRoundResult:
     """Score a draft with the state's (full-mask) model and accept a prefix.
 
-    All k+1 target distributions come from one batched forward over the
-    drafted tokens (the first position's distribution is the state's pending
-    logits from the pass that consumed the prefix). On return the state has
-    consumed exactly the emitted tokens.
+    All k+1 target distributions come from one (k+1)-row forward over the
+    pending token plus the drafted tokens. On return the state has consumed
+    the pending token and the accepted drafts; the round's last emitted token
+    is the next pending token.
     """
-    if state.next_logits is None:
-        raise ValueError("verify state has no pending logits; run a prefix pass")
-    if draft.base_pos != state.pos:
+    if draft.base_pos != state.pos + 1:
         raise ValueError(
             f"draft was produced at position {draft.base_pos}, "
-            f"verify state is at {state.pos}")
+            f"verify state expects {state.pos + 1}")
     temp = settings.temperature
-    first = softmax(state.next_logits, temp)
-    pre = state.snapshot()
-    logits, hist = model.forward_chunk(state, draft.tokens, record_states=True)
-    target_dists = [first] + [softmax(logits[j], temp) for j in range(draft.k)]
+    logits, hist = model.forward_chunk(state, [pending] + draft.tokens,
+                                       record_states=True)
+    target_dists = [softmax(row, temp) for row in logits]
     result = accept_draft(target_dists, draft, temp, rng)
-    a = result.accepted_count
-    if a == 0:
-        state.restore(pre)
-    elif a < draft.k:
-        state.restore(hist[a - 1])
-    model.decode_step(state, result.emitted_tokens[-1])
+    if not result.all_accepted:
+        state.restore(hist[result.accepted_count])
     return result
 
 
@@ -287,28 +291,33 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
                          target_mask: ComponentMask | None = None):
     """Draft-verify loop; returns (generated tokens, per-round results).
 
-    The emitted stream follows the target model's distribution exactly; at
-    temperature 0 it is token-identical to autoregressive decoding. Every
-    round emits between 1 and k+1 tokens; the final round may overshoot
-    ``max_new_tokens``, in which case the output is truncated but the round
-    result is kept whole for statistics.
+    The emitted stream follows the target model's distribution; at
+    temperature 0 it matches autoregressive decoding token for token as long
+    as no argmax margin is within float64 rounding. Every round emits between
+    1 and k+1 tokens; the final round may overshoot ``max_new_tokens``, in
+    which case the output is truncated but the round result is kept whole
+    for statistics.
     """
     cfg = model.cfg
     _check_generation_budget(cfg, prompt, settings, settings.k + 1)
     draft_mask = build_mask(cfg, strategy)
     rng = RngState(settings.seed)
-    _, vstate = model.forward_prefix(prompt, target_mask)
-    _, dstate = model.forward_prefix(prompt, draft_mask)
+    _, vstate = model.forward_prefix(prompt[:-1], target_mask)
+    _, dstate = model.forward_prefix(prompt[:-1], draft_mask)
+    pending = int(prompt[-1])
+    draft_pending = [pending]
     out: list[int] = []
     rounds: list[SpecRoundResult] = []
     while len(out) < settings.max_new_tokens:
-        draft, snaps = draft_k(model, draft_mask, dstate, settings, rng)
-        result = verify_and_accept(model, vstate, draft, settings, rng)
+        draft, snaps = draft_k(model, draft_mask, dstate, draft_pending,
+                               settings, rng)
+        result = verify_and_accept(model, vstate, pending, draft, settings, rng)
+        pending = result.emitted_tokens[-1]
         if result.all_accepted:
-            model.decode_step(dstate, draft.tokens[-1])
+            draft_pending = [draft.tokens[-1], pending]
         else:
             dstate.restore(snaps[result.accepted_count])
-        model.decode_step(dstate, result.emitted_tokens[-1])
+            draft_pending = [pending]
         out.extend(result.emitted_tokens)
         rounds.append(result)
     return out[:settings.max_new_tokens], rounds
@@ -317,16 +326,19 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
 def autoregressive_generate(model: HybridModel, prompt,
                             settings: DecodeSettings,
                             mask: ComponentMask | None = None) -> list[int]:
-    """Plain one-token-at-a-time decoding; the speculative baseline."""
+    """Plain one-token-at-a-time decoding; the speculative baseline.
+
+    One ``decode_step`` per emitted token: each feeds the pending token (the
+    prompt's last, then the last emitted) and samples the next.
+    """
     _check_generation_budget(model.cfg, prompt, settings, 0)
     rng = RngState(settings.seed)
-    _, state = model.forward_prefix(prompt, mask)
+    _, state = model.forward_prefix(prompt[:-1], mask)
     temp = settings.temperature
+    pending = int(prompt[-1])
     out: list[int] = []
     for _ in range(settings.max_new_tokens):
-        dist = softmax(state.next_logits, temp)
-        tok = argmax_tiebreak(dist) if temp == 0.0 else sample_categorical(dist, rng)
-        out.append(tok)
-        if len(out) < settings.max_new_tokens:
-            model.decode_step(state, tok)
+        dist = softmax(model.decode_step(state, pending), temp)
+        pending = argmax_tiebreak(dist) if temp == 0.0 else sample_categorical(dist, rng)
+        out.append(pending)
     return out

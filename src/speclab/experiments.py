@@ -1,11 +1,16 @@
 """Batch experiment runner: sweeps, resumable cells, CSV/JSON reports.
 
 A sweep is the cross product (checkpoint, strategy, k, temperature). Each
-cell's results live in ``<out_dir>/cells/<cell_id>.json``; completed cells
-are skipped on re-run, and the top-level ``report.csv`` is regenerated from
-cell files every run, so re-running a finished sweep does no model work and
-reproduces the report byte for byte. Wall-clock timings are intentionally
-kept out of the deterministic report and land in ``timings.csv``.
+cell's results live in ``<out_dir>/cells/<cell_id>.json``. The cell id
+carries a hash of everything else that changes the cell's numbers: the spec
+fields in ``KEYED_FIELDS`` and the content digests of the checkpoint and the
+prompt corpus. Completed cells with a matching id are skipped on re-run, and
+the top-level ``report.csv`` is regenerated from cell files every run, so
+re-running a finished sweep does no model work and reproduces the report
+byte for byte, while a changed spec, checkpoint or corpus recomputes. Every
+file is written to a temporary name and renamed into place. Wall-clock
+timings are intentionally kept out of the deterministic report and land in
+``timings.csv``.
 
 Per-cell randomness is derived from (seed, prompt index), never from
 execution order, so cells can in principle run concurrently over the shared
@@ -15,11 +20,14 @@ immutable checkpoints without changing any number.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +41,7 @@ from .engine import (
     build_mask,
     speculative_generate,
 )
-from .metrics import all_token_alpha, divergence_stats, _prompt_seed
+from .metrics import all_token_alpha, divergence_stats
 from .model import HybridModel
 from .theory import expected_tokens, flop_ratio, speedup
 from .training import load_corpus
@@ -49,6 +57,10 @@ REPORT_COLUMNS = [
     "divergence_positions", "match_rate", "cost_ratio",
     "expected_tokens_theory", "speedup_theory",
 ]
+
+# the spec fields, besides the cell's own coordinates, that change its numbers
+KEYED_FIELDS = ("n_prompts", "prompt_len", "max_new_tokens", "seed", "k_top",
+                "skip_fraction", "exit_fraction", "bootstrap_resamples")
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cell_id(model: str, strategy: str, k: int, temp: float) -> str:
-    return f"{model}__{strategy}__k{k}__T{temp:g}"
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _cell_key(spec: ExperimentSpec, checkpoint_sha256: str,
+              corpus_sha256: str) -> dict:
+    return {"spec": {f: getattr(spec, f) for f in KEYED_FIELDS},
+            "checkpoint_sha256": checkpoint_sha256,
+            "corpus_sha256": corpus_sha256}
+
+
+def _cell_id(model: str, strategy: str, k: int, temp: float, key: dict) -> str:
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    return f"{model}__{strategy}__k{k}__T{temp:g}__{digest[:12]}"
+
+
+def _write_atomic(path: Path, text: str):
+    """Write ``text`` to a temporary file beside ``path``, then rename it into
+    place, so no reader or later run sees a partly written file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
@@ -109,7 +144,7 @@ def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(c)) for c in columns])
-    path.write_text(buf.getvalue())
+    _write_atomic(path, buf.getvalue())
 
 
 def read_report(path) -> list[dict]:
@@ -119,41 +154,28 @@ def read_report(path) -> list[dict]:
     return list(csv.DictReader(lines))
 
 
-def _generate_cell(model: HybridModel, strategy: DraftStrategy, prompts,
-                   settings: DecodeSettings):
-    """Speculative runs over all prompts: rounds, outputs, timed seconds.
+def _prompt_seed(seed: int, index: int) -> int:
+    return (seed * 1_000_003 + index) % (2 ** 63)
 
-    The first prompt is a warm-up: it contributes rounds and outputs like any
-    other, but its wall time is discarded."""
-    rounds, outputs, times = [], [], []
+
+def _run_prompts(generate, prompts, settings: DecodeSettings):
+    """``generate(prompt, settings)`` over all prompts: outputs, pooled
+    rounds and timed seconds per token.
+
+    Each prompt gets its own seed, derived from the settings seed and the
+    prompt index. The first prompt is a warm-up: it contributes rounds and
+    outputs like any other, but its wall time is discarded."""
+    outputs, rounds, times = [], [], []
     for i, prompt in enumerate(prompts):
-        per_prompt = DecodeSettings(
-            k=settings.k, temperature=settings.temperature,
-            max_new_tokens=settings.max_new_tokens,
-            seed=_prompt_seed(settings.seed, i))
+        per_prompt = replace(settings, seed=_prompt_seed(settings.seed, i))
         t0 = time.perf_counter()
-        out, rs = speculative_generate(model, strategy, prompt, per_prompt)
+        out, rs = generate(prompt, per_prompt)
         times.append(time.perf_counter() - t0)
-        rounds.extend(rs)
         outputs.append(out)
+        rounds.extend(rs)
     timed_tokens = sum(len(o) for o in outputs[1:])
     seconds_per_token = sum(times[1:]) / timed_tokens if timed_tokens else None
-    return rounds, outputs, seconds_per_token
-
-
-def _ar_outputs(model: HybridModel, prompts, settings: DecodeSettings):
-    outputs, times = [], []
-    for i, prompt in enumerate(prompts):
-        per_prompt = DecodeSettings(
-            k=settings.k, temperature=settings.temperature,
-            max_new_tokens=settings.max_new_tokens,
-            seed=_prompt_seed(settings.seed, i))
-        t0 = time.perf_counter()
-        outputs.append(autoregressive_generate(model, prompt, per_prompt))
-        times.append(time.perf_counter() - t0)
-    timed_tokens = sum(len(o) for o in outputs[1:])
-    seconds_per_token = sum(times[1:]) / timed_tokens if timed_tokens else None
-    return outputs, seconds_per_token
+    return outputs, rounds, seconds_per_token
 
 
 def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
@@ -164,6 +186,7 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
     cells_dir.mkdir(parents=True, exist_ok=True)
     log = log or (lambda msg: print(msg, file=sys.stderr))
     corpus = load_corpus(spec.prompt_corpus)
+    corpus_sha256 = _sha256(spec.prompt_corpus)
     prompts = sample_prompts(corpus, spec.n_prompts, spec.prompt_len,
                              seed=spec.seed + 101)
     result = RunResult(report_path=out_dir / "report.csv",
@@ -174,6 +197,7 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
         try:
             weights = load_checkpoint(ckpt_path)
             model = HybridModel(weights.cfg, weights)
+            key = _cell_key(spec, _sha256(ckpt_path), corpus_sha256)
         except (OSError, ValueError) as exc:
             for kind in spec.strategies:
                 result.errors.append((f"{model_name}/{kind}", str(exc)))
@@ -192,17 +216,23 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                 continue
             for temp in spec.temperatures:
                 for k in spec.k_values:
-                    cell = _cell_id(model_name, strategy.label(), k, temp)
+                    cell = _cell_id(model_name, strategy.label(), k, temp, key)
                     cell_path = cells_dir / f"{cell}.json"
                     if cell_path.exists():
                         payload = json.loads(cell_path.read_text())
                         result.rows.append(payload["row"])
                         result.n_skipped += 1
                         continue
-                    row, timing, payload = _compute_cell(
-                        spec, model, model_name, strategy, kind, k, temp,
-                        prompts, ar_cache, ar_seconds, div_cache)
-                    cell_path.write_text(json.dumps(payload, sort_keys=True))
+                    try:
+                        row, timing, payload = _compute_cell(
+                            spec, model, model_name, strategy, kind, k, temp,
+                            prompts, ar_cache, ar_seconds, div_cache)
+                    except Exception as exc:  # recorded; the sweep goes on
+                        result.errors.append((cell, f"{type(exc).__name__}: {exc}"))
+                        log(f"[fail] {cell}:\n{traceback.format_exc()}")
+                        continue
+                    payload["key"] = key
+                    _write_atomic(cell_path, json.dumps(payload, sort_keys=True))
                     result.rows.append(row)
                     timing_rows.append(timing)
                     result.n_computed += 1
@@ -223,8 +253,9 @@ def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
     settings = DecodeSettings(k=k, temperature=temp,
                               max_new_tokens=spec.max_new_tokens,
                               seed=spec.seed)
-    rounds, outputs, spec_spt = _generate_cell(model, strategy, prompts,
-                                               settings)
+    outputs, rounds, spec_spt = _run_prompts(
+        lambda p, s: speculative_generate(model, strategy, p, s),
+        prompts, settings)
     stats = all_token_alpha(rounds, k, resamples=spec.bootstrap_resamples,
                             seed=spec.seed)
     if kind not in div_cache:
@@ -234,8 +265,9 @@ def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
     rate = None
     if temp == 0.0:
         if temp not in ar_cache:
-            ar_cache[temp], ar_seconds[temp] = _ar_outputs(
-                model, prompts, settings)
+            ar_cache[temp], _, ar_seconds[temp] = _run_prompts(
+                lambda p, s: (autoregressive_generate(model, p, s), []),
+                prompts, settings)
         ar_out = ar_cache[temp]
         rate = float(np.mean([a == b for a, b in zip(outputs, ar_out)]))
     cost = flop_ratio(model.cfg, strategy)

@@ -208,23 +208,3 @@ def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
             break
         start += stride
     return float(np.exp(total_nll / scored))
-
-
-def collect_rounds(model: HybridModel, strategy: DraftStrategy, prompts,
-                   settings: DecodeSettings) -> list[SpecRoundResult]:
-    """Run speculative generation over prompts, pooling per-round results.
-
-    Each prompt gets an independent RNG substream derived from the settings
-    seed, so results do not depend on prompt order or concurrency."""
-    rounds: list[SpecRoundResult] = []
-    for i, prompt in enumerate(prompts):
-        per_prompt = DecodeSettings(k=settings.k, temperature=settings.temperature,
-                                    max_new_tokens=settings.max_new_tokens,
-                                    seed=_prompt_seed(settings.seed, i))
-        _, rs = speculative_generate(model, strategy, prompt, per_prompt)
-        rounds.extend(rs)
-    return rounds
-
-
-def _prompt_seed(seed: int, index: int) -> int:
-    return (seed * 1_000_003 + index) % (2 ** 63)

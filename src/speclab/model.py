@@ -347,15 +347,6 @@ class DecodeState:
     pos: int = 0
     kv: list[KVCache | None] = field(default_factory=list)
     ssm: list[np.ndarray | None] = field(default_factory=list)
-    next_logits: np.ndarray | None = None
-
-    def clone(self) -> "DecodeState":
-        st = DecodeState(self.model, self.mask, self.pos)
-        st.kv = [KVCache(c.k.copy(), c.v.copy()) if c is not None else None
-                 for c in self.kv]
-        st.ssm = [s.copy() if s is not None else None for s in self.ssm]
-        st.next_logits = None if self.next_logits is None else self.next_logits.copy()
-        return st
 
     def snapshot(self) -> SsmSnapshot:
         """Cheap rollback point: recurrent states plus position. KV needs no
@@ -369,45 +360,11 @@ class DecodeState:
             raise ValueError("cannot restore a snapshot ahead of the current position")
         self.pos = snap.pos
         self.ssm = [s.copy() if s is not None else None for s in snap.states]
-        self.next_logits = None
-
-    def cache_elements(self) -> int:
-        """Total floats held: grows with sequence length only via KV."""
-        n = 0
-        for c in self.kv:
-            if c is not None:
-                n += 2 * c.k.shape[0] * c.k.shape[1] * self.pos
-        for s in self.ssm:
-            if s is not None:
-                n += s.size
-        return n
 
 
 # ---------------------------------------------------------------------------
 # Block computations (single stream, chunk of T positions)
 # ---------------------------------------------------------------------------
-
-
-def ssm_step(p: SsmParams, state: np.ndarray, x: np.ndarray):
-    """One recurrence step on a normalized branch input.
-
-    ``new_state = decay * state + outer(u, B)`` with ``u = silu(x @ w_in)``
-    and input-dependent ``B``; the output reads the new state through the
-    input-dependent ``C`` projection, adds the gated skip term, and applies
-    the output projection. State shape (d_model, d_state) never changes.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.w_in.shape[0],):
-        raise ValueError(f"input shape {x.shape} incompatible with w_in {p.w_in.shape}")
-    if state.shape != (p.w_in.shape[1], p.w_b.shape[1]):
-        raise ValueError(f"state shape {state.shape} incompatible with layer params")
-    u = silu(x @ p.w_in)
-    b = x @ p.w_b
-    c = x @ p.w_c
-    decay = sigmoid(p.decay_raw)
-    new_state = decay[:, None] * state + u[:, None] * b[None, :]
-    y = new_state @ c + p.skip_gain * u
-    return y @ p.w_out, new_state
 
 
 def _ssm_chunk(p: SsmParams, state: np.ndarray, h: np.ndarray, record: bool):
@@ -584,7 +541,6 @@ class HybridModel:
         hn = rms_norm(h, w["final_norm_g"], NORM_EPS)
         logits = hn @ w["head_w"]
         state.pos = pos0 + T
-        state.next_logits = logits[-1]
         history = None
         if record_states:
             # per_layer_states[i] is None exactly for layers with no live

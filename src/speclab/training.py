@@ -180,65 +180,6 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     return dh_
 
 
-try:  # optional compiled scan kernels; numpy fallback below is equivalent
-    import os as _os
-
-    # the portable threading layer is plenty for a 2-4 core target and
-    # avoids a version warning from the optional TBB backend
-    _os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-    import numba
-
-    # parallel over the batch: each stream touches only its own slices, and
-    # the decay gradient is accumulated per stream and reduced in fixed
-    # order afterwards, so results stay bitwise deterministic
-
-    @numba.njit(cache=True, parallel=True)
-    def _scan_fwd_kernel(decay, u, bm, cm, skip_gain, states, y):
-        B, T, d = u.shape
-        s = bm.shape[2]
-        for b in numba.prange(B):
-            S = np.zeros_like(states[b, 0])
-            for t in range(T):
-                for i in range(d):
-                    ai = decay[i]
-                    ui = u[b, t, i]
-                    yi = 0.0
-                    for j in range(s):
-                        v = ai * S[i, j] + ui * bm[b, t, j]
-                        S[i, j] = v
-                        states[b, t, i, j] = v
-                        yi += v * cm[b, t, j]
-                    y[b, t, i] = yi + skip_gain[i] * ui
-
-    @numba.njit(cache=True, parallel=True)
-    def _scan_bwd_kernel(decay, u, bm, cm, states, dy, du, dbm, dcm, da_b):
-        B, T, d = u.shape
-        s = bm.shape[2]
-        for b in numba.prange(B):
-            dS = np.zeros_like(states[b, 0])
-            for t in range(T - 1, -1, -1):
-                for i in range(d):
-                    ai = decay[i]
-                    dyi = dy[b, t, i]
-                    ui = u[b, t, i]
-                    dui = 0.0
-                    dai = 0.0
-                    for j in range(s):
-                        v = ai * dS[i, j] + dyi * cm[b, t, j]
-                        dS[i, j] = v
-                        dui += v * bm[b, t, j]
-                        if t > 0:
-                            dai += v * states[b, t - 1, i, j]
-                        dbm[b, t, j] += v * ui
-                        dcm[b, t, j] += dyi * states[b, t, i, j]
-                    du[b, t, i] += dui
-                    da_b[b, i] += dai
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
 _SCAN_CHUNK = 16
 
 
@@ -287,14 +228,8 @@ def _ssm_fwd(p, h):
     bm = np.ascontiguousarray((x2 @ p.w_b).reshape(B, T, -1))
     cm = np.ascontiguousarray((x2 @ p.w_c).reshape(B, T, -1))
     decay = sigmoid(p.decay_raw)
-    s = bm.shape[-1]
-    if _HAVE_NUMBA:
-        states = np.empty((B, T, d, s), dtype=h.dtype)
-        y_skip = np.empty_like(u)
-        _scan_fwd_kernel(decay, u, bm, cm, p.skip_gain, states, y_skip)
-    else:
-        states = _linear_scan(decay, u[..., None] * bm[:, :, None, :])
-        y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
+    states = _linear_scan(decay, u[..., None] * bm[:, :, None, :])
+    y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = _flat(y_skip) @ p.w_out
     cache = (xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip)
     return out.reshape(B, T, d), cache
@@ -308,21 +243,14 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     dy = np.ascontiguousarray((do2 @ p.w_out.T).reshape(B, T, d))
     grads[prefix + "skip_gain"] += np.sum(dy * u, axis=(0, 1))
     du = dy * p.skip_gain
-    if _HAVE_NUMBA:
-        dbm = np.zeros_like(bm)
-        dcm = np.zeros_like(cm)
-        da_b = np.zeros((B, d), dtype=dy.dtype)
-        _scan_bwd_kernel(decay, u, bm, cm, states, dy, du, dbm, dcm, da_b)
-        da = da_b.sum(axis=0)
-    else:
-        dcm = (dy[:, :, None, :] @ states)[:, :, 0, :]
-        # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
-        # forward scan on the time-flipped input
-        q = dy[..., None] * cm[:, :, None, :]
-        d_states = _linear_scan(decay, q[:, ::-1])[:, ::-1]
-        da = (d_states[:, 1:] * states[:, :-1]).sum(axis=(0, 1, 3))
-        du += (d_states @ bm[..., None])[..., 0]
-        dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
+    dcm = (dy[:, :, None, :] @ states)[:, :, 0, :]
+    # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
+    # forward scan on the time-flipped input
+    q = dy[..., None] * cm[:, :, None, :]
+    d_states = _linear_scan(decay, q[:, ::-1])[:, ::-1]
+    da = (d_states[:, 1:] * states[:, :-1]).sum(axis=(0, 1, 3))
+    du += (d_states @ bm[..., None])[..., 0]
+    dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
     grads[prefix + "decay_raw"] += da * decay * (1.0 - decay)
     dupre = _silu_bwd(du, upre, usig)
     x2 = _flat(xs)

@@ -120,10 +120,13 @@ class TestCriterion2LosslessnessSampling:
             res = accept_draft([ph, ph], draft, temp, rng)
             counts[res.emitted_tokens[0]] += 1
         expected = ph * n
-        # merge low-expectation bins so the chi-square approximation is valid
+        # merge low-expectation bins so the chi-square approximation is
+        # valid; the merged bin exists only when some bin falls below 5
         big = expected >= 5.0
-        obs = np.append(counts[big], counts[~big].sum())
-        exp = np.append(expected[big], expected[~big].sum())
+        obs, exp = counts[big], expected[big]
+        if not big.all():
+            obs = np.append(obs, counts[~big].sum())
+            exp = np.append(exp, expected[~big].sum())
         _, pval = scipy_stats.chisquare(obs, exp * (obs.sum() / exp.sum()))
         criterion(
             "C2 losslessness (sampling)",

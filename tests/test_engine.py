@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 from scipy import stats
 
+from speclab import engine
 from speclab.engine import (
     DecodeSettings,
     DraftSequence,
@@ -114,8 +118,8 @@ class TestDraftK:
         settings = DecodeSettings(k=4, temperature=0.0, max_new_tokens=4, seed=0)
         greedy = autoregressive_generate(m, prompt, settings)
         mask = build_mask(PAR8, DraftStrategy("identity"))
-        _, state = m.forward_prefix(prompt, mask)
-        draft, _ = draft_k(m, mask, state, settings, RngState(0))
+        _, state = m.forward_prefix(prompt[:-1], mask)
+        draft, _ = draft_k(m, mask, state, prompt[-1:], settings, RngState(0))
         assert draft.tokens == greedy
 
     def test_same_seed_gives_identical_draft(self):
@@ -125,8 +129,8 @@ class TestDraftK:
         settings = DecodeSettings(k=4, temperature=0.8, max_new_tokens=4, seed=0)
         drafts = []
         for _ in range(2):
-            _, state = m.forward_prefix(prompt, mask)
-            d, _ = draft_k(m, mask, state, settings, RngState(11))
+            _, state = m.forward_prefix(prompt[:-1], mask)
+            d, _ = draft_k(m, mask, state, prompt[-1:], settings, RngState(11))
             drafts.append(d)
         assert drafts[0].tokens == drafts[1].tokens
         for a, b in zip(drafts[0].dists, drafts[1].dists):
@@ -135,26 +139,36 @@ class TestDraftK:
     def test_k1_returns_single_token_with_distribution(self):
         m = HybridModel.from_seed(PAR8, 0)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
-        _, state = m.forward_prefix(prompt_for(PAR8), mask)
-        draft, snaps = draft_k(m, mask, state, DecodeSettings(k=1), RngState(0))
+        prompt = prompt_for(PAR8)
+        _, state = m.forward_prefix(prompt[:-1], mask)
+        draft, snaps = draft_k(m, mask, state, prompt[-1:], DecodeSettings(k=1),
+                               RngState(0))
         assert draft.k == 1
         assert len(snaps) == 1
+        assert snaps[0].pos == state.pos == len(prompt)
         assert draft.dists[0].shape == (PAR8.vocab_size,)
 
     def test_context_overflow_raises(self):
         m = HybridModel.from_seed(PAR8, 0)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         prompt = list(np.zeros(PAR8.context_limit - 1, dtype=int))
-        _, state = m.forward_prefix(prompt, mask)
+        _, state = m.forward_prefix(prompt[:-1], mask)
         with pytest.raises(ValueError):
-            draft_k(m, mask, state, DecodeSettings(k=4), RngState(0))
+            draft_k(m, mask, state, prompt[-1:], DecodeSettings(k=4), RngState(0))
 
     def test_wrong_mask_rejected(self):
         m = HybridModel.from_seed(PAR8, 0)
         _, state = m.forward_prefix(prompt_for(PAR8), None)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         with pytest.raises(ValueError):
-            draft_k(m, mask, state, DecodeSettings(k=2), RngState(0))
+            draft_k(m, mask, state, [1], DecodeSettings(k=2), RngState(0))
+
+    def test_empty_pending_input_rejected(self):
+        m = HybridModel.from_seed(PAR8, 0)
+        mask = build_mask(PAR8, DraftStrategy("component_only"))
+        _, state = m.forward_prefix(prompt_for(PAR8), mask)
+        with pytest.raises(ValueError):
+            draft_k(m, mask, state, [], DecodeSettings(k=2), RngState(0))
 
 
 class TestAcceptCore:
@@ -338,20 +352,118 @@ class TestAutoregressive:
         prompt = prompt_for(PAR8)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         settings = DecodeSettings(k=3, temperature=0.0, max_new_tokens=8, seed=0)
-        _, vstate = m.forward_prefix(prompt)
-        _, dstate = m.forward_prefix(prompt, mask)
-        draft, _ = draft_k(m, mask, dstate, settings, RngState(0))
-        res = verify_and_accept(m, vstate, draft, settings, RngState(0))
-        assert vstate.pos == len(prompt) + len(res.emitted_tokens)
-        assert vstate.next_logits is not None
+        _, vstate = m.forward_prefix(prompt[:-1])
+        _, dstate = m.forward_prefix(prompt[:-1], mask)
+        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        res = verify_and_accept(m, vstate, prompt[-1], draft, settings, RngState(0))
+        # consumed: the pending token and the accepted drafts; the last
+        # emitted token is the next pending one
+        assert vstate.pos == len(prompt) + res.accepted_count
+        step = m.decode_step(vstate, res.emitted_tokens[-1])
+        fresh, _ = m.forward_prefix(prompt + res.emitted_tokens)
+        np.testing.assert_allclose(step, fresh[-1], atol=1e-9, rtol=0)
 
     def test_verify_rejects_mispositioned_draft(self):
         m = HybridModel.from_seed(PAR8, 1)
         prompt = prompt_for(PAR8)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         settings = DecodeSettings(k=2, temperature=0.0, max_new_tokens=8, seed=0)
-        _, dstate = m.forward_prefix(prompt, mask)
-        draft, _ = draft_k(m, mask, dstate, settings, RngState(0))
-        _, vstate = m.forward_prefix(prompt + [0])
+        _, dstate = m.forward_prefix(prompt[:-1], mask)
+        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        _, vstate = m.forward_prefix(prompt)
         with pytest.raises(ValueError):
-            verify_and_accept(m, vstate, draft, settings, RngState(0))
+            verify_and_accept(m, vstate, 0, draft, settings, RngState(0))
+
+
+class TestRoundStructure:
+    @pytest.mark.parametrize("kind,temp", [("component_only", 0.0),
+                                           ("layer_skip", 0.7),
+                                           ("identity", 0.0)])
+    def test_round_is_k_draft_forwards_and_one_verify_forward(
+            self, monkeypatch, kind, temp):
+        m = HybridModel.from_seed(SEQ8, 2)
+        k = 3
+        events = []  # rows per forward_chunk call, and a marker per phase
+        real_forward = HybridModel.forward_chunk
+
+        def counted_forward(self, state, tokens, *args, **kwargs):
+            events.append(len(tokens))
+            return real_forward(self, state, tokens, *args, **kwargs)
+
+        def marked(name, fn):
+            def run(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        def no_decode_step(*args, **kwargs):
+            raise AssertionError("decode_step called in the speculative path")
+
+        monkeypatch.setattr(HybridModel, "forward_chunk", counted_forward)
+        monkeypatch.setattr(HybridModel, "decode_step", no_decode_step)
+        monkeypatch.setattr(engine, "draft_k", marked("draft", engine.draft_k))
+        monkeypatch.setattr(engine, "verify_and_accept",
+                            marked("verify", engine.verify_and_accept))
+        prompt = prompt_for(SEQ8)
+        settings = DecodeSettings(k=k, temperature=temp, max_new_tokens=30, seed=1)
+        _, rounds = speculative_generate(m, DraftStrategy(kind), prompt, settings)
+        # two prefix forwards over prompt[:-1], then the rounds
+        assert events[:2] == [len(prompt) - 1] * 2
+        phases = []
+        for e in events[2:]:
+            if isinstance(e, str):
+                phases.append((e, []))
+            else:
+                phases[-1][1].append(e)
+        assert [name for name, _ in phases] == ["draft", "verify"] * len(rounds)
+        for (_, draft_rows), (_, verify_rows) in zip(phases[::2], phases[1::2]):
+            assert len(draft_rows) == k
+            assert draft_rows[0] in (1, 2) and draft_rows[1:] == [1] * (k - 1)
+            assert verify_rows == [k + 1]
+
+
+@st.composite
+def engine_cases(draw):
+    arch = draw(st.sampled_from(sorted(STRATEGIES)))
+    cfg = ModelConfig(arch, n_layers=draw(st.integers(4, 6)),
+                      d_model=draw(st.sampled_from([8, 16])), n_heads=2,
+                      d_state=draw(st.sampled_from([2, 4])),
+                      vocab_size=draw(st.integers(4, 24)), context_limit=32)
+    model = HybridModel.from_seed(cfg, draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(STRATEGIES[arch]))
+    prompt = draw(st.lists(st.integers(0, cfg.vocab_size - 1),
+                           min_size=1, max_size=8))
+    settings = DecodeSettings(k=draw(st.integers(1, 5)),
+                              temperature=draw(st.sampled_from([0.0, 0.7])),
+                              max_new_tokens=draw(st.integers(1, 12)),
+                              seed=draw(st.integers(0, 2 ** 16)))
+    return model, DraftStrategy(kind), prompt, settings
+
+
+class TestEngineProperties:
+    @hsettings(max_examples=80, deadline=None)
+    @given(engine_cases())
+    def test_rounds_positions_and_greedy_losslessness(self, case):
+        model, strategy, prompt, settings = case
+        k = settings.k
+        verified = []  # (position before, position after, result) per round
+        real_verify = engine.verify_and_accept
+
+        def checked_verify(model, state, pending, draft, settings, rng):
+            before = state.pos
+            result = real_verify(model, state, pending, draft, settings, rng)
+            verified.append((before, state.pos, result))
+            return result
+
+        with mock.patch.object(engine, "verify_and_accept", checked_verify):
+            out, rounds = speculative_generate(model, strategy, prompt, settings)
+        assert len(out) == settings.max_new_tokens
+        assert [r for _, _, r in verified] == rounds
+        for before, after, r in verified:
+            assert len(r.emitted_tokens) == r.accepted_count + 1
+            assert 1 <= len(r.emitted_tokens) <= k + 1
+            assert after == before + r.accepted_count + 1
+        if settings.temperature == 0.0:
+            assert out == autoregressive_generate(model, prompt, settings)
+            if strategy.kind == "identity":
+                assert all(r.all_accepted for r in rounds)

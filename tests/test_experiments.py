@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from speclab import experiments
 from speclab.checkpoint import save_checkpoint
 from speclab.corpus import make_corpus
 from speclab.experiments import (
@@ -130,6 +131,49 @@ class TestRunExperiments:
         header = (out / "report.csv").read_text().splitlines()[1]
         assert "seconds" not in header
         assert (out / "timings.csv").exists()
+
+    def test_failing_cell_is_recorded_and_the_sweep_goes_on(
+            self, workspace, tmp_path, monkeypatch):
+        real = experiments.speculative_generate
+
+        def failing(model, strategy, prompt, settings):
+            if strategy.kind == "component_only":
+                raise RuntimeError("injected failure")
+            return real(model, strategy, prompt, settings)
+
+        monkeypatch.setattr(experiments, "speculative_generate", failing)
+        spec = tiny_spec(workspace, tmp_path / "runI", k_values=(1,),
+                         temperatures=(0.0,))
+        result = run_experiments(spec, log=lambda m: None)
+        assert result.n_computed == 1
+        assert len(result.errors) == 1
+        cell, message = result.errors[0]
+        assert "component_only" in cell and "injected failure" in message
+        rows = read_report(result.report_path)
+        assert [r["strategy"] for r in rows] == ["identity"]
+
+    def test_changed_spec_recomputes_instead_of_reusing_cells(self, workspace,
+                                                              tmp_path):
+        out = tmp_path / "runJ"
+        kw = dict(strategies=("identity",), k_values=(1,), temperatures=(0.0,))
+        run_experiments(tiny_spec(workspace, out, n_prompts=1, **kw),
+                        log=lambda m: None)
+        second = run_experiments(tiny_spec(workspace, out, n_prompts=2, **kw),
+                                 log=lambda m: None)
+        assert (second.n_computed, second.n_skipped) == (1, 0)
+        assert [r["n_prompts"] for r in read_report(second.report_path)] == ["2"]
+        assert not list((out / "cells").glob(".*.tmp"))
+
+    def test_retrained_checkpoint_recomputes_its_cells(self, workspace, tmp_path):
+        ckpt = tmp_path / "toy_parallel.ckpt"
+        save_checkpoint(ckpt, init_weights(PAR, 1))
+        kw = dict(checkpoints=(str(ckpt),), strategies=("identity",),
+                  k_values=(1,), temperatures=(0.0,))
+        out = tmp_path / "runK"
+        run_experiments(tiny_spec(workspace, out, **kw), log=lambda m: None)
+        save_checkpoint(ckpt, init_weights(PAR, 9))
+        again = run_experiments(tiny_spec(workspace, out, **kw), log=lambda m: None)
+        assert (again.n_computed, again.n_skipped) == (1, 0)
 
     def test_empty_sweep_rejected(self, workspace, tmp_path):
         with pytest.raises(ValueError):

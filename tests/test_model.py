@@ -4,6 +4,7 @@ import pytest
 from speclab.model import (
     ComponentMask,
     HybridModel,
+    NORM_EPS,
     ModelConfig,
     SsmParams,
     Weights,
@@ -13,7 +14,6 @@ from speclab.model import (
     default_layer_pattern,
     init_weights,
     param_spec,
-    ssm_step,
 )
 from speclab.numerics import rms_norm
 
@@ -156,6 +156,13 @@ class TestForwardPrefix:
             m.forward_prefix([1], ComponentMask.full(PARALLEL.n_layers + 1))
 
 
+def live_cache_elements(state):
+    """Floats a state holds for its stream: live KV rows plus recurrent state."""
+    kv = sum(2 * c.k.shape[0] * c.k.shape[1] * state.pos
+             for c in state.kv if c is not None)
+    return kv + sum(s.size for s in state.ssm if s is not None)
+
+
 def chain_decode(model, mask, toks):
     state = model.new_state(mask)
     rows = [model.decode_step(state, t) for t in toks]
@@ -205,12 +212,13 @@ class TestDecodeStep:
         batch, _ = m.forward_prefix(toks)
         np.testing.assert_allclose(step_logits, batch[-1], atol=1e-9, rtol=0)
 
-    def test_cloned_states_step_identically(self):
+    def test_restored_snapshot_steps_identically(self):
         m = make_model(SEQUENTIAL)
         _, state = m.forward_prefix(tokens_for(SEQUENTIAL, 8))
-        a, b = state.clone(), state.clone()
-        la = m.decode_step(a, 3)
-        lb = m.decode_step(b, 3)
+        snap = state.snapshot()
+        la = m.decode_step(state, 3)
+        state.restore(snap)
+        lb = m.decode_step(state, 3)
         np.testing.assert_array_equal(la, lb)
 
     def test_ssm_only_mask_has_no_kv_cache(self):
@@ -229,8 +237,8 @@ class TestDecodeStep:
         for t in tokens_for(PARALLEL, 12):
             m.decode_step(draft, t)
             m.decode_step(full, t)
-            sizes_d.append(draft.cache_elements())
-            sizes_f.append(full.cache_elements())
+            sizes_d.append(live_cache_elements(draft))
+            sizes_f.append(live_cache_elements(full))
         assert len(set(sizes_d)) == 1
         assert sizes_f == sorted(sizes_f) and sizes_f[0] < sizes_f[-1]
 
@@ -298,6 +306,12 @@ def tiny_ssm_params(d=4, s=3, seed=0, decay_raw=None):
     )
 
 
+def ssm_step(p, state, h):
+    """One recurrence step: a one-row chunk. Returns (out, new_state)."""
+    out, new_state, _ = _ssm_chunk(p, state, np.asarray(h, dtype=float)[None], False)
+    return out[0], new_state
+
+
 class TestSsmStep:
     def test_zero_input_zero_state_gives_zero_output(self):
         p = tiny_ssm_params()
@@ -321,8 +335,9 @@ class TestSsmStep:
         d_eff = expit(logit(d_val))
         x = np.array([0.5, -0.1, 0.2, 0.9])
         from speclab.numerics import silu
-        u = silu(x @ p.w_in)
-        b = x @ p.w_b
+        xs = rms_norm(x, p.norm_g, NORM_EPS)
+        u = silu(xs @ p.w_in)
+        b = xs @ p.w_b
         proj = u[:, None] * b[None, :]
         state = np.zeros((4, 3))
         for t in range(1, 25):
@@ -344,7 +359,7 @@ class TestSsmStep:
         state = np.zeros((4, 3))
         outs = []
         for t in range(6):
-            o, state = ssm_step(p, state, rms_norm(h[t], p.norm_g))
+            o, state = ssm_step(p, state, h[t])
             outs.append(o)
         np.testing.assert_allclose(out_chunk, np.stack(outs), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(final, state, rtol=1e-12, atol=1e-14)

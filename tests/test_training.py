@@ -107,22 +107,6 @@ class TestForwardEquivalence:
         prefix, _ = m.forward_prefix(toks, mask)
         np.testing.assert_allclose(batched[0], prefix, atol=1e-12, rtol=0)
 
-    @pytest.mark.skipif(not training._HAVE_NUMBA, reason="numba not installed")
-    def test_compiled_scan_matches_numpy_fallback(self, monkeypatch):
-        cfg = TINY_PAR
-        w = init_weights(cfg, 5)
-        x, y = small_batch(cfg, seed=7, b=3, t=21)
-        logits_a, tape_a = forward_train(cfg, w, None, x)
-        _, dl = cross_entropy(logits_a, y)
-        grads_a = backward_train(cfg, w, tape_a, dl)
-        monkeypatch.setattr(training, "_HAVE_NUMBA", False)
-        logits_b, tape_b = forward_train(cfg, w, None, x)
-        grads_b = backward_train(cfg, w, tape_b, dl)
-        np.testing.assert_allclose(logits_a, logits_b, atol=1e-12, rtol=0)
-        for name in grads_a:
-            np.testing.assert_allclose(grads_a[name], grads_b[name],
-                                       atol=1e-10, rtol=0, err_msg=name)
-
 
 class TestTrainLoop:
     def test_zero_steps_returns_seeded_init(self, corpus_file):
