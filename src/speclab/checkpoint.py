@@ -17,6 +17,7 @@ inspection.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,25 +66,43 @@ def write_manifest(path, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> Weights:
-    """Read a checkpoint; validates magic, version, shapes and finiteness."""
+    """Read a checkpoint; validates magic, version, header, block bounds,
+    dtype, shapes and finiteness. Malformed content raises ValueError."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
-    if raw[:8] != MAGIC:
+    if len(raw) < 12 or raw[:8] != MAGIC:
         raise ValueError(f"{path} is not a speclab checkpoint (bad magic)")
     header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    if 12 + header_len > len(raw):
+        raise ValueError(f"{path}: header length {header_len} runs past the "
+                         f"end of the file ({len(raw)} bytes)")
     header = json.loads(raw[12:12 + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-    cfg = ModelConfig.from_dict(header["config"])
     payload = raw[12 + header_len:]
-    blocks: dict[str, np.ndarray] = {}
-    for spec in header["blocks"]:
-        start = spec["offset"]
-        arr = np.frombuffer(payload[start:start + spec["nbytes"]],
-                            dtype=spec["dtype"])
-        blocks[spec["name"]] = arr.astype(np.float64).reshape(spec["shape"])
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        blocks: dict[str, np.ndarray] = {}
+        for spec in header["blocks"]:
+            name, shape, start, nbytes = (spec[k] for k in
+                                          ("name", "shape", "offset", "nbytes"))
+            if spec["dtype"] != _DTYPE:
+                raise ValueError(f"block {name} has dtype {spec['dtype']!r}, "
+                                 f"expected {_DTYPE!r}")
+            if nbytes != math.prod(shape) * 8:
+                raise ValueError(f"block {name}: {nbytes} bytes do not hold "
+                                 f"shape {shape}")
+            if not 0 <= start <= start + nbytes <= len(payload):
+                raise ValueError(f"block {name}: bytes {start}..{start + nbytes} "
+                                 f"lie outside the {len(payload)}-byte payload")
+            arr = np.frombuffer(payload[start:start + nbytes], dtype=_DTYPE)
+            blocks[name] = arr.astype(np.float64).reshape(shape)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header: {exc!r}") from exc
     weights = Weights(cfg, blocks)
     weights.validate_finite()
     return weights

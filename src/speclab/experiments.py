@@ -7,10 +7,13 @@ fields in ``KEYED_FIELDS`` and the content digests of the checkpoint and the
 prompt corpus. Completed cells with a matching id are skipped on re-run, and
 the top-level ``report.csv`` is regenerated from cell files every run, so
 re-running a finished sweep does no model work and reproduces the report
-byte for byte, while a changed spec, checkpoint or corpus recomputes. Every
-file is written to a temporary name and renamed into place. Wall-clock
-timings are intentionally kept out of the deterministic report and land in
-``timings.csv``.
+byte for byte, while a changed spec, checkpoint or corpus recomputes. When
+a cell with the current id is read or written, the files of earlier ids for
+the same (model, strategy, k, T) are deleted. Every file is written to a
+temporary name and renamed into place. Wall-clock timings are intentionally
+kept out of the deterministic report: each cell file stores its timing row
+beside the report row, and ``timings.csv`` is regenerated from the cell
+files like the report.
 
 Per-cell randomness is derived from (seed, prompt index), never from
 execution order, so cells can in principle run concurrently over the shared
@@ -20,10 +23,12 @@ immutable checkpoints without changing any number.
 from __future__ import annotations
 
 import csv
+import glob
 import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -49,6 +54,8 @@ from .training import load_corpus
 REPORT_SCHEMA = "speclab-report v1"
 PLOT_SCHEMA = "speclab-plot-data v1"
 TIMING_SCHEMA = "speclab-timings v1"
+TIMING_COLUMNS = ["model", "strategy", "k", "temperature",
+                  "spec_seconds_per_token", "ar_seconds_per_token"]
 
 REPORT_COLUMNS = [
     "model", "arch", "strategy", "k", "temperature", "n_prompts", "n_rounds",
@@ -126,6 +133,16 @@ def _cell_id(model: str, strategy: str, k: int, temp: float, key: dict) -> str:
     return f"{model}__{strategy}__k{k}__T{temp:g}__{digest[:12]}"
 
 
+def _remove_superseded(cells_dir: Path, cell: str):
+    """Delete the files of the cell's coordinates under any other id: the
+    unkeyed name of older sweeps, or another key hash."""
+    coords = cell.rsplit("__", 1)[0]
+    own = re.compile(re.escape(coords) + r"(__[0-9a-f]{12})?\.json")
+    for path in cells_dir.glob(glob.escape(coords) + "*.json"):
+        if path.name != f"{cell}.json" and own.fullmatch(path.name):
+            path.unlink(missing_ok=True)
+
+
 def _write_atomic(path: Path, text: str):
     """Write ``text`` to a temporary file beside ``path``, then rename it into
     place, so no reader or later run sees a partly written file."""
@@ -178,6 +195,11 @@ def _run_prompts(generate, prompts, settings: DecodeSettings):
     return outputs, rounds, seconds_per_token
 
 
+def _grid_order(row: dict):
+    return (row["model"], row["strategy"], float(row["temperature"]),
+            int(row["k"]))
+
+
 def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
     """Execute (or resume) the sweep; returns rows plus computed/skipped
     counts. Per-cell failures are recorded and the run continues."""
@@ -220,31 +242,30 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                     cell_path = cells_dir / f"{cell}.json"
                     if cell_path.exists():
                         payload = json.loads(cell_path.read_text())
-                        result.rows.append(payload["row"])
                         result.n_skipped += 1
-                        continue
-                    try:
-                        row, timing, payload = _compute_cell(
-                            spec, model, model_name, strategy, kind, k, temp,
-                            prompts, ar_cache, ar_seconds, div_cache)
-                    except Exception as exc:  # recorded; the sweep goes on
-                        result.errors.append((cell, f"{type(exc).__name__}: {exc}"))
-                        log(f"[fail] {cell}:\n{traceback.format_exc()}")
-                        continue
-                    payload["key"] = key
-                    _write_atomic(cell_path, json.dumps(payload, sort_keys=True))
-                    result.rows.append(row)
-                    timing_rows.append(timing)
-                    result.n_computed += 1
-                    log(f"[done] {cell}: alpha={row['alpha']:.3f}")
-    result.rows.sort(key=lambda r: (r["model"], r["strategy"],
-                                    float(r["temperature"]), int(r["k"])))
+                    else:
+                        try:
+                            payload = _compute_cell(
+                                spec, model, model_name, strategy, kind, k,
+                                temp, prompts, ar_cache, ar_seconds, div_cache)
+                        except Exception as exc:  # recorded; the sweep goes on
+                            result.errors.append(
+                                (cell, f"{type(exc).__name__}: {exc}"))
+                            log(f"[fail] {cell}:\n{traceback.format_exc()}")
+                            continue
+                        payload["key"] = key
+                        _write_atomic(cell_path,
+                                      json.dumps(payload, sort_keys=True))
+                        result.n_computed += 1
+                        log(f"[done] {cell}: alpha={payload['row']['alpha']:.3f}")
+                    _remove_superseded(cells_dir, cell)
+                    result.rows.append(payload["row"])
+                    if "timing" in payload:
+                        timing_rows.append(payload["timing"])
+    result.rows.sort(key=_grid_order)
+    timing_rows.sort(key=_grid_order)
     _write_csv(result.report_path, REPORT_SCHEMA, REPORT_COLUMNS, result.rows)
-    if timing_rows:
-        _write_csv(result.timing_path, TIMING_SCHEMA,
-                   ["model", "strategy", "k", "temperature",
-                    "spec_seconds_per_token", "ar_seconds_per_token"],
-                   timing_rows)
+    _write_csv(result.timing_path, TIMING_SCHEMA, TIMING_COLUMNS, timing_rows)
     return result
 
 
@@ -288,15 +309,15 @@ def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
     timing = {"model": model_name, "strategy": strategy.label(), "k": k,
               "temperature": temp, "spec_seconds_per_token": spec_spt,
               "ar_seconds_per_token": ar_seconds.get(temp)}
-    payload = {
+    return {
         "row": row,
+        "timing": timing,
         "diagnostics": {
             "accepted_counts": [r.accepted_count for r in rounds],
             "all_accepted": [bool(r.all_accepted) for r in rounds],
             "position_match_totals": _position_match_totals(rounds, k),
         },
     }
-    return row, timing, payload
 
 
 def _position_match_totals(rounds, k: int) -> list[int]:

@@ -19,8 +19,12 @@ pre-allocated KV cache. A :class:`ComponentMask` turns branches off per layer
 by control flow, never by multiplying by zero, so a disabled branch costs
 nothing and an all-enabled mask is bit-identical to no mask.
 
-Everything is float64 numpy; one decode stream owns one mutable
-:class:`DecodeState`, weights are immutable after load and shareable.
+The block math exists once, in :func:`forward`, over (B, T, d) rows and in
+the dtype of the weights it is given, under a per-mask :func:`layer_plan`.
+Decoding runs it on one stream (B = 1) in float64, continuing a mutable
+:class:`DecodeState` (KV cache, recurrent states, position); training runs it
+on B windows from position 0 and records a tape for its backward. Weights are
+immutable after load and shareable.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import RngState, rms_norm, sigmoid, silu
+from .numerics import RngState, sigmoid
 
 ARCHS = ("parallel_hybrid", "sequential_hybrid", "transformer")
 LAYER_KINDS = ("linear", "attention")
@@ -132,7 +136,7 @@ class ComponentMask:
     feed-forward included). ``max_layer`` marks an early-exit cutoff; layers
     at or beyond it must be flagged skipped. For transformers ``alt_enabled``
     is meaningless and a layer with attention off but the alternative branch
-    on is rejected as a mask/arch mismatch at forward time.
+    on is rejected as a mask/arch mismatch when its layer plan is built.
     """
 
     attn_enabled: tuple[bool, ...]
@@ -203,8 +207,9 @@ class FfnParams(NamedTuple):
     w2: np.ndarray
 
 
-class LayerParams(NamedTuple):
-    kind: str
+class LayerPlan(NamedTuple):
+    """The blocks layer ``index`` runs under a mask (None: branch off)."""
+    index: int
     attn: AttnParams | None
     ssm: SsmParams | None
     ffn: FfnParams
@@ -317,14 +322,44 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     return Weights(cfg, blocks)
 
 
+def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
+    """The blocks every unskipped layer runs under ``mask``, read from ``w``
+    (a :class:`Weights` or any name-to-array mapping, such as training's
+    float32 casts). Skipped layers are left out, so a forward over the plan
+    neither branches on nor validates the mask."""
+    if mask.n_layers != cfg.n_layers:
+        raise ValueError(
+            f"mask covers {mask.n_layers} layers, model has {cfg.n_layers}")
+    plan = []
+    for i in range(cfg.n_layers):
+        if mask.layer_skipped[i]:
+            continue
+        if (cfg.arch == "transformer" and mask.alt_enabled[i]
+                and not mask.attn_enabled[i]):
+            raise ValueError(
+                "mask/arch mismatch: transformer layers have no "
+                "alternative component to run on its own")
+        attn = ssm = None
+        if cfg.has_attn(i) and mask.attn_enabled[i]:
+            attn = AttnParams(*(w[f"layers.{i}.attn.{n}"]
+                                for n in AttnParams._fields))
+        if cfg.has_alt(i) and mask.alt_enabled[i]:
+            ssm = SsmParams(*(w[f"layers.{i}.ssm.{n}"]
+                              for n in SsmParams._fields))
+        ffn = FfnParams(*(w[f"layers.{i}.ffn.{n}"] for n in FfnParams._fields))
+        plan.append(LayerPlan(i, attn, ssm, ffn))
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # Decode-time state
 # ---------------------------------------------------------------------------
 
 
 class KVCache(NamedTuple):
-    # keys stored transposed (n_heads, d_head, context) so score matmuls read
-    # contiguous slices; values stored (n_heads, context, d_head).
+    # keys and values stored (n_heads, context, d_head), the layout of a
+    # chunk's own keys, so that scores read from the cache and from the chunk
+    # are the same transposed gemm, bit for bit
     k: np.ndarray
     v: np.ndarray
 
@@ -338,12 +373,13 @@ class SsmSnapshot:
 @dataclass
 class DecodeState:
     """Mutable per-stream cache: KV per enabled attention layer, recurrent
-    state per enabled alternative layer. KV grows with the sequence (its
-    live length is ``pos``); recurrent state is fixed-size. Owned by exactly
-    one generation stream."""
+    state per enabled alternative layer, and the layer plan of its mask. KV
+    grows with the sequence (its live length is ``pos``); recurrent state is
+    fixed-size. Owned by exactly one generation stream."""
 
     model: "HybridModel"
     mask: ComponentMask
+    plan: list[LayerPlan]
     pos: int = 0
     kv: list[KVCache | None] = field(default_factory=list)
     ssm: list[np.ndarray | None] = field(default_factory=list)
@@ -363,56 +399,177 @@ class DecodeState:
 
 
 # ---------------------------------------------------------------------------
-# Block computations (single stream, chunk of T positions)
+# Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
+# and, given a tape entry (a dict), records in it what training's backward
+# needs.
 # ---------------------------------------------------------------------------
 
 
-def _ssm_chunk(p: SsmParams, state: np.ndarray, h: np.ndarray, record: bool):
-    """Recurrent branch over a chunk. Returns (out, final_state, states?)."""
-    xs = rms_norm(h, p.norm_g, NORM_EPS)
-    u = silu(xs @ p.w_in)                      # (T, d)
-    bm = xs @ p.w_b                            # (T, s)
-    cm = xs @ p.w_c
-    decay = sigmoid(p.decay_raw)[:, None]      # (d, 1)
-    T = h.shape[0]
-    y = np.empty_like(u)
-    states = [] if record else None
-    s = state
-    for t in range(T):
-        s = decay * s + u[t][:, None] * bm[t]  # fresh array; snapshots are free
-        y[t] = s @ cm[t]
-        if record:
-            states.append(s)
-    y += p.skip_gain * u
-    return y @ p.w_out, s, states
+def rmsnorm(x, g):
+    """RMS normalization over the last axis, scaled elementwise by ``g``.
+    Returns the output and ``(x, g, 1/rms)`` for the backward."""
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+    r = 1.0 / np.sqrt(ms + NORM_EPS)
+    return x * (g * r), (x, g, r)
 
 
-def _attn_chunk(p: AttnParams, cache: KVCache, h: np.ndarray, pos0: int,
-                n_heads: int):
-    """Causal attention over a chunk, reading/writing the KV cache."""
-    T, d = h.shape
+_SCAN_CHUNK = 16
+
+
+def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
+    """All states of ``S_t = decay * S_{t-1} + inputs_t`` from ``S_{-1} = s0``.
+
+    Two-level chunked evaluation: chunks are scanned in parallel, then
+    chunk-boundary carries are combined, turning T python iterations into
+    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); decay is (d,) in
+    (0, 1) so the power terms cannot overflow. The first chunk starts from
+    ``s0`` ((d, s), or 0 for a fresh stream) and the others from zero, so a
+    scan of at most one chunk is exactly the row-by-row recurrence.
+    """
+    B, T, d, s = inputs.shape
+    dt = inputs.dtype
+    C = min(_SCAN_CHUNK, T)
+    n_chunks = -(-T // C)
+    Tp = n_chunks * C
+    if Tp != T:
+        pad = np.zeros((B, Tp - T, d, s), dtype=dt)
+        inputs = np.concatenate([inputs, pad], axis=1)
+    P = inputs.reshape(B, n_chunks, C, d, s)
+    states = np.empty_like(P)
+    acc = np.zeros((B, n_chunks, d, s), dtype=dt)
+    acc[:, 0] = s0
+    a = decay[None, None, :, None]
+    for t in range(C):
+        acc = a * acc + P[:, :, t]
+        states[:, :, t] = acc
+    if n_chunks > 1:
+        a_chunk = decay ** C
+        carry = np.zeros((B, n_chunks, d, s), dtype=dt)
+        run = np.zeros((B, d, s), dtype=dt)
+        for c in range(1, n_chunks):
+            run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
+            carry[:, c] = run
+        powers = decay[None, :] ** np.arange(1, C + 1)[:, None]   # (C, d)
+        states += powers[None, None, :, :, None] * carry[:, :, None]
+    return states.reshape(B, Tp, d, s)[:, :T]
+
+
+def ssm_block(p: SsmParams, h: np.ndarray, s0, tape: dict | None = None):
+    """Recurrent branch from state ``s0``; returns (out, states), where
+    ``states[:, t]`` is the recurrent state after row t."""
+    B, T, d = h.shape
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = xs.reshape(B * T, d)
+    upre = (x2 @ p.w_in).reshape(B, T, d)
+    usig = sigmoid(upre)
+    u = upre * usig
+    bm = (x2 @ p.w_b).reshape(B, T, -1)
+    cm = (x2 @ p.w_c).reshape(B, T, -1)
+    decay = sigmoid(p.decay_raw)
+    states = _linear_scan(decay, u[..., None] * bm[:, :, None, :], s0)
+    y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
+    out = y_skip.reshape(B * T, d) @ p.w_out
+    if tape is not None:
+        tape["ssm"] = (p, (xs, ncache, upre, usig, u, bm, cm, decay, states,
+                           y_skip))
+    return out.reshape(B, T, d), states
+
+
+def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
+               cache: KVCache | None = None, pos0: int = 0,
+               tape: dict | None = None):
+    """Causal attention of rows at positions ``pos0..`` under the additive
+    ``bias`` (0 or -inf per row and key position). With a ``cache`` (one
+    stream) the rows' keys and values are written at ``pos0..`` and every
+    cached position is read; otherwise the rows attend among themselves."""
+    B, T, d = h.shape
     dh = d // n_heads
-    xs = rms_norm(h, p.norm_g, NORM_EPS)
-    q = (xs @ p.wq).reshape(T, n_heads, dh).transpose(1, 0, 2)
-    k = (xs @ p.wk).reshape(T, n_heads, dh)
-    v = (xs @ p.wv).reshape(T, n_heads, dh)
-    n = pos0 + T
-    cache.k[:, :, pos0:n] = k.transpose(1, 2, 0)
-    cache.v[:, pos0:n, :] = v.transpose(1, 0, 2)
-    scores = (q @ cache.k[:, :, :n]) / np.sqrt(dh)   # (H, T, n)
-    if T > 1:
-        ij = np.arange(n)[None, :] > (pos0 + np.arange(T))[:, None]
-        scores = np.where(ij[None], -np.inf, scores)
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = xs.reshape(B * T, d)
+    q = (x2 @ p.wq).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    k = (x2 @ p.wk).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    v = (x2 @ p.wv).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    if cache is None:
+        keys, values = k, v
+    else:
+        n = pos0 + T
+        cache.k[:, pos0:n] = k[0]
+        cache.v[:, pos0:n] = v[0]
+        keys, values = cache.k[None, :, :n], cache.v[None, :, :n]
+    scores = q @ keys.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores)
     w /= w.sum(axis=-1, keepdims=True)
-    out = (w @ cache.v[:, :n, :]).transpose(1, 0, 2).reshape(T, d)
-    return out @ p.wo
+    ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
+    out = ctx.reshape(B * T, d) @ p.wo
+    if tape is not None:
+        tape["attn"] = (p, (xs, ncache, q, k, v, w, ctx))
+    return out.reshape(B, T, d)
 
 
-def _ffn_chunk(p: FfnParams, h: np.ndarray):
-    xs = rms_norm(h, p.norm_g, NORM_EPS)
-    return silu(xs @ p.w1) @ p.w2
+def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
+    """Feed-forward block: a SiLU MLP of width ``FFN_MULT * d``."""
+    B, T, d = h.shape
+    xs, ncache = rmsnorm(h, p.norm_g)
+    pre = xs.reshape(B * T, d) @ p.w1
+    sig = sigmoid(pre)
+    act = pre * sig
+    out = act @ p.w2
+    if tape is not None:
+        tape["ffn"] = (p, (xs, ncache, pre, sig, act))
+    return out.reshape(B, T, d)
+
+
+def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
+            state: DecodeState | None = None, tape: dict | None = None):
+    """Logits (B, T, vocab) for the token rows ``x`` (B, T) under ``plan``.
+
+    Without a ``state`` every row starts at position 0 and attends among
+    itself. With one (B = 1) the rows continue that stream: they start at
+    ``state.pos``, attention writes and reads its KV cache, the recurrence
+    starts from its states, and the state ends advanced past the rows.
+    Also returns, per layer, the recurrent states after each row (None where
+    the plan runs no recurrence). With a ``tape`` (a dict holding a
+    ``"layers"`` list) one entry per planned layer and the final norm are
+    recorded for :func:`speclab.training.backward_train`.
+    """
+    B, T = x.shape
+    pos0 = 0 if state is None else state.pos
+    if x.min() < 0 or x.max() >= cfg.vocab_size:
+        raise ValueError("token id out of range")
+    if pos0 + T > cfg.context_limit:
+        raise ValueError(
+            f"context overflow: {pos0}+{T} exceeds limit {cfg.context_limit}")
+    h = w["embed"][x] + w["pos_embed"][pos0:pos0 + T]
+    bias = np.triu(np.full((T, pos0 + T), -np.inf, dtype=h.dtype), pos0 + 1)
+    states: list[np.ndarray | None] = [None] * cfg.n_layers
+    for lp in plan:
+        i = lp.index
+        entry = None if tape is None else {"layer": i, "h_in": h}
+        # both branches read the same layer input; contributions add
+        h_in = h
+        if lp.ssm is not None:
+            s0 = 0.0 if state is None else state.ssm[i]
+            out, states[i] = ssm_block(lp.ssm, h_in, s0, entry)
+            h = h + out
+        if lp.attn is not None:
+            cache = None if state is None else state.kv[i]
+            h = h + attn_block(lp.attn, h_in, cfg.n_heads, bias, cache, pos0,
+                               entry)
+        h = h + ffn_block(lp.ffn, h, entry)
+        if tape is not None:
+            tape["layers"].append(entry)
+    hn, ncache = rmsnorm(h, w["final_norm_g"])
+    logits = hn.reshape(B * T, -1) @ w["head_w"]
+    if tape is not None:
+        tape["hn"] = hn
+        tape["final_norm"] = ncache
+    if state is not None:
+        for i, s in enumerate(states):
+            if s is not None:
+                state.ssm[i] = s[0, -1]
+        state.pos = pos0 + T
+    return logits.reshape(B, T, cfg.vocab_size), states
 
 
 # ---------------------------------------------------------------------------
@@ -428,74 +585,33 @@ class HybridModel:
             raise ValueError("weights were built for a different config")
         self.cfg = cfg
         self.weights = weights
-        w = weights
-        self.layers: list[LayerParams] = []
-        for i in range(cfg.n_layers):
-            kind = cfg.layer_kind(i)
-            attn = None
-            ssm = None
-            if cfg.has_attn(i):
-                attn = AttnParams(*(w[f"layers.{i}.attn.{n}"]
-                                    for n in AttnParams._fields))
-            if cfg.has_alt(i):
-                ssm = SsmParams(*(w[f"layers.{i}.ssm.{n}"]
-                                  for n in SsmParams._fields))
-            ffn = FfnParams(*(w[f"layers.{i}.ffn.{n}"] for n in FfnParams._fields))
-            self.layers.append(LayerParams(kind, attn, ssm, ffn))
 
     @classmethod
     def from_seed(cls, cfg: ModelConfig, seed: int) -> "HybridModel":
         return cls(cfg, init_weights(cfg, seed))
 
-    # -- mask handling ------------------------------------------------------
-
-    def check_mask(self, mask: ComponentMask | None) -> ComponentMask:
-        cfg = self.cfg
-        if mask is None:
-            return ComponentMask.full(cfg.n_layers)
-        if mask.n_layers != cfg.n_layers:
-            raise ValueError(
-                f"mask covers {mask.n_layers} layers, model has {cfg.n_layers}")
-        if cfg.arch == "transformer":
-            for i in range(cfg.n_layers):
-                if mask.alt_enabled[i] and not mask.attn_enabled[i]:
-                    raise ValueError(
-                        "mask/arch mismatch: transformer layers have no "
-                        "alternative component to run on its own")
-        return mask
-
-    # -- states -------------------------------------------------------------
-
     def new_state(self, mask: ComponentMask | None = None) -> DecodeState:
         cfg = self.cfg
-        mask = self.check_mask(mask)
-        st = DecodeState(self, mask)
-        for i in range(cfg.n_layers):
-            use_attn = (cfg.has_attn(i) and mask.attn_enabled[i]
-                        and not mask.layer_skipped[i])
-            use_alt = (cfg.has_alt(i) and mask.alt_enabled[i]
-                       and not mask.layer_skipped[i])
-            if use_attn:
-                st.kv.append(KVCache(
-                    np.zeros((cfg.n_heads, cfg.d_head, cfg.context_limit)),
-                    np.zeros((cfg.n_heads, cfg.context_limit, cfg.d_head))))
-            else:
-                st.kv.append(None)
-            st.ssm.append(np.zeros((cfg.d_model, cfg.d_state)) if use_alt else None)
+        if mask is None:
+            mask = ComponentMask.full(cfg.n_layers)
+        plan = layer_plan(cfg, self.weights, mask)
+        st = DecodeState(self, mask, plan, kv=[None] * cfg.n_layers,
+                         ssm=[None] * cfg.n_layers)
+        for lp in plan:
+            if lp.attn is not None:
+                shape = (cfg.n_heads, cfg.context_limit, cfg.d_head)
+                st.kv[lp.index] = KVCache(np.zeros(shape), np.zeros(shape))
+            if lp.ssm is not None:
+                st.ssm[lp.index] = np.zeros((cfg.d_model, cfg.d_state))
         return st
 
-    # -- forward ------------------------------------------------------------
-
-    def forward_chunk(self, state: DecodeState, tokens, record_states: bool = False,
-                      collect_hidden: bool = False):
+    def forward_chunk(self, state: DecodeState, tokens, record_states: bool = False):
         """Feed ``tokens`` into ``state``; logits for each fed position.
 
         Returns ``(logits, ssm_history)`` where ``ssm_history[j]`` is the
         recurrent snapshot after consuming ``tokens[j]`` (None unless
-        ``record_states``). With ``collect_hidden`` the per-layer residual
-        streams are returned instead of the history (diagnostics only).
+        ``record_states``).
         """
-        cfg = self.cfg
         if state.model is not self:
             raise ValueError("state belongs to a different model")
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -503,57 +619,18 @@ class HybridModel:
             raise ValueError("tokens must be a 1-D sequence")
         T = tokens.size
         if T == 0:
-            return np.zeros((0, cfg.vocab_size)), [] if record_states else None
-        if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-            raise ValueError("token id out of range")
+            return np.zeros((0, self.cfg.vocab_size)), [] if record_states else None
         pos0 = state.pos
-        if pos0 + T > cfg.context_limit:
-            raise ValueError(
-                f"context overflow: {pos0}+{T} exceeds limit {cfg.context_limit}")
-        mask = state.mask
-        w = self.weights
-        h = w["embed"][tokens] + w["pos_embed"][pos0:pos0 + T]
-        hidden = [h] if collect_hidden else None
-        per_layer_states: list[list[np.ndarray] | None] = []
-        for i, lp in enumerate(self.layers):
-            if mask.layer_skipped[i]:
-                per_layer_states.append(None)
-                if collect_hidden:
-                    hidden.append(h)
-                continue
-            run_attn = lp.attn is not None and mask.attn_enabled[i]
-            run_alt = lp.ssm is not None and mask.alt_enabled[i]
-            # both branches read the same layer input; contributions add
-            h_in = h
-            if run_alt:
-                out, final, states = _ssm_chunk(lp.ssm, state.ssm[i], h_in,
-                                                record_states)
-                state.ssm[i] = final
-                per_layer_states.append(states)
-                h = h + out
-            else:
-                per_layer_states.append(None)
-            if run_attn:
-                h = h + _attn_chunk(lp.attn, state.kv[i], h_in, pos0, cfg.n_heads)
-            h = h + _ffn_chunk(lp.ffn, h)
-            if collect_hidden:
-                hidden.append(h)
-        hn = rms_norm(h, w["final_norm_g"], NORM_EPS)
-        logits = hn @ w["head_w"]
-        state.pos = pos0 + T
+        logits, states = forward(self.cfg, self.weights, state.plan,
+                                 tokens[None], state)
         history = None
         if record_states:
-            # per_layer_states[i] is None exactly for layers with no live
-            # recurrent state, matching the state's ssm slots
             history = [
                 SsmSnapshot(pos0 + j + 1,
-                            [ps[j] if ps is not None else None
-                             for ps in per_layer_states])
+                            [s[0, j] if s is not None else None for s in states])
                 for j in range(T)
             ]
-        if collect_hidden:
-            return logits, hidden
-        return logits, history
+        return logits[0], history
 
     def forward_prefix(self, tokens, mask: ComponentMask | None = None):
         """Run a fresh stream over ``tokens``; per-position logits and the

@@ -128,25 +128,9 @@ def sample_categorical(p: np.ndarray, rng: RngState) -> int:
     return min(idx, p.size - 1)
 
 
-def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """RMS normalization over the last axis, scaled elementwise by ``gain``."""
-    x = np.asarray(x, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    if x.shape[-1] != gain.shape[-1] or gain.ndim != 1:
-        raise ValueError(
-            f"gain shape {gain.shape} incompatible with input shape {x.shape}"
-        )
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    return x * (gain / np.sqrt(ms + eps))
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (exact 0/1 in the saturated tails)."""
     return expit(x)
-
-
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,58 +1,37 @@
-"""Training for the toy models: batched forward, hand-rolled backprop, Adam.
+"""Training for the toy models: hand-rolled backprop and Adam over the model's
+own forward.
 
-The batched training forward mirrors the decode-path math exactly (same
-norms, same recurrence, same attention); an equivalence test pins the two
-together and the finite-difference gradient check pins the backward to the
-forward. Recurrent states are recomputed during the backward scan instead of
-being stored, which keeps tape memory at one transient (B, T, d, d_state)
-buffer per layer.
+The forward is :func:`speclab.model.forward`, the same block math that
+scoring and decoding run, here over B windows from position 0 in float32 or
+float64, with a tape of what the backward needs. This module keeps what is
+training's own: the backward, the optimizer, the loop and the
+finite-difference gradient check that pins the backward to the forward.
+Recurrent states come from the forward's chunked scan and the backward runs
+the reverse recurrence as the same scan on time-flipped input.
 
-Everything is float64 and deterministic from the seed: weight init and batch
-sampling both run on counter-based Philox streams, and the loop itself is
-single-threaded numpy.
+Master weights are float64 and everything is deterministic from the seed:
+weight init and batch sampling both run on counter-based Philox streams, and
+the loop itself is single-threaded numpy.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
-import ctypes.util
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-
-def _tune_malloc():
-    """Keep large numpy temporaries on the heap instead of fresh mmaps.
-
-    Training allocates many multi-MB temporaries per step; glibc's default
-    mmap threshold hands each back to the kernel on free, so every step pays
-    page-fault costs again. Raising the thresholds is a no-op on non-glibc
-    platforms.
-    """
-    try:
-        libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
-        m_trim_threshold, m_mmap_threshold = -1, -3
-        libc.mallopt(m_mmap_threshold, 256 * 1024 * 1024)
-        libc.mallopt(m_trim_threshold, 256 * 1024 * 1024)
-    except (OSError, AttributeError):
-        pass
-
-
-_tune_malloc()
-
 from .model import (
-    AttnParams,
     ComponentMask,
-    FfnParams,
     ModelConfig,
-    NORM_EPS,
-    SsmParams,
     Weights,
+    _linear_scan,
+    forward,
     init_weights,
+    layer_plan,
 )
-from .numerics import RngState, log_softmax, sigmoid
+from .numerics import RngState, log_softmax
 
 
 class TrainingDiverged(RuntimeError):
@@ -109,14 +88,25 @@ def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int,
     return window[:, :-1], window[:, 1:]
 
 
-# ---------------------------------------------------------------------------
-# Batched forward with tape
-# ---------------------------------------------------------------------------
+def forward_train(cfg: ModelConfig, w, mask: ComponentMask | None,
+                  x: np.ndarray):
+    """Batched forward over token windows ``x`` (B, T) from position 0;
+    returns (logits, tape).
+
+    ``w`` is a Weights object or any name-to-array mapping with ``items()``
+    (training passes float32 casts of the float64 master weights).
+    """
+    if mask is None:
+        mask = ComponentMask.full(cfg.n_layers)
+    x = np.asarray(x, dtype=np.int64)
+    tape = {"x": x, "layers": []}
+    logits, _ = forward(cfg, w, layer_plan(cfg, w, mask), x, tape=tape)
+    return logits, tape
 
 
-def _rms_fwd(x, g):
-    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + NORM_EPS)
-    return x * (g * r), (x, g, r)
+# ---------------------------------------------------------------------------
+# Backward over the forward's tape
+# ---------------------------------------------------------------------------
 
 
 def _rms_bwd(dy, cache):
@@ -134,24 +124,6 @@ def _silu_bwd(dy, pre, sig):
 
 def _flat(x):
     return x.reshape(-1, x.shape[-1])
-
-
-def _attn_fwd(p, h, n_heads, causal_bias):
-    B, T, d = h.shape
-    dh = d // n_heads
-    xs, ncache = _rms_fwd(h, p.norm_g)
-    x2 = _flat(xs)
-    q = (x2 @ p.wq).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    k = (x2 @ p.wk).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    v = (x2 @ p.wv).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + causal_bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    ctx = (w @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
-    out = _flat(ctx) @ p.wo
-    cache = (xs, ncache, q, k, v, w, ctx)
-    return out.reshape(B, T, d), cache
 
 
 def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
@@ -180,61 +152,6 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     return dh_
 
 
-_SCAN_CHUNK = 16
-
-
-def _linear_scan(decay: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """All states of ``S_t = decay * S_{t-1} + inputs_t`` (zero initial state).
-
-    Two-level chunked evaluation: chunks are scanned in parallel from zero,
-    then chunk-boundary carries are combined, turning T python iterations
-    into roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); decay is (d,)
-    in (0, 1) so the power terms cannot overflow.
-    """
-    B, T, d, s = inputs.shape
-    dt = inputs.dtype
-    C = min(_SCAN_CHUNK, T)
-    n_chunks = -(-T // C)
-    Tp = n_chunks * C
-    if Tp != T:
-        pad = np.zeros((B, Tp - T, d, s), dtype=dt)
-        inputs = np.concatenate([inputs, pad], axis=1)
-    P = inputs.reshape(B, n_chunks, C, d, s)
-    states = np.empty_like(P)
-    acc = np.zeros((B, n_chunks, d, s), dtype=dt)
-    a = decay[None, None, :, None]
-    for t in range(C):
-        acc = a * acc + P[:, :, t]
-        states[:, :, t] = acc
-    if n_chunks > 1:
-        a_chunk = decay ** C
-        carry = np.zeros((B, n_chunks, d, s), dtype=dt)
-        run = np.zeros((B, d, s), dtype=dt)
-        for c in range(1, n_chunks):
-            run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
-            carry[:, c] = run
-        powers = decay[None, :] ** np.arange(1, C + 1)[:, None]   # (C, d)
-        states += powers[None, None, :, :, None] * carry[:, :, None]
-    return states.reshape(B, Tp, d, s)[:, :T]
-
-
-def _ssm_fwd(p, h):
-    B, T, d = h.shape
-    xs, ncache = _rms_fwd(h, p.norm_g)
-    x2 = _flat(xs)
-    upre = (x2 @ p.w_in).reshape(B, T, d)
-    usig = sigmoid(upre)
-    u = upre * usig
-    bm = np.ascontiguousarray((x2 @ p.w_b).reshape(B, T, -1))
-    cm = np.ascontiguousarray((x2 @ p.w_c).reshape(B, T, -1))
-    decay = sigmoid(p.decay_raw)
-    states = _linear_scan(decay, u[..., None] * bm[:, :, None, :])
-    y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
-    out = _flat(y_skip) @ p.w_out
-    cache = (xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip)
-    return out.reshape(B, T, d), cache
-
-
 def _ssm_bwd(p, dout, cache, grads, prefix):
     xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip = cache
     B, T, d = xs.shape
@@ -247,7 +164,7 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
     # forward scan on the time-flipped input
     q = dy[..., None] * cm[:, :, None, :]
-    d_states = _linear_scan(decay, q[:, ::-1])[:, ::-1]
+    d_states = _linear_scan(decay, q[:, ::-1], 0.0)[:, ::-1]
     da = (d_states[:, 1:] * states[:, :-1]).sum(axis=(0, 1, 3))
     du += (d_states @ bm[..., None])[..., 0]
     dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
@@ -264,16 +181,6 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     return dh_
 
 
-def _ffn_fwd(p, h):
-    B, T, d = h.shape
-    xs, ncache = _rms_fwd(h, p.norm_g)
-    pre = _flat(xs) @ p.w1
-    sig = sigmoid(pre)
-    act = pre * sig
-    out = act @ p.w2
-    return out.reshape(B, T, d), (xs, ncache, pre, sig, act)
-
-
 def _ffn_bwd(p, dout, cache, grads, prefix):
     xs, ncache, pre, sig, act = cache
     B, T, d = xs.shape
@@ -286,72 +193,6 @@ def _ffn_bwd(p, dout, cache, grads, prefix):
     dh_, dg = _rms_bwd(dxs, ncache)
     grads[prefix + "norm_g"] += dg
     return dh_
-
-
-def _layer_plan(cfg: ModelConfig, w: Weights, mask: ComponentMask):
-    plan = []
-    for i in range(cfg.n_layers):
-        attn = ssm = None
-        if not mask.layer_skipped[i]:
-            if cfg.has_attn(i) and mask.attn_enabled[i]:
-                attn = tuple(w[f"layers.{i}.attn.{n}"] for n in
-                             ("norm_g", "wq", "wk", "wv", "wo"))
-            if cfg.has_alt(i) and mask.alt_enabled[i]:
-                ssm = tuple(w[f"layers.{i}.ssm.{n}"] for n in
-                            ("norm_g", "w_in", "w_b", "w_c", "decay_raw",
-                             "skip_gain", "w_out"))
-        plan.append((attn, ssm))
-    return plan
-
-
-def forward_train(cfg: ModelConfig, w, mask: ComponentMask | None,
-                  x: np.ndarray):
-    """Batched forward over token windows ``x`` (B, T); returns (logits, tape).
-
-    ``w`` is a Weights object or any name-to-array mapping with ``items()``
-    (training passes float32 casts of the float64 master weights).
-    """
-    if mask is None:
-        mask = ComponentMask.full(cfg.n_layers)
-    if mask.n_layers != cfg.n_layers:
-        raise ValueError("mask length mismatch")
-    x = np.asarray(x, dtype=np.int64)
-    B, T = x.shape
-    if T > cfg.context_limit:
-        raise ValueError("sequence longer than context limit")
-    if x.min() < 0 or x.max() >= cfg.vocab_size:
-        raise ValueError("token id out of range")
-    h = w["embed"][x] + w["pos_embed"][:T][None, :, :]
-    causal = np.triu(np.full((T, T), -np.inf, dtype=h.dtype), 1)[None, None]
-    plan = _layer_plan(cfg, w, mask)
-    layer_tapes = []
-    for i in range(cfg.n_layers):
-        attn_w, ssm_w = plan[i]
-        entry = {"h_in": h}
-        if mask.layer_skipped[i]:
-            layer_tapes.append(entry)
-            continue
-        h_in = h
-        if ssm_w is not None:
-            p = SsmParams(*ssm_w)
-            out, cache = _ssm_fwd(p, h_in)
-            entry["ssm"] = (p, cache)
-            h = h + out
-        if attn_w is not None:
-            p = AttnParams(*attn_w)
-            out, cache = _attn_fwd(p, h_in, cfg.n_heads, causal)
-            entry["attn"] = (p, cache)
-            h = h + out
-        fp = FfnParams(*(w[f"layers.{i}.ffn.{n}"] for n in ("norm_g", "w1", "w2")))
-        out, cache = _ffn_fwd(fp, h)
-        entry["ffn"] = (fp, cache)
-        h = h + out
-        layer_tapes.append(entry)
-    hn, ncache = _rms_fwd(h, w["final_norm_g"])
-    logits = _flat(hn) @ w["head_w"]
-    tape = {"x": x, "mask": mask, "layers": layer_tapes, "hn": hn,
-            "final_norm": ncache, "shape": (B, T)}
-    return logits.reshape(B, T, cfg.vocab_size), tape
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray):
@@ -371,28 +212,24 @@ def backward_train(cfg: ModelConfig, w, tape: dict,
                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients for every weight block (zeros where masked off)."""
     grads = {name: np.zeros_like(arr) for name, arr in w.items()}
-    B, T = tape["shape"]
+    x = tape["x"]
+    B, T = x.shape
     d2 = _flat(dlogits)
     grads["head_w"] += _flat(tape["hn"]).T @ d2
     dh, dg = _rms_bwd((d2 @ w["head_w"].T).reshape(B, T, -1), tape["final_norm"])
     grads["final_norm_g"] += dg
-    mask = tape["mask"]
-    for i in range(cfg.n_layers - 1, -1, -1):
-        entry = tape["layers"][i]
-        if mask.layer_skipped[i]:
-            continue
+    for entry in reversed(tape["layers"]):
+        prefix = f"layers.{entry['layer']}."
         p, cache = entry["ffn"]
-        dh = dh + _ffn_bwd(p, dh, cache, grads, f"layers.{i}.ffn.")
+        dh = dh + _ffn_bwd(p, dh, cache, grads, prefix + "ffn.")
         d_hin = np.zeros_like(dh)
         if "attn" in entry:
             p, cache = entry["attn"]
-            d_hin += _attn_bwd(p, dh, cache, cfg.n_heads, grads,
-                               f"layers.{i}.attn.")
+            d_hin += _attn_bwd(p, dh, cache, cfg.n_heads, grads, prefix + "attn.")
         if "ssm" in entry:
             p, cache = entry["ssm"]
-            d_hin += _ssm_bwd(p, dh, cache, grads, f"layers.{i}.ssm.")
+            d_hin += _ssm_bwd(p, dh, cache, grads, prefix + "ssm.")
         dh = dh + d_hin
-    x = tape["x"]
     np.add.at(grads["embed"], x.reshape(-1), _flat(dh))
     grads["pos_embed"][:T] += dh.sum(axis=0)
     return grads

@@ -14,6 +14,17 @@ CFG = ModelConfig("sequential_hybrid", n_layers=4, d_model=16, n_heads=2,
                   d_state=4, vocab_size=32, context_limit=48)
 
 
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    raw = path.read_bytes()
+    hlen = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    new_header = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + np.uint32(len(new_header)).tobytes()
+                     + new_header + raw[12 + hlen:])
+
+
 @pytest.fixture
 def weights():
     return init_weights(CFG, 21)
@@ -63,13 +74,44 @@ class TestValidation:
     def test_unsupported_version(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, weights)
-        raw = bytearray(path.read_bytes())
-        hlen = int(np.frombuffer(bytes(raw[8:12]), dtype="<u4")[0])
-        header = json.loads(bytes(raw[12:12 + hlen]))
-        header["format_version"] = 99
-        new_header = json.dumps(header).encode()
-        path.write_bytes(raw[:8] + np.uint32(len(new_header)).tobytes()
-                         + new_header + raw[12 + hlen:])
+        rewrite_header(path, lambda h: h.update(format_version=99))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h.pop("blocks"),
+        lambda h: h["blocks"][0].pop("offset"),
+        lambda h: h["config"].update(mystery_field=1),
+        lambda h: h["config"].pop("arch"),
+        lambda h: h["blocks"][-1].update(offset=h["blocks"][-1]["offset"] + 8),
+        lambda h: h["blocks"][0].update(offset=-8),
+        lambda h: h["blocks"][0].update(nbytes=h["blocks"][0]["nbytes"] - 8),
+        lambda h: h["blocks"][0].update(dtype="<f4"),
+        lambda h: h["blocks"][0].update(dtype=">f8"),
+    ], ids=["no_config", "no_blocks", "block_without_offset",
+            "unknown_config_field", "config_without_arch",
+            "offset_past_payload", "negative_offset", "nbytes_not_shape",
+            "dtype_f4", "dtype_big_endian"])
+    def test_malformed_header_rejected(self, tmp_path, weights, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_of_file_rejected(self, tmp_path, weights):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + np.uint32(len(raw)).tobytes() + raw[12:])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, tmp_path, weights):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(path)
 

@@ -175,6 +175,68 @@ class TestRunExperiments:
         again = run_experiments(tiny_spec(workspace, out, **kw), log=lambda m: None)
         assert (again.n_computed, again.n_skipped) == (1, 0)
 
+    def test_malformed_checkpoint_is_reported_not_fatal(self, workspace,
+                                                        tmp_path):
+        bad = tmp_path / "toy_bad.ckpt"
+        raw = workspace["par"].read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        del header["config"]
+        new_header = json.dumps(header).encode()
+        bad.write_bytes(raw[:8] + len(new_header).to_bytes(4, "little")
+                        + new_header + raw[12 + hlen:])
+        spec = tiny_spec(workspace, tmp_path / "runL",
+                         checkpoints=(str(bad), str(workspace["par"])),
+                         strategies=("identity",), k_values=(1,),
+                         temperatures=(0.0,))
+        result = run_experiments(spec, log=lambda m: None)
+        assert [cell for cell, _ in result.errors] == ["toy_bad/identity"]
+        assert [r["model"] for r in read_report(result.report_path)] == [
+            "toy_parallel"]
+
+    def test_resumed_run_keeps_every_timing_row(self, workspace, tmp_path):
+        out = tmp_path / "runM"
+        spec = tiny_spec(workspace, out, strategies=("identity",),
+                         k_values=(1, 2), temperatures=(0.0,))
+        run_experiments(spec, log=lambda m: None)
+        first = sorted((out / "cells").glob("*.json"))
+        assert len(first) == 2
+        first[0].unlink()
+        again = run_experiments(spec, log=lambda m: None)
+        assert (again.n_computed, again.n_skipped) == (1, 1)
+        rows = read_report(again.timing_path)
+        assert [r["k"] for r in rows] == ["1", "2"]
+        assert all(r["spec_seconds_per_token"] for r in rows)
+
+    def test_superseded_cell_files_are_removed(self, workspace, tmp_path):
+        out = tmp_path / "runN"
+        spec = tiny_spec(workspace, out, strategies=("identity",),
+                         k_values=(1,), temperatures=(0.0,))
+        run_experiments(spec, log=lambda m: None)
+        (current,) = (out / "cells").glob("*.json")
+        coords = current.stem.rsplit("__", 1)[0]
+        stale = [out / "cells" / f"{coords}.json",
+                 out / "cells" / f"{coords}__0123456789ab.json"]
+        for path in stale:
+            path.write_text(current.read_text())
+        again = run_experiments(spec, log=lambda m: None)
+        assert again.n_skipped == 1
+        assert sorted((out / "cells").glob("*.json")) == [current]
+
+    def test_cells_of_other_coordinates_are_kept(self, workspace, tmp_path):
+        out = tmp_path / "runO"
+        kw = dict(strategies=("identity",), temperatures=(0.0,))
+        run_experiments(tiny_spec(workspace, out, k_values=(1, 2), **kw),
+                        log=lambda m: None)
+        cells = sorted((out / "cells").glob("*.json"))
+        k2 = [p for p in cells if "__k2__" in p.name]
+        # an unkeyed file of a coordinate no run covers here is kept too
+        other = out / "cells" / "toy_other__identity__k1__T0.json"
+        other.write_text(k2[0].read_text())
+        run_experiments(tiny_spec(workspace, out, k_values=(1,), **kw),
+                        log=lambda m: None)
+        assert sorted((out / "cells").glob("*.json")) == sorted(cells + [other])
+
     def test_empty_sweep_rejected(self, workspace, tmp_path):
         with pytest.raises(ValueError):
             tiny_spec(workspace, tmp_path / "x", k_values=())

@@ -4,18 +4,19 @@ import pytest
 from speclab.model import (
     ComponentMask,
     HybridModel,
-    NORM_EPS,
     ModelConfig,
     SsmParams,
     Weights,
-    _attn_chunk,
-    _ffn_chunk,
-    _ssm_chunk,
+    _linear_scan,
+    attn_block,
     default_layer_pattern,
+    ffn_block,
+    forward,
     init_weights,
     param_spec,
+    rmsnorm,
+    ssm_block,
 )
-from speclab.numerics import rms_norm
 
 
 PARALLEL = ModelConfig("parallel_hybrid", n_layers=4, d_model=32, n_heads=2,
@@ -130,7 +131,7 @@ class TestForwardPrefix:
         logits, _ = m.forward_prefix(toks, mask)
         w = m.weights
         x = w["embed"][toks] + w["pos_embed"][:6]
-        expect = rms_norm(x, w["final_norm_g"]) @ w["head_w"]
+        expect = rmsnorm(x, w["final_norm_g"])[0] @ w["head_w"]
         np.testing.assert_array_equal(logits, expect)
 
     def test_token_out_of_range_rejected(self):
@@ -158,7 +159,7 @@ class TestForwardPrefix:
 
 def live_cache_elements(state):
     """Floats a state holds for its stream: live KV rows plus recurrent state."""
-    kv = sum(2 * c.k.shape[0] * c.k.shape[1] * state.pos
+    kv = sum(2 * c.k.shape[0] * c.k.shape[2] * state.pos
              for c in state.kv if c is not None)
     return kv + sum(s.size for s in state.ssm if s is not None)
 
@@ -263,34 +264,48 @@ class TestDecodeStep:
         np.testing.assert_allclose(np.stack(replay), batch[6:], atol=1e-9, rtol=0)
 
 
+def taped_forward(model, mask, toks):
+    """Decode-path forward over ``toks`` on a fresh stream, with a tape."""
+    state = model.new_state(mask)
+    tape = {"layers": []}
+    forward(model.cfg, model.weights, state.plan, toks[None], state, tape)
+    # the residual stream out of each taped layer: the next layer's input,
+    # and the final norm's input after the last
+    outs = [e["h_in"] for e in tape["layers"][1:]] + [tape["final_norm"][0]]
+    return state.plan, tape["layers"], outs
+
+
 class TestStructuralProbes:
     def test_parallel_layer_is_sum_of_branches(self):
         # reconstruct each layer output from branch calls on the same input
         m = make_model(PARALLEL)
-        toks = tokens_for(PARALLEL, 8)
-        state = m.new_state()
-        _, hidden = m.forward_chunk(state, toks, collect_hidden=True)
-        h = hidden[0]
-        for i, lp in enumerate(m.layers):
+        plan, entries, outs = taped_forward(m, None, tokens_for(PARALLEL, 8))
+        assert [e["layer"] for e in entries] == list(range(PARALLEL.n_layers))
+        bias = np.triu(np.full((8, 8), -np.inf), 1)
+        for lp, entry, h_out in zip(plan, entries, outs):
+            h = entry["h_in"]
             probe = m.new_state()
-            probe.pos = 0
-            s_out, _, _ = _ssm_chunk(lp.ssm, np.zeros_like(probe.ssm[i]), h, False)
-            a_out = _attn_chunk(lp.attn, probe.kv[i], h, 0, PARALLEL.n_heads)
+            s_out, _ = ssm_block(lp.ssm, h, probe.ssm[lp.index])
+            a_out = attn_block(lp.attn, h, PARALLEL.n_heads, bias,
+                               probe.kv[lp.index], 0)
             mixed = h + s_out + a_out
-            expect = mixed + _ffn_chunk(lp.ffn, mixed)
-            np.testing.assert_array_equal(hidden[i + 1], expect)
-            h = hidden[i + 1]
+            expect = mixed + ffn_block(lp.ffn, mixed)
+            np.testing.assert_array_equal(h_out, expect)
 
     def test_sequential_linear_only_leaves_attn_layers_untouched(self):
         m = make_model(SEQUENTIAL)
-        toks = tokens_for(SEQUENTIAL, 8)
-        state = m.new_state(ssm_only_mask(SEQUENTIAL))
-        _, hidden = m.forward_chunk(state, toks, collect_hidden=True)
-        for i in range(SEQUENTIAL.n_layers):
-            if SEQUENTIAL.layer_kind(i) == "attn":
-                np.testing.assert_array_equal(hidden[i + 1], hidden[i])
-            else:
-                assert not np.array_equal(hidden[i + 1], hidden[i])
+        plan, entries, outs = taped_forward(m, ssm_only_mask(SEQUENTIAL),
+                                            tokens_for(SEQUENTIAL, 8))
+        # skipped attention layers are not run; each linear layer's output
+        # reaches the next linear layer (or the final norm) unchanged
+        assert [e["layer"] for e in entries] == [
+            i for i in range(SEQUENTIAL.n_layers)
+            if SEQUENTIAL.layer_kind(i) == "lin"]
+        for lp, entry, h_out in zip(plan, entries, outs):
+            h = entry["h_in"]
+            mixed = h + ssm_block(lp.ssm, h, 0.0)[0]
+            np.testing.assert_array_equal(h_out, mixed + ffn_block(lp.ffn, mixed))
+            assert not np.array_equal(h_out, h)
 
 
 def tiny_ssm_params(d=4, s=3, seed=0, decay_raw=None):
@@ -307,9 +322,9 @@ def tiny_ssm_params(d=4, s=3, seed=0, decay_raw=None):
 
 
 def ssm_step(p, state, h):
-    """One recurrence step: a one-row chunk. Returns (out, new_state)."""
-    out, new_state, _ = _ssm_chunk(p, state, np.asarray(h, dtype=float)[None], False)
-    return out[0], new_state
+    """One recurrence step: a one-row block. Returns (out, new_state)."""
+    out, states = ssm_block(p, np.asarray(h, dtype=float)[None, None], state)
+    return out[0, 0], states[0, -1]
 
 
 class TestSsmStep:
@@ -334,9 +349,8 @@ class TestSsmStep:
         p = tiny_ssm_params(decay_raw=np.full(4, logit(d_val)))
         d_eff = expit(logit(d_val))
         x = np.array([0.5, -0.1, 0.2, 0.9])
-        from speclab.numerics import silu
-        xs = rms_norm(x, p.norm_g, NORM_EPS)
-        u = silu(xs @ p.w_in)
+        xs, _ = rmsnorm(x, p.norm_g)
+        u = (xs @ p.w_in) * expit(xs @ p.w_in)
         b = xs @ p.w_b
         proj = u[:, None] * b[None, :]
         state = np.zeros((4, 3))
@@ -355,7 +369,8 @@ class TestSsmStep:
     def test_chunk_agrees_with_iterated_steps(self):
         p = tiny_ssm_params(seed=3)
         h = np.random.default_rng(2).normal(0, 1, (6, 4))
-        out_chunk, final, _ = _ssm_chunk(p, np.zeros((4, 3)), h, False)
+        out_chunk, states = ssm_block(p, h[None], np.zeros((4, 3)))
+        out_chunk, final = out_chunk[0], states[0, -1]
         state = np.zeros((4, 3))
         outs = []
         for t in range(6):
@@ -370,3 +385,33 @@ class TestSsmStep:
             ssm_step(p, np.zeros((4, 3)), np.zeros(5))
         with pytest.raises(ValueError):
             ssm_step(p, np.zeros((3, 3)), np.zeros(4))
+
+
+def scan_rows(decay, inputs, s0):
+    """The recurrence row by row: the reference for ``_linear_scan``."""
+    s = np.broadcast_to(s0, inputs[:, 0].shape)
+    out = []
+    for t in range(inputs.shape[1]):
+        s = decay[:, None] * s + inputs[:, t]
+        out.append(s)
+    return np.stack(out, axis=1)
+
+
+class TestLinearScan:
+    @staticmethod
+    def case(T, seed=0):
+        rng = np.random.default_rng(seed)
+        decay = rng.uniform(0.5, 0.99, 5)
+        return decay, rng.normal(0, 1, (2, T, 5, 3)), rng.normal(0, 1, (5, 3))
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 16])
+    def test_seeded_single_chunk_is_the_row_recurrence_bitwise(self, T):
+        decay, inputs, s0 = self.case(T)
+        np.testing.assert_array_equal(_linear_scan(decay, inputs, s0),
+                                      scan_rows(decay, inputs, s0))
+
+    def test_seeded_scan_over_several_chunks(self):
+        decay, inputs, s0 = self.case(40, seed=1)
+        np.testing.assert_allclose(_linear_scan(decay, inputs, s0),
+                                   scan_rows(decay, inputs, s0),
+                                   rtol=1e-12, atol=1e-12)

@@ -9,11 +9,11 @@ from scipy import stats
 from speclab.numerics import (
     RngState,
     argmax_tiebreak,
-    rms_norm,
     sample_categorical,
     softmax,
     validate_distribution,
 )
+from speclab.model import NORM_EPS, rmsnorm
 
 finite_logits = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=1,
@@ -124,25 +124,31 @@ class TestSampleCategorical:
 class TestRmsNorm:
     def test_zero_input_stays_zero(self):
         x = np.zeros(6)
-        np.testing.assert_array_equal(rms_norm(x, np.ones(6)), x)
+        np.testing.assert_array_equal(rmsnorm(x, np.ones(6))[0], x)
 
     def test_unit_mean_square_is_identity(self):
         x = np.ones(4)
-        np.testing.assert_allclose(rms_norm(x, np.ones(4), eps=0.0), x)
+        np.testing.assert_allclose(rmsnorm(x, np.ones(4))[0],
+                                   x / np.sqrt(1.0 + NORM_EPS))
 
     def test_rescales_by_root_mean_square(self):
         # mean square of (2, 2) is 4 -> divide by 2
         np.testing.assert_allclose(
-            rms_norm(np.array([2.0, 2.0]), np.ones(2), eps=0.0), [1.0, 1.0])
+            rmsnorm(np.array([2.0, 2.0]), np.ones(2))[0],
+            np.array([2.0, 2.0]) / np.sqrt(4.0 + NORM_EPS))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rms_norm(np.ones(4), np.ones(3))
+            rmsnorm(np.ones(4), np.ones(3))
 
     def test_broadcasts_over_leading_axes(self):
         x = np.arange(24, dtype=float).reshape(2, 3, 4)
-        out = rms_norm(x, np.ones(4))
-        np.testing.assert_allclose(out[1, 2], rms_norm(x[1, 2], np.ones(4)))
+        out, _ = rmsnorm(x, np.ones(4))
+        np.testing.assert_allclose(out[1, 2], rmsnorm(x[1, 2], np.ones(4))[0])
+
+    def test_keeps_float32(self):
+        x = np.arange(8, dtype=np.float32).reshape(2, 4)
+        assert rmsnorm(x, np.ones(4, dtype=np.float32))[0].dtype == np.float32
 
 
 class TestValidateDistribution:
