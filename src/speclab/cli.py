@@ -26,11 +26,16 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .engine import STRATEGY_KINDS, DecodeSettings, DraftStrategy
 from .experiments import ExperimentSpec, emit_plot_data, run_experiments
 from .corpus import sample_prompts
-from .metrics import divergence_stats, match_rate
+from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
 from .engine import build_mask
 from .theory import flop_ratio, optimal_k, speedup_readings
 from .training import TrainConfig, load_corpus, train
+
+
+# a greedy margin below this is a near tie that the ~1e-14 difference
+# between chunk and step logits could flip
+NEAR_TIE = 1e-9
 
 
 def _csv_list(conv):
@@ -206,6 +211,12 @@ def cmd_verify_lossless(args) -> int:
                           settings)
         print(f"{kind}: match rate {rate:.3f} over {len(prompts)} prompts")
         ok = ok and rate == 1.0
+    margin, i, j = greedy_margin(model, prompts, settings)
+    print(f"smallest greedy margin {margin:.6e} (top-1 minus top-2 logit) "
+          f"at prompt {i}, new token {j}")
+    if margin < NEAR_TIE:
+        print(f"warning: near tie below {NEAR_TIE:g}; chunk and step logits "
+              f"differ by about 1e-14, so decoding paths could disagree")
     return 0 if ok else 1
 
 

@@ -171,6 +171,27 @@ def match_rate(model: HybridModel, strategy: DraftStrategy, prompts,
     return hits / len(prompts)
 
 
+def greedy_margin(model: HybridModel, prompts,
+                  settings: DecodeSettings) -> tuple[float, int, int]:
+    """Smallest top-1/top-2 logit gap along the target's greedy continuation
+    of each prompt, as (gap, prompt index, continuation position).
+
+    The gaps come from one forward over prompt + continuation per prompt.
+    Chunk and one-row step logits differ by about 1e-14, so only a gap that
+    small could let speculative and autoregressive greedy outputs part.
+    """
+    best = (float("inf"), -1, -1)
+    for i, prompt in enumerate(prompts):
+        out = autoregressive_generate(model, prompt, settings)
+        logits, _ = model.forward_prefix(list(prompt) + out[:-1])
+        top2 = np.sort(logits[len(prompt) - 1:], axis=1)[:, -2:]
+        gaps = top2[:, 1] - top2[:, 0]
+        j = int(np.argmin(gaps))
+        if gaps[j] < best[0]:
+            best = (float(gaps[j]), i, j)
+    return best
+
+
 def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
                stride: int | None = None) -> float:
     """exp(mean next-token NLL) under the masked model.

@@ -29,6 +29,7 @@ immutable after load and shareable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -419,16 +420,24 @@ _SCAN_CHUNK = 16
 def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     """All states of ``S_t = decay * S_{t-1} + inputs_t`` from ``S_{-1} = s0``.
 
-    Two-level chunked evaluation: chunks are scanned in parallel, then
-    chunk-boundary carries are combined, turning T python iterations into
-    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); decay is (d,) in
-    (0, 1) so the power terms cannot overflow. The first chunk starts from
-    ``s0`` ((d, s), or 0 for a fresh stream) and the others from zero, so a
-    scan of at most one chunk is exactly the row-by-row recurrence.
+    ``inputs`` is (B, T, d, s); decay is (d,) in (0, 1) so the power terms
+    cannot overflow; ``s0`` is (d, s), or 0 for a fresh stream. Up to one
+    chunk of rows (every decode step and verify chunk) runs the row
+    recurrence directly. Longer inputs use a two-level chunked evaluation:
+    chunks are scanned in parallel, the first from ``s0`` and the others from
+    zero, then chunk-boundary carries are combined, turning T python
+    iterations into roughly chunk + T/chunk.
     """
     B, T, d, s = inputs.shape
     dt = inputs.dtype
-    C = min(_SCAN_CHUNK, T)
+    if T <= _SCAN_CHUNK:
+        states = np.empty_like(inputs)
+        acc, a = s0, decay[:, None]
+        for t in range(T):
+            acc = a * acc + inputs[:, t]
+            states[:, t] = acc
+        return states
+    C = _SCAN_CHUNK
     n_chunks = -(-T // C)
     Tp = n_chunks * C
     if Tp != T:
@@ -442,15 +451,15 @@ def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     for t in range(C):
         acc = a * acc + P[:, :, t]
         states[:, :, t] = acc
-    if n_chunks > 1:
-        a_chunk = decay ** C
-        carry = np.zeros((B, n_chunks, d, s), dtype=dt)
-        run = np.zeros((B, d, s), dtype=dt)
-        for c in range(1, n_chunks):
-            run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
-            carry[:, c] = run
-        powers = decay[None, :] ** np.arange(1, C + 1)[:, None]   # (C, d)
-        states += powers[None, None, :, :, None] * carry[:, :, None]
+    a_chunk = decay ** C
+    carry = np.zeros((B, n_chunks, d, s), dtype=dt)
+    run = np.zeros((B, d, s), dtype=dt)
+    for c in range(1, n_chunks):
+        run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
+        carry[:, c] = run
+    # float powers: an integer exponent array would promote float32 to float64
+    powers = decay[None, :] ** np.arange(1, C + 1, dtype=dt)[:, None]  # (C, d)
+    states += powers[None, None, :, :, None] * carry[:, :, None]
     return states.reshape(B, Tp, d, s)[:, :T]
 
 
@@ -496,9 +505,13 @@ def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
         cache.k[:, pos0:n] = k[0]
         cache.v[:, pos0:n] = v[0]
         keys, values = cache.k[None, :, :n], cache.v[None, :, :n]
-    scores = q @ keys.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
+    # softmax in place on one (B, heads, T, keys) array; the scale is a
+    # python float so that float32 scores stay float32
+    scores = q @ keys.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(dh)
+    scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
+    w = np.exp(scores, out=scores)
     w /= w.sum(axis=-1, keepdims=True)
     ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
     out = ctx.reshape(B * T, d) @ p.wo

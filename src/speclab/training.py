@@ -9,6 +9,15 @@ finite-difference gradient check that pins the backward to the forward.
 Recurrent states come from the forward's chunked scan and the backward runs
 the reverse recurrence as the same scan on time-flipped input.
 
+With ``compute_dtype="float32"`` (the default) the forward, the tape, the
+backward and the gradients are float32 end to end, against float64 master
+weights and a float64 Adam; the blocks scale by python floats, which never
+promote a float32 array under NumPy 2's scalar rules. A float32 step of the
+12-layer d=64 toys (B=8, T=96) takes about half the time of a float64 step:
+0.51 of it on the parallel hybrid and 0.55 on the sequential one, alternating
+in one process with one BLAS thread on a 2-core Xeon, where the float32 steps
+took 150 and 105 ms at best. ``compute_dtype="float64"`` remains available.
+
 Master weights are float64 and everything is deterministic from the seed:
 weight init and batch sampling both run on counter-based Philox streams, and
 the loop itself is single-threaded numpy.
@@ -17,6 +26,7 @@ the loop itself is single-threaded numpy.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +63,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
     warmup_steps: int = 50
     log_path: str | None = None
-    # float32 halves the step cost on CPU; master weights, the optimizer and
-    # everything downstream of training stay float64
+    # float32 computes the whole step in float32, about half the time of
+    # float64; master weights, the optimizer and everything downstream of
+    # training stay float64
     compute_dtype: str = "float32"
 
     def __post_init__(self):
@@ -133,10 +144,11 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     do2 = _flat(dout)
     grads[prefix + "wo"] += _flat(ctx).T @ do2
     dctx = (do2 @ p.wo.T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    dw = dctx @ v.transpose(0, 1, 3, 2)
     dv = w.transpose(0, 1, 3, 2) @ dctx
-    dscores = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
-    dscores /= np.sqrt(dh)
+    dscores = dctx @ v.transpose(0, 1, 3, 2)     # d loss / d w, then in place
+    dscores -= np.sum(dscores * w, axis=-1, keepdims=True)
+    dscores *= w
+    dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
     dq2 = _flat(dq.transpose(0, 2, 1, 3).reshape(B, T, d))

@@ -1,12 +1,16 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
+import speclab.cli as cli
 from speclab.checkpoint import load_checkpoint, manifest_path, save_checkpoint
 from speclab.cli import main
-from speclab.corpus import make_corpus
+from speclab.corpus import make_corpus, sample_prompts
 from speclab.experiments import read_report
-from speclab.model import ModelConfig, init_weights
+from speclab.model import HybridModel, ModelConfig, init_weights
+from speclab.training import load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +136,41 @@ class TestDiagnosticsCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("match rate 1.000") == 4
+
+    def test_verify_lossless_prints_smallest_greedy_margin(self, env, capsys):
+        rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
+                   env["corpus"], "--n-prompts", "4", "--prompt-len", "6",
+                   "--max-new-tokens", "8", "--k", "2",
+                   "--strategies", "identity"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        found = re.search(r"smallest greedy margin (\S+) .* at prompt (\d+), "
+                          r"new token (\d+)", out)
+        assert found, out
+        assert "warning" not in out
+        # direct: greedy decoding by a fresh full-prefix forward per token
+        weights = load_checkpoint(env["ckpt"])
+        model = HybridModel(weights.cfg, weights)
+        prompts = sample_prompts(load_corpus(env["corpus"]), 4, 6, 0)
+        gaps = np.empty((4, 8))
+        for i, prompt in enumerate(prompts):
+            seq = list(prompt)
+            for j in range(8):
+                logits, _ = model.forward_prefix(seq)
+                top2 = np.sort(logits[-1])[-2:]
+                gaps[i, j] = top2[1] - top2[0]
+                seq.append(int(np.argmax(logits[-1])))
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        assert float(found.group(1)) == pytest.approx(gaps[i, j], rel=1e-6)
+        assert (int(found.group(2)), int(found.group(3))) == (i, j)
+
+    def test_near_tie_warns_without_changing_exit_code(self, env, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "greedy_margin", lambda *a: (3e-12, 1, 2))
+        rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
+                   env["corpus"], "--n-prompts", "2", "--prompt-len", "6",
+                   "--max-new-tokens", "4", "--strategies", "identity"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "smallest greedy margin 3.000000e-12" in out
+        assert "warning: near tie" in out

@@ -415,3 +415,9 @@ class TestLinearScan:
         np.testing.assert_allclose(_linear_scan(decay, inputs, s0),
                                    scan_rows(decay, inputs, s0),
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [16, 40])
+    def test_keeps_float32(self, T):
+        decay, inputs, s0 = (a.astype(np.float32) for a in self.case(T))
+        assert _linear_scan(decay, inputs, s0).dtype == np.float32
+        assert _linear_scan(decay, inputs, 0.0).dtype == np.float32

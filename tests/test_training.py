@@ -160,6 +160,39 @@ class TestForwardEquivalence:
         np.testing.assert_array_equal(batched[0], prefix)
 
 
+def tape_arrays(obj):
+    """Every array a forward tape holds (nested dicts, tuples and lists)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from tape_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from tape_arrays(value)
+
+
+class TestFloat32Compute:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_step_stays_float32(self, arch):
+        # T > 16 runs the chunked scan in the forward and the backward
+        cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
+                          vocab_size=24, context_limit=48)
+        w = init_weights(cfg, 5)
+        wc = {n: a.astype(np.float32) for n, a in w.items()}
+        x, y = small_batch(cfg, t=40)
+        masks = [ComponentMask.full(cfg.n_layers)] + [
+            build_mask(cfg, DraftStrategy(kind)) for kind in STRATEGY_KINDS[arch]]
+        for mask in masks:
+            logits, tape = forward_train(cfg, wc, mask, x)
+            _, dlogits = cross_entropy(logits, y)
+            grads = backward_train(cfg, wc, tape, dlogits)
+            taped = list(tape_arrays({k: v for k, v in tape.items() if k != "x"}))
+            assert len(taped) > 2
+            for arr in [logits, dlogits, *taped, *grads.values()]:
+                assert arr.dtype == np.float32, mask.describe()
+
+
 class TestTrainLoop:
     def test_zero_steps_returns_seeded_init(self, corpus_file):
         tcfg = TrainConfig(corpus_path=corpus_file, steps=0, seq_len=24, seed=9)
