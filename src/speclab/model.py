@@ -420,24 +420,16 @@ _SCAN_CHUNK = 16
 def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     """All states of ``S_t = decay * S_{t-1} + inputs_t`` from ``S_{-1} = s0``.
 
-    ``inputs`` is (B, T, d, s); decay is (d,) in (0, 1) so the power terms
-    cannot overflow; ``s0`` is (d, s), or 0 for a fresh stream. Up to one
-    chunk of rows (every decode step and verify chunk) runs the row
-    recurrence directly. Longer inputs use a two-level chunked evaluation:
-    chunks are scanned in parallel, the first from ``s0`` and the others from
-    zero, then chunk-boundary carries are combined, turning T python
-    iterations into roughly chunk + T/chunk.
+    Two-level chunked evaluation: chunks are scanned in parallel, then
+    chunk-boundary carries are combined, turning T python iterations into
+    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); decay is (d,) in
+    (0, 1) so the power terms cannot overflow. The first chunk starts from
+    ``s0`` ((d, s), or 0 for a fresh stream) and the others from zero, so a
+    scan of at most one chunk is exactly the row-by-row recurrence.
     """
     B, T, d, s = inputs.shape
     dt = inputs.dtype
-    if T <= _SCAN_CHUNK:
-        states = np.empty_like(inputs)
-        acc, a = s0, decay[:, None]
-        for t in range(T):
-            acc = a * acc + inputs[:, t]
-            states[:, t] = acc
-        return states
-    C = _SCAN_CHUNK
+    C = min(_SCAN_CHUNK, T)
     n_chunks = -(-T // C)
     Tp = n_chunks * C
     if Tp != T:
@@ -451,15 +443,16 @@ def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     for t in range(C):
         acc = a * acc + P[:, :, t]
         states[:, :, t] = acc
-    a_chunk = decay ** C
-    carry = np.zeros((B, n_chunks, d, s), dtype=dt)
-    run = np.zeros((B, d, s), dtype=dt)
-    for c in range(1, n_chunks):
-        run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
-        carry[:, c] = run
-    # float powers: an integer exponent array would promote float32 to float64
-    powers = decay[None, :] ** np.arange(1, C + 1, dtype=dt)[:, None]  # (C, d)
-    states += powers[None, None, :, :, None] * carry[:, :, None]
+    if n_chunks > 1:
+        a_chunk = decay ** C
+        carry = np.zeros((B, n_chunks, d, s), dtype=dt)
+        run = np.zeros((B, d, s), dtype=dt)
+        for c in range(1, n_chunks):
+            run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
+            carry[:, c] = run
+        # float exponents: an integer arange would make the powers float64
+        powers = decay[None, :] ** np.arange(1, C + 1, dtype=dt)[:, None]
+        states += powers[None, None, :, :, None] * carry[:, :, None]
     return states.reshape(B, Tp, d, s)[:, :T]
 
 

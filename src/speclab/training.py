@@ -10,13 +10,11 @@ Recurrent states come from the forward's chunked scan and the backward runs
 the reverse recurrence as the same scan on time-flipped input.
 
 With ``compute_dtype="float32"`` (the default) the forward, the tape, the
-backward and the gradients are float32 end to end, against float64 master
+backward and the gradients stay float32 end to end, against float64 master
 weights and a float64 Adam; the blocks scale by python floats, which never
-promote a float32 array under NumPy 2's scalar rules. A float32 step of the
-12-layer d=64 toys (B=8, T=96) takes about half the time of a float64 step:
-0.51 of it on the parallel hybrid and 0.55 on the sequential one, alternating
-in one process with one BLAS thread on a 2-core Xeon, where the float32 steps
-took 150 and 105 ms at best. ``compute_dtype="float64"`` remains available.
+promote a float32 array under NumPy 2's scalar rules. A float32 step takes
+about half the time of a float64 step. ``compute_dtype="float64"`` remains
+available.
 
 Master weights are float64 and everything is deterministic from the seed:
 weight init and batch sampling both run on counter-based Philox streams, and
@@ -63,9 +61,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
     warmup_steps: int = 50
     log_path: str | None = None
-    # float32 computes the whole step in float32, about half the time of
-    # float64; master weights, the optimizer and everything downstream of
-    # training stay float64
+    # float32 keeps the whole step in float32, about half a float64 step;
+    # master weights, the optimizer and everything downstream of training
+    # stay float64
     compute_dtype: str = "float32"
 
     def __post_init__(self):

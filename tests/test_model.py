@@ -416,8 +416,7 @@ class TestLinearScan:
                                    scan_rows(decay, inputs, s0),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("T", [16, 40])
-    def test_keeps_float32(self, T):
-        decay, inputs, s0 = (a.astype(np.float32) for a in self.case(T))
+    def test_keeps_float32(self):
+        decay, inputs, s0 = (a.astype(np.float32) for a in self.case(16))
         assert _linear_scan(decay, inputs, s0).dtype == np.float32
         assert _linear_scan(decay, inputs, 0.0).dtype == np.float32
