@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
-
 from .engine import DraftStrategy, build_mask
 from .metrics import AcceptanceStats, perplexity
 from .model import HybridModel
@@ -129,6 +127,10 @@ def correlation_report(cells) -> CorrelationReport:
     degenerate = comparable == 0
     tau = None
     if not degenerate:
+        # scipy.stats is heavy to load and this is its only use, so
+        # importing speclab does not load it
+        from scipy import stats
+
         ratios = [r for r, _ in rows]
         alphas = [a for _, a in rows]
         tau_val = stats.kendalltau(ratios, alphas).statistic

@@ -153,36 +153,39 @@ def divergence_stats(model: HybridModel, draft_mask: ComponentMask, prompts,
                            n_positions=len(tvs))
 
 
-def match_rate(model: HybridModel, strategy: DraftStrategy, prompts,
-               settings: DecodeSettings) -> float:
-    """Fraction of prompts whose speculative and autoregressive outputs are
-    token-identical. Greedy decoding only; sampled runs consume randomness
-    differently and are compared distributionally instead."""
+def match_rate(model: HybridModel, strategies, prompts,
+               settings: DecodeSettings) -> tuple[list[float], list[list[int]]]:
+    """Per strategy, the fraction of prompts whose speculative and
+    autoregressive outputs are token-identical; also returns the
+    autoregressive output of each prompt, decoded once for all strategies.
+    Greedy decoding only; sampled runs consume randomness differently and are
+    compared distributionally instead."""
     if settings.temperature != 0.0:
         raise ValueError("match_rate is defined for temperature 0")
     prompts = list(prompts)
     if not prompts:
         raise ValueError("no prompts")
-    hits = 0
-    for prompt in prompts:
-        spec, _ = speculative_generate(model, strategy, prompt, settings)
-        ar = autoregressive_generate(model, prompt, settings)
-        hits += spec == ar
-    return hits / len(prompts)
+    ar = [autoregressive_generate(model, prompt, settings) for prompt in prompts]
+    rates = []
+    for strategy in strategies:
+        hits = sum(speculative_generate(model, strategy, prompt, settings)[0] == out
+                   for prompt, out in zip(prompts, ar))
+        rates.append(hits / len(prompts))
+    return rates, ar
 
 
 def greedy_margin(model: HybridModel, prompts,
-                  settings: DecodeSettings) -> tuple[float, int, int]:
-    """Smallest top-1/top-2 logit gap along the target's greedy continuation
-    of each prompt, as (gap, prompt index, continuation position).
+                  continuations) -> tuple[float, int, int]:
+    """Smallest top-1/top-2 logit gap along the target's greedy
+    ``continuations`` of the prompts (as :func:`match_rate` returns them), as
+    (gap, prompt index, continuation position).
 
     The gaps come from one forward over prompt + continuation per prompt.
     Chunk and one-row step logits differ by about 1e-14, so only a gap that
     small could let speculative and autoregressive greedy outputs part.
     """
     best = (float("inf"), -1, -1)
-    for i, prompt in enumerate(prompts):
-        out = autoregressive_generate(model, prompt, settings)
+    for i, (prompt, out) in enumerate(zip(prompts, continuations)):
         logits, _ = model.forward_prefix(list(prompt) + out[:-1])
         top2 = np.sort(logits[len(prompt) - 1:], axis=1)[:, -2:]
         gaps = top2[:, 1] - top2[:, 0]

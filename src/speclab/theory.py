@@ -7,7 +7,7 @@ speedup over autoregressive decoding is that yield divided by the round cost
 ``1 + k * c_draft/c_verify``. The cost ratio is estimated by counting the
 parameters touched per token under the draft mask versus the full mask, a
 proxy that deliberately excludes sequence-length-dependent attention-score
-work; an optional linear KV-bandwidth term can model that growth.
+work.
 """
 
 from __future__ import annotations
@@ -90,42 +90,13 @@ def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
     return total
 
 
-def kv_scalars_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
-    """KV-cache floats appended per token (2 d per live attention layer)."""
-    if mask is None:
-        mask = ComponentMask.full(cfg.n_layers)
-    n_attn = sum(1 for i in range(cfg.n_layers)
-                 if cfg.has_attn(i) and mask.attn_enabled[i]
-                 and not mask.layer_skipped[i])
-    return 2 * cfg.d_model * n_attn
-
-
-def flop_ratio(cfg: ModelConfig, strategy: DraftStrategy,
-               kv_bandwidth_coeff: float = 0.0,
-               context_len: int | None = None) -> CostModel:
-    """Draft-to-verify cost ratio for a strategy on a model.
-
-    The base estimate is the parameter-count proxy. With a positive
-    ``kv_bandwidth_coeff`` an additive ``coeff * n * kv_floats_per_token``
-    term models cache-bandwidth growth at sequence length ``n`` on each side,
-    which lowers the ratio for recurrent drafts as context grows.
-    """
-    draft_mask = build_mask(cfg, strategy)
-    draft = params_per_token(cfg, draft_mask)
-    full = params_per_token(cfg, None)
-    fraction = draft / full
+def flop_ratio(cfg: ModelConfig, strategy: DraftStrategy) -> CostModel:
+    """Draft-to-verify cost ratio for a strategy on a model: the
+    parameter-count proxy."""
+    fraction = params_per_token(cfg, build_mask(cfg, strategy)) / \
+        params_per_token(cfg, None)
     notes = ("parameter-count proxy; excludes sequence-length-dependent "
              "attention-score compute")
-    if kv_bandwidth_coeff > 0.0:
-        if context_len is None or context_len < 1:
-            raise ValueError("context_len required when modelling KV bandwidth")
-        draft_cost = draft + kv_bandwidth_coeff * context_len * \
-            kv_scalars_per_token(cfg, draft_mask)
-        full_cost = full + kv_bandwidth_coeff * context_len * \
-            kv_scalars_per_token(cfg, None)
-        notes += (f"; plus KV bandwidth term coeff={kv_bandwidth_coeff} "
-                  f"at n={context_len}")
-        return CostModel(min(1.0, draft_cost / full_cost), fraction, notes)
     return CostModel(min(1.0, fraction), fraction, notes)
 
 

@@ -16,6 +16,11 @@ promote a float32 array under NumPy 2's scalar rules. A float32 step takes
 about half the time of a float64 step. ``compute_dtype="float64"`` remains
 available.
 
+A training step holds one tape: each step's casts, tape, logits and
+gradients are freed before the next step's forward starts. Evaluation
+(:func:`evaluate_loss`, the finite-difference probes of :func:`grad_check`)
+records no tape.
+
 Master weights are float64 and everything is deterministic from the seed:
 weight init and batch sampling both run on counter-based Philox streams, and
 the loop itself is single-threaded numpy.
@@ -247,7 +252,12 @@ def backward_train(cfg: ModelConfig, w, tape: dict,
 
 def evaluate_loss(cfg: ModelConfig, w: Weights, mask: ComponentMask | None,
                   x: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = forward_train(cfg, w, mask, x)
+    """Mean next-token loss of the windows ``x`` against ``y``; the forward
+    is :func:`forward_train`'s without its tape."""
+    if mask is None:
+        mask = ComponentMask.full(cfg.n_layers)
+    x = np.asarray(x, dtype=np.int64)
+    logits, _ = forward(cfg, w, layer_plan(cfg, w, mask), x)
     loss, _ = cross_entropy(logits, y)
     return float(loss)
 
@@ -286,6 +296,22 @@ class Adam:
             w.blocks[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
 
 
+def _train_step(cfg: ModelConfig, w: Weights, opt: Adam,
+                mask: ComponentMask | None, x, y, dt, step: int) -> float:
+    """One forward, backward and Adam step on the batch ``(x, y)``; returns
+    the loss. The casts, tape, logits and gradients are this function's
+    locals, so they are freed when it returns, before the next step's
+    forward builds its own tape."""
+    wc = w if dt == np.float64 else {n: a.astype(dt) for n, a in w.items()}
+    logits, tape = forward_train(cfg, wc, mask, x)
+    loss, dlogits = cross_entropy(logits, y)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(step)
+    grads = backward_train(cfg, wc, tape, dlogits)
+    opt.step(w, grads)
+    return float(loss)
+
+
 def train(cfg: ModelConfig, tcfg: TrainConfig,
           mask: ComponentMask | None = None):
     """Train a model from scratch; returns (Weights, loss history).
@@ -305,14 +331,7 @@ def train(cfg: ModelConfig, tcfg: TrainConfig,
     history: list[tuple[int, float]] = []
     for step in range(tcfg.steps):
         x, y = sample_batch(corpus, tcfg.batch_size, tcfg.seq_len, data_rng)
-        wc = w if dt == np.float64 else {n: a.astype(dt) for n, a in w.items()}
-        logits, tape = forward_train(cfg, wc, mask, x)
-        loss, dlogits = cross_entropy(logits, y)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(step)
-        grads = backward_train(cfg, wc, tape, dlogits)
-        opt.step(w, grads)
-        history.append((step, float(loss)))
+        history.append((step, _train_step(cfg, w, opt, mask, x, y, dt, step)))
     w.validate_finite()
     if tcfg.log_path is not None:
         write_training_log(tcfg.log_path, history)

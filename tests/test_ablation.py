@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import speclab
 from speclab.ablation import (
     AblationReport,
     ablate_and_score,
@@ -110,3 +116,19 @@ class TestCorrelationReport:
         cells = [(report(5.0, 15.0), acc(0.3)), (report(5.0, 50.0), acc(0.1))]
         table = correlation_report(cells).table()
         assert len(table.splitlines()) == 3
+
+
+def test_importing_every_module_leaves_scipy_stats_unloaded():
+    code = ("import importlib, pkgutil, sys, speclab\n"
+            "names = [m.name for m in pkgutil.iter_modules(speclab.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('speclab.' + name)\n"
+            "print(sorted(names), 'scipy.stats' in sys.modules)")
+    src = str(Path(speclab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "'cli'" in out and "'training'" in out
+    assert out.strip().endswith("False")

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from speclab.engine import DecodeSettings, DraftStrategy, SpecRoundResult, build_mask
+from speclab import metrics
+from speclab.engine import (
+    DecodeSettings,
+    DraftStrategy,
+    SpecRoundResult,
+    autoregressive_generate,
+    build_mask,
+)
 from speclab.metrics import (
     all_token_alpha,
     bootstrap_ci,
@@ -151,23 +158,35 @@ TINY = ModelConfig("parallel_hybrid", n_layers=4, d_model=16, n_heads=2,
 
 
 class TestMatchRate:
-    def test_any_strategy_is_lossless_in_wide_precision(self):
+    def test_any_strategy_is_lossless_in_wide_precision(self, monkeypatch):
         m = HybridModel.from_seed(TINY, 0)
         prompts = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
         settings = DecodeSettings(k=3, temperature=0.0, max_new_tokens=16, seed=0)
-        for kind in ("component_only", "layer_skip", "identity"):
-            assert match_rate(m, DraftStrategy(kind), prompts, settings) == 1.0
+        decoded = []   # (prompt, output) of every autoregressive decode
+
+        def recorded(model, prompt, settings):
+            decoded.append((list(prompt),
+                            autoregressive_generate(model, prompt, settings)))
+            return decoded[-1][1]
+
+        monkeypatch.setattr(metrics, "autoregressive_generate", recorded)
+        kinds = ("component_only", "layer_skip", "early_exit", "identity")
+        rates, ar = match_rate(m, [DraftStrategy(k) for k in kinds], prompts,
+                               settings)
+        assert rates == [1.0] * len(kinds)
+        # one autoregressive decode per prompt, shared by every strategy
+        assert decoded == list(zip(prompts, ar))
 
     def test_requires_greedy(self):
         m = HybridModel.from_seed(TINY, 0)
         with pytest.raises(ValueError):
-            match_rate(m, DraftStrategy("identity"), [[1]],
+            match_rate(m, [DraftStrategy("identity")], [[1]],
                        DecodeSettings(k=2, temperature=0.5, max_new_tokens=4))
 
     def test_no_prompts_rejected(self):
         m = HybridModel.from_seed(TINY, 0)
         with pytest.raises(ValueError):
-            match_rate(m, DraftStrategy("identity"), [],
+            match_rate(m, [DraftStrategy("identity")], [],
                        DecodeSettings(k=2, temperature=0.0, max_new_tokens=4))
 
 

@@ -8,7 +8,6 @@ from speclab.theory import (
     CostModel,
     expected_tokens,
     flop_ratio,
-    kv_scalars_per_token,
     optimal_k,
     per_token_from_all_token,
     speedup,
@@ -128,20 +127,6 @@ class TestFlopRatio:
         full = 2 * d + n_attn * (attn + ffn) + n_lin * (ssm + ffn) + d + d * v
         draft = full - n_attn * (attn + ffn)
         assert abs(cm.cost_ratio - draft / full) < 1e-12
-
-    def test_kv_bandwidth_term_helps_recurrent_drafts_at_long_context(self):
-        base = flop_ratio(PAR, DraftStrategy("component_only")).cost_ratio
-        long_ctx = flop_ratio(PAR, DraftStrategy("component_only"),
-                              kv_bandwidth_coeff=1.0, context_len=4096)
-        assert long_ctx.cost_ratio < base
-        with pytest.raises(ValueError):
-            flop_ratio(PAR, DraftStrategy("identity"), kv_bandwidth_coeff=1.0)
-
-    def test_kv_scalars_counted_only_for_live_attention(self):
-        from speclab.engine import build_mask
-        assert kv_scalars_per_token(
-            PAR, build_mask(PAR, DraftStrategy("component_only"))) == 0
-        assert kv_scalars_per_token(PAR, None) == 2 * PAR.d_model * PAR.n_layers
 
     def test_invalid_strategy_for_architecture_propagates(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +272,44 @@ class TestTrainLoop:
             train(BYTE_PAR, TrainConfig(corpus_path=corpus_file, steps=3,
                                         seq_len=16))
         assert exc.value.step == 0
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_step_frees_its_tape_before_the_next_forward(self, corpus_file,
+                                                         monkeypatch, dtype):
+        owned = []   # weak references to arrays of earlier steps' tapes
+        alive_at_entry = []
+        original = training.forward_train
+
+        def watched(*args):
+            alive_at_entry.append(sum(ref() is not None for ref in owned))
+            logits, tape = original(*args)
+            owned.extend(weakref.ref(a) for a in
+                         (logits, tape["hn"], tape["layers"][0]["ssm"][1][8]))
+            return logits, tape
+
+        monkeypatch.setattr(training, "forward_train", watched)
+        train(BYTE_PAR, TrainConfig(corpus_path=corpus_file, steps=3,
+                                    batch_size=2, seq_len=16, seed=0,
+                                    compute_dtype=dtype))
+        assert alive_at_entry == [0, 0, 0]
+
+    def test_evaluate_loss_records_no_tape(self, monkeypatch):
+        tapes = []
+        original = training.forward
+
+        def spy(*args, **kwargs):
+            tapes.append(kwargs.get("tape", args[5] if len(args) > 5 else None))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", spy)
+        w = init_weights(TINY_SEQ, 4)
+        x, y = small_batch(TINY_SEQ)
+        mask = build_mask(TINY_SEQ, DraftStrategy("component_only"))
+        for m in (None, mask):
+            loss = evaluate_loss(TINY_SEQ, w, m, x, y)
+            assert tapes.pop() is None
+            taped, _ = cross_entropy(forward_train(TINY_SEQ, w, m, x)[0], y)
+            assert loss == float(taped)
 
     def test_training_log_csv(self, corpus_file, tmp_path):
         log = tmp_path / "log.csv"
