@@ -93,6 +93,8 @@ class ExperimentSpec:
             raise ValueError("sweep dimensions must be non-empty")
         if self.n_prompts < 1 or self.prompt_len < 1:
             raise ValueError("prompt settings must be positive")
+        if self.k_top < 1 or self.bootstrap_resamples < 1:
+            raise ValueError("k_top and bootstrap_resamples must be >= 1")
 
     def strategy(self, kind: str) -> DraftStrategy:
         return DraftStrategy(kind, skip_fraction=self.skip_fraction,

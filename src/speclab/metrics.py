@@ -5,7 +5,10 @@ Acceptance statistics aggregate speculation rounds from one experimental cell
 of rounds in which every drafted token was accepted; at temperature 0 that is
 the greedy argmax-agreement product, at temperature > 0 it is the realized
 accept/reject outcome. Uncertainty comes from a percentile bootstrap over
-rounds.
+rounds. Teacher-forced divergence scores each prompt with one
+multi-mask forward, whose leading layers the draft shares with the target
+run once, and computes distributions, agreement and distances over all of
+the prompt's positions as arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .engine import (
     speculative_generate,
 )
 from .model import ComponentMask, HybridModel
-from .numerics import RngState, argmax_tiebreak, log_softmax, softmax
+from .numerics import RngState, log_softmax, softmax
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ def bootstrap_ci(samples, resamples: int = 10_000, level: float = 0.95,
         raise ValueError("bootstrap_ci needs at least one sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
     if arr.min() == arr.max():
         # degenerate data: every resample mean is the same value exactly
         return float(arr[0]), float(arr[0])
@@ -95,38 +100,34 @@ def all_token_alpha(rounds: list[SpecRoundResult], k: int,
     )
 
 
-def tv_distance_topk(p: np.ndarray, q: np.ndarray, k_top: int = 100) -> float:
-    """Total variation over the union of both distributions' top-k supports.
+def tv_distance_topk(p: np.ndarray, q: np.ndarray, k_top: int = 100):
+    """Total variation over the union of both distributions' top-k supports,
+    along the last axis: a float for 1-D inputs, one distance per row
+    otherwise.
 
-    Both restrictions are renormalized over the union set, so the result is a
-    true TV distance on a shared support, in [0, 1]. ``k_top`` larger than
-    the vocabulary is clamped.
+    Both restrictions are renormalized over the union set, so each result is
+    a true TV distance on a shared support, in [0, 1]. ``k_top`` larger than
+    the vocabulary is clamped; ties at the cut keep the lowest indices.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("distributions must be 1-D and share a vocabulary")
+    if p.shape != q.shape or p.ndim == 0:
+        raise ValueError("distributions must share a vocabulary")
     if k_top < 1:
         raise ValueError("k_top must be >= 1")
-    k_top = min(k_top, p.size)
-    top_p = np.argsort(-p, kind="stable")[:k_top]
-    top_q = np.argsort(-q, kind="stable")[:k_top]
-    union = np.union1d(top_p, top_q)
-    pr = p[union]
-    qr = q[union]
-    ps, qs = pr.sum(), qr.sum()
-    if ps <= 0.0 or qs <= 0.0:
+    k_top = min(k_top, p.shape[-1])
+    union = np.zeros(p.shape, dtype=bool)
+    for d in (p, q):
+        top = np.argsort(-d, axis=-1, kind="stable")[..., :k_top]
+        np.put_along_axis(union, top, True, axis=-1)
+    pr = np.where(union, p, 0.0)
+    qr = np.where(union, q, 0.0)
+    ps = pr.sum(axis=-1, keepdims=True)
+    qs = qr.sum(axis=-1, keepdims=True)
+    if np.any(ps <= 0.0) or np.any(qs <= 0.0):
         raise ValueError("restricted distribution has no mass")
-    return float(0.5 * np.abs(pr / ps - qr / qs).sum())
-
-
-def top1_agreement(pairs) -> float:
-    """Fraction of distribution pairs whose greedy argmax agrees."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no distribution pairs")
-    hits = sum(argmax_tiebreak(p) == argmax_tiebreak(q) for p, q in pairs)
-    return hits / len(pairs)
+    tv = 0.5 * np.abs(pr / ps - qr / qs).sum(axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def divergence_stats(model: HybridModel, draft_mask: ComponentMask, prompts,
@@ -134,23 +135,26 @@ def divergence_stats(model: HybridModel, draft_mask: ComponentMask, prompts,
     """Draft-vs-full distribution divergence, teacher-forced over prompts.
 
     Scores every next-token distribution along each prompt (positions are
-    pooled across prompts; the count is reported).
+    pooled across prompts; the count is reported). Each prompt takes one
+    :meth:`HybridModel.forward_masks` call, which runs the leading layers
+    the draft shares with the target once; the distributions, their argmax
+    agreement and their distances are then computed over all of the
+    prompt's positions as arrays.
     """
-    tvs: list[float] = []
-    agree = 0
+    masks = [ComponentMask.full(model.cfg.n_layers), draft_mask]
+    tvs, agree = [], 0
     for prompt in prompts:
-        full_logits, _ = model.forward_prefix(prompt)
-        draft_logits, _ = model.forward_prefix(prompt, draft_mask)
-        for j in range(len(prompt)):
-            p_h = softmax(full_logits[j], 1.0)
-            p_s = softmax(draft_logits[j], 1.0)
-            tvs.append(tv_distance_topk(p_s, p_h, k_top))
-            agree += argmax_tiebreak(p_s) == argmax_tiebreak(p_h)
+        if len(prompt) == 0:
+            continue
+        p_h, p_s = (softmax(x, 1.0) for x in model.forward_masks(prompt, masks))
+        tvs.append(tv_distance_topk(p_s, p_h, k_top))
+        agree += int(np.sum(np.argmax(p_s, axis=-1) == np.argmax(p_h, axis=-1)))
     if not tvs:
         raise ValueError("no positions scored")
+    tvs = np.concatenate(tvs)
     return DivergenceStats(tv_mean=float(np.mean(tvs)),
-                           top1_agreement=agree / len(tvs),
-                           n_positions=len(tvs))
+                           top1_agreement=agree / tvs.size,
+                           n_positions=tvs.size)
 
 
 def match_rate(model: HybridModel, strategies, prompts,

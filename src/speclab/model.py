@@ -21,10 +21,14 @@ nothing and an all-enabled mask is bit-identical to no mask.
 
 The block math exists once, in :func:`forward`, over (B, T, d) rows and in
 the dtype of the weights it is given, under a per-mask :func:`layer_plan`.
-Decoding runs it on one stream (B = 1) in float64, continuing a mutable
-:class:`DecodeState` (KV cache, recurrent states, position); training runs it
-on B windows from position 0 and records a tape for its backward. Weights are
-immutable after load and shareable.
+It runs three stages in order: :func:`embed` (embedding and attention bias),
+:func:`run_layers` (the layer loop over a plan) and :func:`head` (final norm
+and head). Decoding runs it on one stream (B = 1) in float64, continuing a
+mutable :class:`DecodeState` (KV cache, recurrent states, position); training
+runs it on B windows from position 0 and records a tape for its backward.
+:meth:`HybridModel.forward_masks` runs the same stages over one sequence
+under several masks with no state, computing the leading layers the masks'
+plans share once. Weights are immutable after load and shareable.
 """
 
 from __future__ import annotations
@@ -526,21 +530,11 @@ def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
     return out.reshape(B, T, d)
 
 
-def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
-            state: DecodeState | None = None, tape: dict | None = None):
-    """Logits (B, T, vocab) for the token rows ``x`` (B, T) under ``plan``.
-
-    Without a ``state`` every row starts at position 0 and attends among
-    itself. With one (B = 1) the rows continue that stream: they start at
-    ``state.pos``, attention writes and reads its KV cache, the recurrence
-    starts from its states, and the state ends advanced past the rows.
-    Also returns, per layer, the recurrent states after each row (None where
-    the plan runs no recurrence). With a ``tape`` (a dict holding a
-    ``"layers"`` list) one entry per planned layer and the final norm are
-    recorded for :func:`speclab.training.backward_train`.
-    """
-    B, T = x.shape
-    pos0 = 0 if state is None else state.pos
+def embed(cfg: ModelConfig, w, x: np.ndarray, pos0: int = 0):
+    """First stage of :func:`forward`: the input rows ``h`` (B, T, d) of the
+    token rows ``x`` (B, T) at positions ``pos0..``, and the causal attention
+    bias (T, pos0 + T) every layer's attention adds."""
+    T = x.shape[1]
     if x.min() < 0 or x.max() >= cfg.vocab_size:
         raise ValueError("token id out of range")
     if pos0 + T > cfg.context_limit:
@@ -548,6 +542,17 @@ def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
             f"context overflow: {pos0}+{T} exceeds limit {cfg.context_limit}")
     h = w["embed"][x] + w["pos_embed"][pos0:pos0 + T]
     bias = np.triu(np.full((T, pos0 + T), -np.inf, dtype=h.dtype), pos0 + 1)
+    return h, bias
+
+
+def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
+               bias: np.ndarray, state: DecodeState | None = None,
+               tape: dict | None = None):
+    """Second stage of :func:`forward`: the rows ``h`` after every layer of
+    ``plan``, and per layer the recurrent states after each row (None where
+    the plan runs no recurrence). A ``state`` supplies the KV caches and
+    recurrent states the layers continue; it is not advanced here."""
+    pos0 = 0 if state is None else state.pos
     states: list[np.ndarray | None] = [None] * cfg.n_layers
     for lp in plan:
         i = lp.index
@@ -565,17 +570,45 @@ def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
         h = h + ffn_block(lp.ffn, h, entry)
         if tape is not None:
             tape["layers"].append(entry)
+    return h, states
+
+
+def head(w, h: np.ndarray, tape: dict | None = None) -> np.ndarray:
+    """Last stage of :func:`forward`: final norm and head, logits (B, T,
+    vocab) of the rows ``h``."""
+    B, T, _ = h.shape
     hn, ncache = rmsnorm(h, w["final_norm_g"])
     logits = hn.reshape(B * T, -1) @ w["head_w"]
     if tape is not None:
         tape["hn"] = hn
         tape["final_norm"] = ncache
+    return logits.reshape(B, T, -1)
+
+
+def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
+            state: DecodeState | None = None, tape: dict | None = None):
+    """Logits (B, T, vocab) for the token rows ``x`` (B, T) under ``plan``:
+    :func:`embed`, :func:`run_layers` and :func:`head` in order.
+
+    Without a ``state`` every row starts at position 0 and attends among
+    itself. With one (B = 1) the rows continue that stream: they start at
+    ``state.pos``, attention writes and reads its KV cache, the recurrence
+    starts from its states, and the state ends advanced past the rows.
+    Also returns, per layer, the recurrent states after each row (None where
+    the plan runs no recurrence). With a ``tape`` (a dict holding a
+    ``"layers"`` list) one entry per planned layer and the final norm are
+    recorded for :func:`speclab.training.backward_train`.
+    """
+    pos0 = 0 if state is None else state.pos
+    h, bias = embed(cfg, w, x, pos0)
+    h, states = run_layers(cfg, plan, h, bias, state, tape)
+    logits = head(w, h, tape)
     if state is not None:
         for i, s in enumerate(states):
             if s is not None:
                 state.ssm[i] = s[0, -1]
-        state.pos = pos0 + T
-    return logits.reshape(B, T, cfg.vocab_size), states
+        state.pos = pos0 + x.shape[1]
+    return logits, states
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +617,7 @@ def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
 
 
 class HybridModel:
-    """Immutable (config, weights) bundle with decode entry points."""
+    """Immutable (config, weights) bundle with decode and scoring entry points."""
 
     def __init__(self, cfg: ModelConfig, weights: Weights):
         if weights.cfg != cfg:
@@ -644,6 +677,32 @@ class HybridModel:
         state = self.new_state(mask)
         logits, _ = self.forward_chunk(state, tokens)
         return logits, state
+
+    def forward_masks(self, tokens, masks) -> list[np.ndarray]:
+        """Per-position logits of a fresh sequence ``tokens`` under each of
+        ``masks``, equal bit for bit to ``forward_prefix(tokens, mask)[0]``
+        but with no :class:`DecodeState`. The leading plan entries every mask
+        runs alike (same layer, same branches) run once, and a mask whose
+        plan equals an earlier one's reuses its logits."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim != 1 or tokens.size == 0:
+            raise ValueError("tokens must be a non-empty 1-D sequence")
+        cfg, w = self.cfg, self.weights
+        plans = [layer_plan(cfg, w, mask) for mask in masks]
+        keys = [tuple((lp.index, lp.attn is None, lp.ssm is None) for lp in plan)
+                for plan in plans]
+        shared = 0
+        for entries in zip(*keys):
+            if len(set(entries)) > 1:
+                break
+            shared += 1
+        h, bias = embed(cfg, w, tokens[None])
+        h, _ = run_layers(cfg, plans[0][:shared], h, bias)
+        logits: dict[tuple, np.ndarray] = {}
+        for key, plan in zip(keys, plans):
+            if key not in logits:
+                logits[key] = head(w, run_layers(cfg, plan[shared:], h, bias)[0])[0]
+        return [logits[key] for key in keys]
 
     def decode_step(self, state: DecodeState, token: int):
         """Feed one token; logits for the next position."""

@@ -241,6 +241,13 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             tiny_spec(workspace, tmp_path / "x", k_values=())
 
+    @pytest.mark.parametrize("field", ["k_top", "bootstrap_resamples"])
+    def test_counts_below_one_rejected(self, workspace, tmp_path, field):
+        # caught when the spec is built, not in every cell of the sweep
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=field):
+                tiny_spec(workspace, tmp_path / "x", **{field: value})
+
 
 class TestPlotData:
     def test_long_format_with_na_markers(self, tmp_path):

@@ -18,10 +18,9 @@ from speclab.metrics import (
     match_rate,
     perplexity,
     tv_distance_topk,
-    top1_agreement,
 )
 from speclab.model import ComponentMask, HybridModel, ModelConfig
-from speclab.numerics import RngState
+from speclab.numerics import RngState, softmax
 
 
 def synthetic_round(flags: list[bool]) -> SpecRoundResult:
@@ -45,6 +44,11 @@ class TestBootstrapCI:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_ci([])
+
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_resamples_below_one_rejected(self, resamples):
+        with pytest.raises(ValueError, match="resamples"):
+            bootstrap_ci([0.1, 0.9, 0.4], resamples=resamples)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
                     max_size=60), st.integers(0, 10))
@@ -137,20 +141,30 @@ class TestTvDistance:
         q = np.array([0.30, 0.30, 0.2, 0.2])
         assert tv_distance_topk(p, q, 2) == 0.0
 
+    @given(st.integers(0, 1000), st.integers(1, 40))
+    @settings(max_examples=40)
+    def test_rows_match_one_row_calls(self, seed, k_top):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(24), size=7)
+        q = rng.dirichlet(np.ones(24), size=7)
+        d = tv_distance_topk(p, q, k_top)
+        assert d.shape == (7,)
+        for j in range(7):
+            one = tv_distance_topk(p[j], q[j], k_top)
+            assert isinstance(one, float)
+            assert abs(d[j] - one) <= 1e-15
+        assert np.all(tv_distance_topk(p, p, k_top) == 0.0)
 
-class TestTop1Agreement:
-    def test_identical_streams(self):
-        p = np.array([0.2, 0.8])
-        assert top1_agreement([(p, p)] * 5) == 1.0
-
-    def test_opposite_one_hots(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        assert top1_agreement([(a, b), (b, a)]) == 0.0
-
-    def test_empty_rejected(self):
+    def test_errors_hold_for_every_row(self):
+        p = np.full((3, 4), 0.25)
+        q = p.copy()
         with pytest.raises(ValueError):
-            top1_agreement([])
+            tv_distance_topk(p, q[:, :3])
+        with pytest.raises(ValueError):
+            tv_distance_topk(p, q, 0)
+        p[2] = 0.0
+        with pytest.raises(ValueError, match="no mass"):
+            tv_distance_topk(p, q, 2)
 
 
 TINY = ModelConfig("parallel_hybrid", n_layers=4, d_model=16, n_heads=2,
@@ -256,3 +270,37 @@ class TestDivergenceStats:
         stats = divergence_stats(m, mask, [[1, 2, 3, 4, 5, 6, 7]])
         assert stats.tv_mean > 0.0
         assert stats.n_positions == 7
+
+    @pytest.mark.parametrize("arch", ["parallel_hybrid", "sequential_hybrid"])
+    @pytest.mark.parametrize("kind", ["component_only", "layer_skip",
+                                      "early_exit", "identity"])
+    @pytest.mark.parametrize("k_top", [5, 100])
+    def test_matches_per_position_reference(self, arch, kind, k_top):
+        cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
+                          vocab_size=16, context_limit=96)
+        m = HybridModel.from_seed(cfg, 3)
+        mask = build_mask(cfg, DraftStrategy(kind))
+        rng = np.random.default_rng(4)
+        prompts = [rng.integers(0, 16, n).tolist() for n in (40, 0, 9, 1)]
+        # one forward_prefix pair per prompt and one distance per position,
+        # over the union of the two top-k index sets
+        tvs, agree = [], 0
+        for prompt in prompts:
+            full, _ = m.forward_prefix(prompt)
+            draft, _ = m.forward_prefix(prompt, mask)
+            for j in range(len(prompt)):
+                p_h, p_s = softmax(full[j]), softmax(draft[j])
+                top = min(k_top, cfg.vocab_size)
+                union = np.union1d(np.argsort(-p_s, kind="stable")[:top],
+                                   np.argsort(-p_h, kind="stable")[:top])
+                a, b = p_s[union], p_h[union]
+                tvs.append(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
+                agree += int(np.argmax(p_s) == np.argmax(p_h))
+        stats = divergence_stats(m, mask, prompts, k_top)
+        assert stats.n_positions == len(tvs) == 50
+        assert stats.top1_agreement == agree / len(tvs)
+        assert abs(stats.tv_mean - np.mean(tvs)) <= 1e-12
+        if kind == "identity":
+            assert stats.tv_mean == 0.0 and stats.top1_agreement == 1.0
+        else:
+            assert stats.tv_mean > 0.0

@@ -156,6 +156,15 @@ class TestForwardPrefix:
         with pytest.raises(ValueError):
             m.forward_prefix([1], ComponentMask.full(PARALLEL.n_layers + 1))
 
+    def test_forward_masks_rejects_what_forward_prefix_rejects(self):
+        m = make_model(PARALLEL)
+        full = ComponentMask.full(PARALLEL.n_layers)
+        for toks, masks in (([], [full]), ([[1, 2]], [full]),
+                            ([0, PARALLEL.vocab_size], [full]),
+                            ([1], [full, ComponentMask.full(PARALLEL.n_layers + 1)])):
+            with pytest.raises(ValueError):
+                m.forward_masks(toks, masks)
+
 
 def live_cache_elements(state):
     """Floats a state holds for its stream: live KV rows plus recurrent state."""

@@ -141,15 +141,26 @@ class TestForwardEquivalence:
     @hsettings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batched_forward_matches_decode_path(self, arch, data):
-        # training and decoding run one forward: every batch row equals a
+        # training, decoding and multi-mask scoring run one forward: every
+        # batch row, and every mask's logits from one forward_masks call
+        # (which runs the plans' shared leading layers once), equals a
         # decode-path prefix forward over it, bit for bit
         model, masks, x = data.draw(batched_windows(arch))
-        for mask in masks:
+        prefixes = [[model.forward_prefix(x[b], mask)[0] for mask in masks]
+                    for b in range(x.shape[0])]
+        for m, mask in enumerate(masks):
             batched, _ = forward_train(model.cfg, model.weights, mask, x)
             for b in range(x.shape[0]):
-                prefix, _ = model.forward_prefix(x[b], mask)
-                np.testing.assert_array_equal(batched[b], prefix,
+                np.testing.assert_array_equal(batched[b], prefixes[b][m],
                                               err_msg=mask.describe())
+        for b in range(x.shape[0]):
+            every = model.forward_masks(x[b], masks)
+            for m, mask in enumerate(masks):
+                # and as divergence_stats calls it: target and one draft
+                pair = model.forward_masks(x[b], [masks[0], mask])
+                for logits in (every[m], pair[1]):
+                    np.testing.assert_array_equal(logits, prefixes[b][m],
+                                                  err_msg=mask.describe())
 
     def test_masked_equivalence(self):
         cfg = TINY_SEQ
