@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the numbers speclab computes, to tell whether two
+checkouts compute the same bits.
+
+Usage, from the repository root (point PYTHONPATH at the checkout to digest):
+
+    PYTHONPATH=src python3 scripts/numerics_digest.py
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/numerics_digest.py
+
+One line per item, then an ``all`` line over every item; equal lines mean
+bit-identical numbers. The items are:
+
+* ``train.<arch>.<dtype>``: weights and loss history after 8 training steps
+  from seeded init, float32 and float64 compute, on the acceptance toy
+  configuration (12 layers, d_model 64, d_state 8, batch 8, windows of 96,
+  seed 7);
+* ``decode.<arch>``: decode-path logits of seeded-init models, the prefix
+  forward and one-token steps, under the full mask and every draft mask;
+* ``generate.<arch>.<strategy>.T<temperature>``: greedy and T = 0.6
+  speculative outputs and per-round acceptance for every strategy;
+* ``score.<arch>``: full and component-only perplexity and every strategy's
+  ``divergence_stats`` on a 256-byte window.
+
+It needs no checkpoint: the corpora are generated and the models are seeded
+inits or trained here. BLAS runs on one thread, so summation order is fixed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from speclab.corpus import make_corpus, sample_prompts  # noqa: E402
+from speclab.engine import (  # noqa: E402
+    STRATEGY_KINDS, DecodeSettings, DraftStrategy, autoregressive_generate,
+    build_mask, speculative_generate)
+from speclab.metrics import divergence_stats, perplexity  # noqa: E402
+from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
+from speclab.training import TrainConfig, train  # noqa: E402
+
+ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
+SEED = 7
+TRAIN_STEPS = 8
+TEMPERATURES = (0.0, 0.6)
+
+
+def toy_config(arch: str) -> ModelConfig:
+    return ModelConfig(arch, n_layers=12, d_model=64, d_state=8)
+
+
+class Digest:
+    """SHA-256 over a stream of arrays and numbers, with shape and dtype."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *values):
+        for v in values:
+            a = np.ascontiguousarray(v)
+            self.h.update(f"{a.dtype.str}{a.shape}".encode())
+            self.h.update(a.tobytes())
+
+    def hex(self) -> str:
+        return self.h.hexdigest()
+
+
+def train_items(corpus_path: str):
+    for name, arch in ARCHS.items():
+        for dtype in ("float32", "float64"):
+            tcfg = TrainConfig(corpus_path=corpus_path, steps=TRAIN_STEPS,
+                               batch_size=8, seq_len=96, learning_rate=3e-3,
+                               seed=SEED, compute_dtype=dtype)
+            weights, history = train(toy_config(arch), tcfg)
+            d = Digest()
+            for block_name, arr in weights.items():
+                d.add(np.frombuffer(block_name.encode(), np.uint8), arr)
+            d.add(np.array([loss for _, loss in history]))
+            yield f"train.{name}.{dtype}", d.hex()
+
+
+def draft_masks(cfg: ModelConfig) -> dict[str, ComponentMask]:
+    return {kind: build_mask(cfg, DraftStrategy(kind)) for kind in STRATEGY_KINDS}
+
+
+def decode_items(models, prompts):
+    for name, model in models.items():
+        masks = {"full": None, **draft_masks(model.cfg)}
+        d = Digest()
+        for mask in masks.values():
+            for prompt in prompts:
+                logits, state = model.forward_prefix(prompt[:-1], mask)
+                d.add(logits)
+                for token in prompt[-1:] + prompt[:4]:
+                    d.add(model.decode_step(state, token))
+        yield f"decode.{name}", d.hex()
+
+
+def generate_items(models, prompts):
+    for name, model in models.items():
+        for temp in TEMPERATURES:
+            for kind in ("autoregressive",) + STRATEGY_KINDS:
+                d = Digest()
+                for i, prompt in enumerate(prompts):
+                    settings = DecodeSettings(k=3, temperature=temp,
+                                              max_new_tokens=24, seed=SEED + i)
+                    if kind == "autoregressive":
+                        out = autoregressive_generate(model, prompt, settings)
+                        accepted = []
+                    else:
+                        out, rounds = speculative_generate(
+                            model, DraftStrategy(kind), prompt, settings)
+                        accepted = [r.accepted_count for r in rounds]
+                    d.add(np.array(out, np.int64), np.array(accepted, np.int64))
+                yield f"generate.{name}.{kind}.T{temp}", d.hex()
+
+
+def score_items(models, window):
+    for name, model in models.items():
+        d = Digest()
+        masks = draft_masks(model.cfg)
+        for mask in (None, masks["component_only"]):
+            d.add(np.float64(perplexity(model, mask, window)))
+        for mask in masks.values():
+            stats = divergence_stats(model, mask, [window], k_top=100)
+            d.add(np.float64(stats.tv_mean), np.float64(stats.top1_agreement),
+                  np.int64(stats.n_positions))
+        yield f"score.{name}", d.hex()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path = Path(tmp) / "train_corpus.bin"
+        corpus_path.write_bytes(make_corpus(220_000, 1234))
+        items = list(train_items(str(corpus_path)))
+    eval_tokens = np.frombuffer(make_corpus(4096, 777), np.uint8).astype(np.int64)
+    prompts = sample_prompts(eval_tokens, 3, 16, seed=0)
+    models = {name: HybridModel.from_seed(toy_config(arch), SEED)
+              for name, arch in ARCHS.items()}
+    items += decode_items(models, prompts)
+    items += generate_items(models, prompts)
+    items += score_items(models, eval_tokens[:256])
+    total = hashlib.sha256()
+    for name, hexdigest in items:
+        print(f"{name:42s} {hexdigest}")
+        total.update(f"{name} {hexdigest}\n".encode())
+    print(f"{'all':42s} {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

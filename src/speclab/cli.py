@@ -15,6 +15,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,13 @@ def _csv_list(conv):
     def parse(text):
         return tuple(conv(x) for x in text.split(",") if x)
     return parse
+
+
+def _strategy_kind(text: str) -> str:
+    if text not in STRATEGY_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy {text!r}, expected one of {', '.join(STRATEGY_KINDS)}")
+    return text
 
 
 def _load_model(path) -> HybridModel:
@@ -138,12 +146,14 @@ def cmd_ablate(args) -> int:
     if args.ledger:
         path = Path(args.ledger)
         new = not path.exists()
-        with open(path, "a") as f:
+        with open(path, "a", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
             if new:
-                f.write("checkpoint,ppl_base,ppl_no_attn,ppl_ratio,verdict\n")
-            f.write(f"{args.checkpoint},{report.ppl_base:.10g},"
-                    f"{report.ppl_no_attn:.10g},{report.ppl_ratio:.10g},"
-                    f"{report.verdict}\n")
+                writer.writerow(["checkpoint", "ppl_base", "ppl_no_attn",
+                                 "ppl_ratio", "verdict"])
+            writer.writerow([args.checkpoint, f"{report.ppl_base:.10g}",
+                             f"{report.ppl_no_attn:.10g}",
+                             f"{report.ppl_ratio:.10g}", report.verdict])
     return 0
 
 
@@ -318,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check speculative output equals autoregressive")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--strategies", type=_csv_list(str), default=None)
+    p.add_argument("--strategies", type=_csv_list(_strategy_kind),
+                   default=None, help="comma list of draft strategies")
     p.add_argument("--n-prompts", type=int, default=100)
     p.add_argument("--prompt-len", type=int, default=16)
     p.add_argument("--max-new-tokens", type=int, default=64)

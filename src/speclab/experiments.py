@@ -182,8 +182,10 @@ def _run_prompts(generate, prompts, settings: DecodeSettings):
     rounds and timed seconds per token.
 
     Each prompt gets its own seed, derived from the settings seed and the
-    prompt index. The first prompt is a warm-up: it contributes rounds and
-    outputs like any other, but its wall time is discarded."""
+    prompt index. With two or more prompts the first is a warm-up: it
+    contributes rounds and outputs like any other, but its wall time is
+    discarded. A lone prompt is timed, warm-up included, so that a
+    one-prompt cell still has a timing."""
     outputs, rounds, times = [], [], []
     for i, prompt in enumerate(prompts):
         per_prompt = replace(settings, seed=_prompt_seed(settings.seed, i))
@@ -192,8 +194,9 @@ def _run_prompts(generate, prompts, settings: DecodeSettings):
         times.append(time.perf_counter() - t0)
         outputs.append(out)
         rounds.extend(rs)
-    timed_tokens = sum(len(o) for o in outputs[1:])
-    seconds_per_token = sum(times[1:]) / timed_tokens if timed_tokens else None
+    timed = slice(1 if len(prompts) > 1 else 0, None)
+    timed_tokens = sum(len(o) for o in outputs[timed])
+    seconds_per_token = sum(times[timed]) / timed_tokens if timed_tokens else None
     return outputs, rounds, seconds_per_token
 
 

@@ -29,6 +29,13 @@ runs it on B windows from position 0 and records a tape for its backward.
 :meth:`HybridModel.forward_masks` runs the same stages over one sequence
 under several masks with no state, computing the leading layers the masks'
 plans share once. Weights are immutable after load and shareable.
+
+The recurrent branch's state-sized arithmetic (the scan and the input outer
+products, in training's backward too) runs on contiguous (d_model, d_state)
+rows: a plan holds each recurrent layer's decay spread over the state axis,
+derived when the plan is built, so a weight changed in place needs a new
+plan. The numbers are bit for bit those of a (d,) decay and outer products
+broadcast along the state axis.
 """
 
 from __future__ import annotations
@@ -213,11 +220,13 @@ class FfnParams(NamedTuple):
 
 
 class LayerPlan(NamedTuple):
-    """The blocks layer ``index`` runs under a mask (None: branch off)."""
+    """The blocks layer ``index`` runs under a mask (None: branch off), and
+    the recurrent branch's decay from :func:`ssm_decay` (None with it)."""
     index: int
     attn: AttnParams | None
     ssm: SsmParams | None
     ffn: FfnParams
+    decay: np.ndarray | None
 
 
 def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -327,11 +336,23 @@ def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     return Weights(cfg, blocks)
 
 
+def ssm_decay(p: SsmParams) -> np.ndarray:
+    """The recurrent branch's per-channel decay ``sigmoid(decay_raw)``,
+    spread over the state axis as a contiguous (d_model, d_state) array, so
+    that the scan multiplies whole state rows."""
+    return np.repeat(sigmoid(p.decay_raw)[:, None], p.w_b.shape[1], axis=1)
+
+
 def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
     """The blocks every unskipped layer runs under ``mask``, read from ``w``
     (a :class:`Weights` or any name-to-array mapping, such as training's
     float32 casts). Skipped layers are left out, so a forward over the plan
-    neither branches on nor validates the mask."""
+    neither branches on nor validates the mask.
+
+    Each recurrent layer's decay is derived here, once, by :func:`ssm_decay`:
+    a plan reads the weights as they were when it was built, so a weight
+    changed in place needs a new plan (as it already needs a new
+    :class:`DecodeState`)."""
     if mask.n_layers != cfg.n_layers:
         raise ValueError(
             f"mask covers {mask.n_layers} layers, model has {cfg.n_layers}")
@@ -344,15 +365,16 @@ def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
             raise ValueError(
                 "mask/arch mismatch: transformer layers have no "
                 "alternative component to run on its own")
-        attn = ssm = None
+        attn = ssm = decay = None
         if cfg.has_attn(i) and mask.attn_enabled[i]:
             attn = AttnParams(*(w[f"layers.{i}.attn.{n}"]
                                 for n in AttnParams._fields))
         if cfg.has_alt(i) and mask.alt_enabled[i]:
             ssm = SsmParams(*(w[f"layers.{i}.ssm.{n}"]
                               for n in SsmParams._fields))
+            decay = ssm_decay(ssm)
         ffn = FfnParams(*(w[f"layers.{i}.ffn.{n}"] for n in FfnParams._fields))
-        plan.append(LayerPlan(i, attn, ssm, ffn))
+        plan.append(LayerPlan(i, attn, ssm, ffn, decay))
     return plan
 
 
@@ -426,10 +448,13 @@ def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
 
     Two-level chunked evaluation: chunks are scanned in parallel, then
     chunk-boundary carries are combined, turning T python iterations into
-    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); decay is (d,) in
-    (0, 1) so the power terms cannot overflow. The first chunk starts from
-    ``s0`` ((d, s), or 0 for a fresh stream) and the others from zero, so a
-    scan of at most one chunk is exactly the row-by-row recurrence.
+    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); ``decay`` is the
+    (d, s) array of :func:`ssm_decay`, in (0, 1) so the power terms cannot
+    overflow. Every product runs on contiguous (d, s) state rows; each
+    element gets the arithmetic of a (d,) decay broadcast along the state
+    axis, bit for bit. The first chunk starts from ``s0`` ((d, s), or 0 for
+    a fresh stream) and the others from zero, so a scan of at most one chunk
+    is exactly the row-by-row recurrence.
     """
     B, T, d, s = inputs.shape
     dt = inputs.dtype
@@ -443,26 +468,28 @@ def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     states = np.empty_like(P)
     acc = np.zeros((B, n_chunks, d, s), dtype=dt)
     acc[:, 0] = s0
-    a = decay[None, None, :, None]
     for t in range(C):
-        acc = a * acc + P[:, :, t]
+        np.multiply(decay, acc, out=acc)
+        acc += P[:, :, t]
         states[:, :, t] = acc
     if n_chunks > 1:
         a_chunk = decay ** C
         carry = np.zeros((B, n_chunks, d, s), dtype=dt)
         run = np.zeros((B, d, s), dtype=dt)
         for c in range(1, n_chunks):
-            run = a_chunk[None, :, None] * run + states[:, c - 1, C - 1]
+            run = a_chunk * run + states[:, c - 1, C - 1]
             carry[:, c] = run
         # float exponents: an integer arange would make the powers float64
-        powers = decay[None, :] ** np.arange(1, C + 1, dtype=dt)[:, None]
-        states += powers[None, None, :, :, None] * carry[:, :, None]
+        powers = decay ** np.arange(1, C + 1, dtype=dt)[:, None, None]
+        states += powers * carry[:, :, None]
     return states.reshape(B, Tp, d, s)[:, :T]
 
 
-def ssm_block(p: SsmParams, h: np.ndarray, s0, tape: dict | None = None):
-    """Recurrent branch from state ``s0``; returns (out, states), where
-    ``states[:, t]`` is the recurrent state after row t."""
+def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
+              tape: dict | None = None):
+    """Recurrent branch from state ``s0`` under the (d, s) ``decay`` of
+    :func:`ssm_decay`; returns (out, states), where ``states[:, t]`` is the
+    recurrent state after row t."""
     B, T, d = h.shape
     xs, ncache = rmsnorm(h, p.norm_g)
     x2 = xs.reshape(B * T, d)
@@ -471,8 +498,9 @@ def ssm_block(p: SsmParams, h: np.ndarray, s0, tape: dict | None = None):
     u = upre * usig
     bm = (x2 @ p.w_b).reshape(B, T, -1)
     cm = (x2 @ p.w_c).reshape(B, T, -1)
-    decay = sigmoid(p.decay_raw)
-    states = _linear_scan(decay, u[..., None] * bm[:, :, None, :], s0)
+    # the outer product u (x) B as one exact product per element, written
+    # on contiguous state rows
+    states = _linear_scan(decay, np.einsum("btd,bts->btds", u, bm), s0)
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
@@ -561,7 +589,7 @@ def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
         h_in = h
         if lp.ssm is not None:
             s0 = 0.0 if state is None else state.ssm[i]
-            out, states[i] = ssm_block(lp.ssm, h_in, s0, entry)
+            out, states[i] = ssm_block(lp.ssm, lp.decay, h_in, s0, entry)
             h = h + out
         if lp.attn is not None:
             cache = None if state is None else state.kv[i]

@@ -7,7 +7,9 @@ float64, with a tape of what the backward needs. This module keeps what is
 training's own: the backward, the optimizer, the loop and the
 finite-difference gradient check that pins the backward to the forward.
 Recurrent states come from the forward's chunked scan and the backward runs
-the reverse recurrence as the same scan on time-flipped input.
+the reverse recurrence as the same scan on time-flipped input, which it
+builds flipped on contiguous (d_model, d_state) rows; the decay gradient
+sums the state axis as whole-column adds in NumPy's own summation order.
 
 With ``compute_dtype="float32"`` (the default) the forward, the tape, the
 backward and the gradients stay float32 end to end, against float64 master
@@ -167,6 +169,37 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     return dh_
 
 
+def _row_sums(x):
+    """``x.sum(axis=-1)`` bit for bit, as adds of whole columns.
+
+    NumPy adds each row of a reduction's contiguous last axis in pairwise
+    order: from zero below 8 terms; up to 128 terms, 8 running sums combined
+    as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then the
+    tail; above that, the sums of two halves. Run per row on the 8-wide
+    state axis, that is one 8-element inner loop per row; here every add
+    runs over all rows at once.
+    """
+    n = x.shape[-1]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sums(x[..., :half]) + _row_sums(x[..., half:])
+    if n < 8:
+        total = np.zeros(x.shape[:-1], x.dtype)
+        for i in range(n):
+            total += x[..., i]
+        return total
+    m = n - n % 8
+    r = x[..., :8]
+    for i in range(8, m, 8):
+        r = r + x[..., i:i + 8]
+    r = r[..., 0::2] + r[..., 1::2]
+    r = r[..., 0::2] + r[..., 1::2]
+    total = r[..., 0] + r[..., 1]
+    for i in range(m, n):
+        total += x[..., i]
+    return total
+
+
 def _ssm_bwd(p, dout, cache, grads, prefix):
     xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip = cache
     B, T, d = xs.shape
@@ -177,13 +210,17 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     du = dy * p.skip_gain
     dcm = (dy[:, :, None, :] @ states)[:, :, 0, :]
     # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
-    # forward scan on the time-flipped input
-    q = dy[..., None] * cm[:, :, None, :]
-    d_states = _linear_scan(decay, q[:, ::-1], 0.0)[:, ::-1]
-    da = (d_states[:, 1:] * states[:, :-1]).sum(axis=(0, 1, 3))
+    # forward scan on the time-flipped input, whose outer product is built
+    # flipped and contiguous
+    q = np.einsum("btd,bts->btds", dy[:, ::-1].copy(), cm[:, ::-1].copy())
+    d_states = _linear_scan(decay, q, 0.0)[:, ::-1]
+    # the order of one sum over axes (0, 1, 3): each state row pairwise,
+    # then the (b, t) rows in turn
+    da = _row_sums(d_states[:, 1:] * states[:, :-1]).reshape(-1, d).sum(axis=0)
     du += (d_states @ bm[..., None])[..., 0]
     dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
-    grads[prefix + "decay_raw"] += da * decay * (1.0 - decay)
+    a = decay[:, 0]
+    grads[prefix + "decay_raw"] += da * a * (1.0 - a)
     dupre = _silu_bwd(du, upre, usig)
     x2 = _flat(xs)
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)

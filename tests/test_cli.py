@@ -1,5 +1,7 @@
+import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +107,23 @@ class TestDiagnosticsCommands:
         assert lines[0].startswith("checkpoint,")
         assert len(lines) == 2
 
+    def test_ledger_quotes_a_checkpoint_path(self, env, tmp_path):
+        odd = tmp_path / 'toy, "copy".ckpt'
+        odd.write_bytes(Path(env["ckpt"]).read_bytes())
+        ledger = tmp_path / "ledger.csv"
+        for _ in range(2):
+            assert main(["ablate", "--checkpoint", str(odd), "--corpus",
+                         env["corpus"], "--eval-bytes", "2000",
+                         "--ledger", str(ledger)]) == 0
+        with open(ledger, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["checkpoint", "ppl_base", "ppl_no_attn",
+                           "ppl_ratio", "verdict"]
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert len(row) == 5
+            assert row[0] == str(odd)
+
     def test_theory_json_with_reference(self, env, tmp_path):
         out = tmp_path / "theory.json"
         rc = main(["theory", "--alpha", "0.680", "--k", "2", "--cost-ratio",
@@ -136,6 +155,14 @@ class TestDiagnosticsCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("match rate 1.000") == 4
+
+    def test_verify_lossless_rejects_unknown_strategy_names(self, env,
+                                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
+                  env["corpus"], "--strategies", "identity,foo"])
+        assert exc.value.code == 2
+        assert "unknown strategy 'foo'" in capsys.readouterr().err
 
     def test_verify_lossless_prints_smallest_greedy_margin(self, env, capsys):
         rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -131,6 +132,18 @@ class TestRunExperiments:
         header = (out / "report.csv").read_text().splitlines()[1]
         assert "seconds" not in header
         assert (out / "timings.csv").exists()
+
+    def test_one_prompt_cell_is_timed(self, workspace, tmp_path):
+        out = tmp_path / "runG1"
+        result = run_experiments(
+            tiny_spec(workspace, out, n_prompts=1, k_values=(2,),
+                      temperatures=(0.0,)), log=lambda m: None)
+        rows = read_report(result.timing_path)
+        assert len(rows) == 2
+        for row in rows:
+            for column in ("spec_seconds_per_token", "ar_seconds_per_token"):
+                seconds = float(row[column])
+                assert math.isfinite(seconds) and seconds > 0, (row, column)
 
     def test_failing_cell_is_recorded_and_the_sweep_goes_on(
             self, workspace, tmp_path, monkeypatch):

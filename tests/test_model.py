@@ -13,10 +13,14 @@ from speclab.model import (
     ffn_block,
     forward,
     init_weights,
+    layer_plan,
     param_spec,
     rmsnorm,
     ssm_block,
+    ssm_decay,
 )
+
+import broadcast_form
 
 
 PARALLEL = ModelConfig("parallel_hybrid", n_layers=4, d_model=32, n_heads=2,
@@ -294,7 +298,7 @@ class TestStructuralProbes:
         for lp, entry, h_out in zip(plan, entries, outs):
             h = entry["h_in"]
             probe = m.new_state()
-            s_out, _ = ssm_block(lp.ssm, h, probe.ssm[lp.index])
+            s_out, _ = ssm_block(lp.ssm, lp.decay, h, probe.ssm[lp.index])
             a_out = attn_block(lp.attn, h, PARALLEL.n_heads, bias,
                                probe.kv[lp.index], 0)
             mixed = h + s_out + a_out
@@ -312,7 +316,7 @@ class TestStructuralProbes:
             if SEQUENTIAL.layer_kind(i) == "lin"]
         for lp, entry, h_out in zip(plan, entries, outs):
             h = entry["h_in"]
-            mixed = h + ssm_block(lp.ssm, h, 0.0)[0]
+            mixed = h + ssm_block(lp.ssm, lp.decay, h, 0.0)[0]
             np.testing.assert_array_equal(h_out, mixed + ffn_block(lp.ffn, mixed))
             assert not np.array_equal(h_out, h)
 
@@ -332,7 +336,8 @@ def tiny_ssm_params(d=4, s=3, seed=0, decay_raw=None):
 
 def ssm_step(p, state, h):
     """One recurrence step: a one-row block. Returns (out, new_state)."""
-    out, states = ssm_block(p, np.asarray(h, dtype=float)[None, None], state)
+    h = np.asarray(h, dtype=float)[None, None]
+    out, states = ssm_block(p, ssm_decay(p), h, state)
     return out[0, 0], states[0, -1]
 
 
@@ -378,7 +383,7 @@ class TestSsmStep:
     def test_chunk_agrees_with_iterated_steps(self):
         p = tiny_ssm_params(seed=3)
         h = np.random.default_rng(2).normal(0, 1, (6, 4))
-        out_chunk, states = ssm_block(p, h[None], np.zeros((4, 3)))
+        out_chunk, states = ssm_block(p, ssm_decay(p), h[None], np.zeros((4, 3)))
         out_chunk, final = out_chunk[0], states[0, -1]
         state = np.zeros((4, 3))
         outs = []
@@ -406,6 +411,11 @@ def scan_rows(decay, inputs, s0):
     return np.stack(out, axis=1)
 
 
+def spread(decay, d_state):
+    """A (d,) decay spread over the state axis, as :func:`ssm_decay` lays it."""
+    return np.repeat(decay[:, None], d_state, axis=1)
+
+
 class TestLinearScan:
     @staticmethod
     def case(T, seed=0):
@@ -416,16 +426,58 @@ class TestLinearScan:
     @pytest.mark.parametrize("T", [1, 2, 7, 16])
     def test_seeded_single_chunk_is_the_row_recurrence_bitwise(self, T):
         decay, inputs, s0 = self.case(T)
-        np.testing.assert_array_equal(_linear_scan(decay, inputs, s0),
+        np.testing.assert_array_equal(_linear_scan(spread(decay, 3), inputs, s0),
                                       scan_rows(decay, inputs, s0))
 
     def test_seeded_scan_over_several_chunks(self):
         decay, inputs, s0 = self.case(40, seed=1)
-        np.testing.assert_allclose(_linear_scan(decay, inputs, s0),
+        np.testing.assert_allclose(_linear_scan(spread(decay, 3), inputs, s0),
                                    scan_rows(decay, inputs, s0),
                                    rtol=1e-12, atol=1e-12)
 
     def test_keeps_float32(self):
         decay, inputs, s0 = (a.astype(np.float32) for a in self.case(16))
-        assert _linear_scan(decay, inputs, s0).dtype == np.float32
-        assert _linear_scan(decay, inputs, 0.0).dtype == np.float32
+        assert _linear_scan(spread(decay, 3), inputs, s0).dtype == np.float32
+        assert _linear_scan(spread(decay, 3), inputs, 0.0).dtype == np.float32
+
+
+BROADCAST_T = [1, 5, 16, 17, 40]
+
+
+class TestContiguousStateRows:
+    """The recurrent branch on contiguous (d, s) state rows computes the
+    bits of its broadcast form (``broadcast_form``): one chunk and several,
+    a ragged last chunk, zero and non-zero start states, float32 and
+    float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("T", BROADCAST_T)
+    def test_scan_equals_the_broadcast_scan(self, T, B, dtype):
+        rng = np.random.default_rng(T * 10 + B)
+        d, s = PARALLEL.d_model, PARALLEL.d_state
+        decay = rng.uniform(0.5, 0.99, d).astype(dtype)
+        inputs = rng.normal(0, 1, (B, T, d, s)).astype(dtype)
+        for s0 in (0.0, rng.normal(0, 1, (d, s)).astype(dtype)):
+            broadcast_form.assert_same_bits(
+                _linear_scan(spread(decay, s), inputs, s0),
+                broadcast_form.linear_scan(decay, inputs, s0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("T", BROADCAST_T)
+    @pytest.mark.parametrize("cfg", [PARALLEL, SEQUENTIAL], ids=lambda c: c.arch)
+    def test_block_equals_the_broadcast_block(self, cfg, T, B, dtype):
+        w = {n: a.astype(dtype) for n, a in make_model(cfg).weights.items()}
+        rng = np.random.default_rng(T * 10 + B)
+        plan = [lp for lp in layer_plan(cfg, w, ComponentMask.full(cfg.n_layers))
+                if lp.ssm is not None]
+        assert plan
+        for lp in plan:
+            assert lp.decay.dtype == dtype and lp.decay.flags.c_contiguous
+            h = rng.normal(0, 1, (B, T, cfg.d_model)).astype(dtype)
+            for s0 in (0.0, rng.normal(0, 1, (cfg.d_model, cfg.d_state)).astype(dtype)):
+                out, states = ssm_block(lp.ssm, lp.decay, h, s0)
+                ref_out, ref_states = broadcast_form.ssm_block(lp.ssm, None, h, s0)
+                broadcast_form.assert_same_bits(out, ref_out)
+                broadcast_form.assert_same_bits(states, ref_states)

@@ -1,10 +1,12 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+import speclab.model as model_module
 import speclab.training as training
 from speclab.corpus import make_corpus
 from speclab.engine import DraftStrategy, build_mask
@@ -28,6 +30,8 @@ from speclab.training import (
     sample_batch,
     train,
 )
+
+import broadcast_form
 
 TINY_PAR = ModelConfig("parallel_hybrid", n_layers=2, d_model=16, n_heads=2,
                        d_state=4, vocab_size=24, context_limit=48)
@@ -170,6 +174,48 @@ class TestForwardEquivalence:
         batched, _ = forward_train(cfg, m.weights, mask, toks[None])
         prefix, _ = m.forward_prefix(toks, mask)
         np.testing.assert_array_equal(batched[0], prefix)
+
+
+class TestContiguousStateRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 3])
+    @pytest.mark.parametrize("T", [1, 5, 16, 17, 40])
+    @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, replace(TINY_PAR, d_state=8)],
+                             ids=lambda c: f"{c.arch}-s{c.d_state}")
+    def test_step_equals_the_broadcast_form(self, cfg, T, B, dtype,
+                                            monkeypatch):
+        # the forward, its tape and every gradient of a training step on
+        # contiguous state rows have the bits of the broadcast-form recurrent
+        # branch, whose backward scans a time-flipped view
+        wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
+        x, y = small_batch(cfg, seed=T, b=B, t=T)
+
+        def step():
+            logits, tape = forward_train(cfg, wc, None, x)
+            _, dlogits = cross_entropy(logits, y)
+            return logits, backward_train(cfg, wc, tape, dlogits)
+
+        logits, grads = step()
+        monkeypatch.setattr(model_module, "ssm_block", broadcast_form.ssm_block)
+        monkeypatch.setattr(training, "_ssm_bwd", broadcast_form.ssm_bwd)
+        ref_logits, ref_grads = step()
+        broadcast_form.assert_same_bits(logits, ref_logits)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            broadcast_form.assert_same_bits(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 9, 16, 17, 32, 128, 129, 300])
+    def test_row_sums_are_numpy_row_sums(self, n, dtype):
+        # every branch of numpy's pairwise order: from zero, eight running
+        # sums with and without a tail, and halves above 128 terms
+        rng = np.random.default_rng(n)
+        for shape in [(5,), (3, 4, 6), (0, 3)]:
+            x = rng.normal(0, 1, shape + (n,)) * rng.choice([1e-3, 1.0, 1e3],
+                                                             shape + (n,))
+            x = x.astype(dtype)
+            broadcast_form.assert_same_bits(training._row_sums(x),
+                                            x.sum(axis=-1))
 
 
 def tape_arrays(obj):
