@@ -9,7 +9,10 @@ Layout (see docs/checkpoint_format.md):
 
 The header carries the format version, the model config, and one entry per
 block with name, shape, dtype and byte offset into the payload. All numeric
-payload is little-endian float64 in C order regardless of platform. A JSON
+payload is little-endian float64 in C order regardless of platform, and
+the blocks tile the payload: each block's offset is the sum of the sizes of
+the blocks before it. A checkpoint loads into one float64 buffer, and every
+block of the loaded :class:`Weights` is a reshaped view of it. A JSON
 manifest mirroring the config is written next to the checkpoint for human
 inspection.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,43 +70,63 @@ def write_manifest(path, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> Weights:
-    """Read a checkpoint; validates magic, version, header, block bounds,
-    dtype, shapes and finiteness. Malformed content raises ValueError."""
+    """Read a checkpoint; validates magic, version, header, block layout,
+    dtype, shapes and finiteness. Malformed content raises ValueError.
+
+    The payload is read straight into one float64 buffer and every block is
+    a reshaped view of it, so a load holds the payload once. Views require
+    the blocks to tile the payload: each block starts where the one before
+    it in the header ends, so no two blocks can alias."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[:8] != MAGIC:
-        raise ValueError(f"{path} is not a speclab checkpoint (bad magic)")
-    header_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
-    if 12 + header_len > len(raw):
-        raise ValueError(f"{path}: header length {header_len} runs past the "
-                         f"end of the file ({len(raw)} bytes)")
-    header = json.loads(raw[12:12 + header_len].decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-    payload = raw[12 + header_len:]
-    try:
-        cfg = ModelConfig.from_dict(header["config"])
-        blocks: dict[str, np.ndarray] = {}
-        for spec in header["blocks"]:
-            name, shape, start, nbytes = (spec[k] for k in
-                                          ("name", "shape", "offset", "nbytes"))
-            if spec["dtype"] != _DTYPE:
-                raise ValueError(f"block {name} has dtype {spec['dtype']!r}, "
-                                 f"expected {_DTYPE!r}")
-            if nbytes != math.prod(shape) * 8:
-                raise ValueError(f"block {name}: {nbytes} bytes do not hold "
-                                 f"shape {shape}")
-            if not 0 <= start <= start + nbytes <= len(payload):
-                raise ValueError(f"block {name}: bytes {start}..{start + nbytes} "
-                                 f"lie outside the {len(payload)}-byte payload")
-            arr = np.frombuffer(payload[start:start + nbytes], dtype=_DTYPE)
-            blocks[name] = arr.astype(np.float64).reshape(shape)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed header: {exc!r}") from exc
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        lead = f.read(12)
+        if len(lead) < 12 or lead[:8] != MAGIC:
+            raise ValueError(f"{path} is not a speclab checkpoint (bad magic)")
+        header_len = int.from_bytes(lead[8:12], "little")
+        if 12 + header_len > size:
+            raise ValueError(f"{path}: header length {header_len} runs past the "
+                             f"end of the file ({size} bytes)")
+        header = json.loads(f.read(header_len).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint version "
+                             f"{header.get('format_version')}")
+        payload_len = size - 12 - header_len
+        try:
+            cfg = ModelConfig.from_dict(header["config"])
+            layout = []
+            end = 0
+            for spec in header["blocks"]:
+                name, shape, start, nbytes = (spec[k] for k in
+                                              ("name", "shape", "offset", "nbytes"))
+                if spec["dtype"] != _DTYPE:
+                    raise ValueError(f"block {name} has dtype {spec['dtype']!r}, "
+                                     f"expected {_DTYPE!r}")
+                if not all(type(v) is int for v in (start, nbytes, *shape)):
+                    raise ValueError(f"block {name}: offset, nbytes and shape "
+                                     f"must be integers")
+                if nbytes != math.prod(shape) * 8:
+                    raise ValueError(f"block {name}: {nbytes} bytes do not hold "
+                                     f"shape {shape}")
+                if start != end:
+                    raise ValueError(f"block {name} starts at byte {start}; blocks "
+                                     f"must tile the payload in header order, so "
+                                     f"it must start at byte {end}")
+                layout.append((name, tuple(shape), start // 8, nbytes // 8))
+                end += nbytes
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed header: {exc!r}") from exc
+        if end != payload_len:
+            raise ValueError(f"{path}: the blocks cover {end} bytes, the payload "
+                             f"holds {payload_len}")
+        data = np.fromfile(f, dtype=_DTYPE, count=end // 8)
+    data = data.astype(np.float64, copy=False)
+    blocks = {name: data[first:first + n].reshape(shape)
+              for name, shape, first, n in layout}
     weights = Weights(cfg, blocks)
     weights.validate_finite()
     return weights

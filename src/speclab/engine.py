@@ -207,12 +207,14 @@ def draft_k(model: HybridModel, mask: ComponentMask, state: DecodeState,
     return DraftSequence(tokens, dists, base_pos), snaps
 
 
-def accept_draft(target_dists: list[np.ndarray], draft: DraftSequence,
-                 temperature: float, rng: RngState) -> SpecRoundResult:
+def accept_draft(target_dists: list[np.ndarray] | np.ndarray,
+                 draft: DraftSequence, temperature: float,
+                 rng: RngState) -> SpecRoundResult:
     """Pure acceptance core over precomputed distributions.
 
-    ``target_dists`` holds k+1 target distributions: one per drafted position
-    plus the bonus position. Randomness is consumed only at temperature > 0.
+    ``target_dists`` holds k+1 target distributions (a list, or the rows of
+    a (k+1, vocab) array): one per drafted position plus the bonus position.
+    Randomness is consumed only at temperature > 0.
     """
     k = draft.k
     if len(target_dists) != k + 1:
@@ -257,9 +259,10 @@ def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
     """Score a draft with the state's (full-mask) model and accept a prefix.
 
     All k+1 target distributions come from one (k+1)-row forward over the
-    pending token plus the drafted tokens. On return the state has consumed
-    the pending token and the accepted drafts; the round's last emitted token
-    is the next pending token.
+    pending token plus the drafted tokens and one softmax over its rows,
+    each row equal bit for bit to its own softmax. On return the state has
+    consumed the pending token and the accepted drafts; the round's last
+    emitted token is the next pending token.
     """
     if draft.base_pos != state.pos + 1:
         raise ValueError(
@@ -268,8 +271,7 @@ def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
     temp = settings.temperature
     logits, hist = model.forward_chunk(state, [pending] + draft.tokens,
                                        record_states=True)
-    target_dists = [softmax(row, temp) for row in logits]
-    result = accept_draft(target_dists, draft, temp, rng)
+    result = accept_draft(softmax(logits, temp), draft, temp, rng)
     if not result.all_accepted:
         state.restore(hist[result.accepted_count])
     return result

@@ -120,7 +120,13 @@ def _fmt(value) -> str:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read in 64 KiB pieces so that hashing a
+    checkpoint never holds it whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _cell_key(spec: ExperimentSpec, checkpoint_sha256: str,

@@ -205,7 +205,9 @@ def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
 
     The corpus is scored in context-length windows hopping by ``stride``
     (default: non-overlapping). Each token is scored at most once; the first
-    token of a window is never scored.
+    token of a window is never scored. Nothing continues a window, so each
+    is scored by the stateless :meth:`HybridModel.forward_masks`, which
+    equals ``forward_prefix`` bit for bit and allocates no KV cache.
     """
     tokens = np.asarray(corpus_tokens, dtype=np.int64).ravel()
     if tokens.size < 2:
@@ -215,6 +217,8 @@ def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
         stride = window
     if not 1 <= stride <= window:
         raise ValueError("stride must be in [1, context_limit]")
+    if mask is None:
+        mask = ComponentMask.full(model.cfg.n_layers)
     total_nll = 0.0
     scored = 0
     last_scored = 0  # global index of the newest scored token
@@ -223,7 +227,7 @@ def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
         chunk = tokens[start:start + window]
         if chunk.size < 2:
             break
-        logits, _ = model.forward_prefix(chunk, mask)
+        logits = model.forward_masks(chunk, [mask])[0]
         logp = log_softmax(logits[:-1])
         targets = chunk[1:]
         nll = -logp[np.arange(targets.size), targets]

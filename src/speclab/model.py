@@ -30,6 +30,13 @@ runs it on B windows from position 0 and records a tape for its backward.
 under several masks with no state, computing the leading layers the masks'
 plans share once. Weights are immutable after load and shareable.
 
+A forward holds one layer's (B, T, d_model, d_state) scan history at a time:
+each recurrent layer's states after every row die when the layer is done,
+unless the caller records per-row states (``forward_chunk(record_states=
+True)``, the draft and verify chunks). A :class:`DecodeState` owns its
+recurrent states: a forward leaves in it a copy of each layer's last-row
+state, not a view pinning the whole history.
+
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
 rows: a plan holds each recurrent layer's decay spread over the state axis,
@@ -575,13 +582,17 @@ def embed(cfg: ModelConfig, w, x: np.ndarray, pos0: int = 0):
 
 def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
                bias: np.ndarray, state: DecodeState | None = None,
-               tape: dict | None = None):
+               tape: dict | None = None, history: list | None = None):
     """Second stage of :func:`forward`: the rows ``h`` after every layer of
-    ``plan``, and per layer the recurrent states after each row (None where
-    the plan runs no recurrence). A ``state`` supplies the KV caches and
-    recurrent states the layers continue; it is not advanced here."""
+    ``plan``. A ``state`` supplies the KV caches and recurrent states the
+    layers continue: each attention layer writes the rows' keys and values
+    into its cache, and each recurrent state is replaced by an owned copy of
+    the state after the last row (the position is left to :func:`forward`).
+
+    A recurrent layer's (B, T, d, s) states after every row live only while
+    that layer runs, unless ``history`` (one slot per model layer) asks to
+    keep them in the layer's slot."""
     pos0 = 0 if state is None else state.pos
-    states: list[np.ndarray | None] = [None] * cfg.n_layers
     for lp in plan:
         i = lp.index
         entry = None if tape is None else {"layer": i, "h_in": h}
@@ -589,7 +600,12 @@ def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
         h_in = h
         if lp.ssm is not None:
             s0 = 0.0 if state is None else state.ssm[i]
-            out, states[i] = ssm_block(lp.ssm, lp.decay, h_in, s0, entry)
+            out, states = ssm_block(lp.ssm, lp.decay, h_in, s0, entry)
+            if state is not None:
+                state.ssm[i] = states[0, -1].copy()
+            if history is not None:
+                history[i] = states
+            del states
             h = h + out
         if lp.attn is not None:
             cache = None if state is None else state.kv[i]
@@ -598,7 +614,7 @@ def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
         h = h + ffn_block(lp.ffn, h, entry)
         if tape is not None:
             tape["layers"].append(entry)
-    return h, states
+    return h
 
 
 def head(w, h: np.ndarray, tape: dict | None = None) -> np.ndarray:
@@ -614,29 +630,28 @@ def head(w, h: np.ndarray, tape: dict | None = None) -> np.ndarray:
 
 
 def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
-            state: DecodeState | None = None, tape: dict | None = None):
+            state: DecodeState | None = None, tape: dict | None = None,
+            history: list | None = None) -> np.ndarray:
     """Logits (B, T, vocab) for the token rows ``x`` (B, T) under ``plan``:
     :func:`embed`, :func:`run_layers` and :func:`head` in order.
 
     Without a ``state`` every row starts at position 0 and attends among
     itself. With one (B = 1) the rows continue that stream: they start at
     ``state.pos``, attention writes and reads its KV cache, the recurrence
-    starts from its states, and the state ends advanced past the rows.
-    Also returns, per layer, the recurrent states after each row (None where
-    the plan runs no recurrence). With a ``tape`` (a dict holding a
-    ``"layers"`` list) one entry per planned layer and the final norm are
+    starts from its states, and the state ends advanced past the rows,
+    owning its recurrent states. A ``history`` list (one slot per layer)
+    receives each recurrent layer's states after every row; without one
+    those live only while their layer runs. With a ``tape`` (a dict holding
+    a ``"layers"`` list) one entry per planned layer and the final norm are
     recorded for :func:`speclab.training.backward_train`.
     """
     pos0 = 0 if state is None else state.pos
     h, bias = embed(cfg, w, x, pos0)
-    h, states = run_layers(cfg, plan, h, bias, state, tape)
+    h = run_layers(cfg, plan, h, bias, state, tape, history)
     logits = head(w, h, tape)
     if state is not None:
-        for i, s in enumerate(states):
-            if s is not None:
-                state.ssm[i] = s[0, -1]
         state.pos = pos0 + x.shape[1]
-    return logits, states
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +703,9 @@ class HybridModel:
         if T == 0:
             return np.zeros((0, self.cfg.vocab_size)), [] if record_states else None
         pos0 = state.pos
-        logits, states = forward(self.cfg, self.weights, state.plan,
-                                 tokens[None], state)
+        states = [None] * self.cfg.n_layers if record_states else None
+        logits = forward(self.cfg, self.weights, state.plan, tokens[None],
+                         state, history=states)
         history = None
         if record_states:
             history = [
@@ -725,11 +741,11 @@ class HybridModel:
                 break
             shared += 1
         h, bias = embed(cfg, w, tokens[None])
-        h, _ = run_layers(cfg, plans[0][:shared], h, bias)
+        h = run_layers(cfg, plans[0][:shared], h, bias)
         logits: dict[tuple, np.ndarray] = {}
         for key, plan in zip(keys, plans):
             if key not in logits:
-                logits[key] = head(w, run_layers(cfg, plan[shared:], h, bias)[0])[0]
+                logits[key] = head(w, run_layers(cfg, plan[shared:], h, bias))[0]
         return [logits[key] for key in keys]
 
     def decode_step(self, state: DecodeState, token: int):

@@ -116,7 +116,7 @@ def forward_train(cfg: ModelConfig, w, mask: ComponentMask | None,
         mask = ComponentMask.full(cfg.n_layers)
     x = np.asarray(x, dtype=np.int64)
     tape = {"x": x, "layers": []}
-    logits, _ = forward(cfg, w, layer_plan(cfg, w, mask), x, tape=tape)
+    logits = forward(cfg, w, layer_plan(cfg, w, mask), x, tape=tape)
     return logits, tape
 
 
@@ -294,7 +294,7 @@ def evaluate_loss(cfg: ModelConfig, w: Weights, mask: ComponentMask | None,
     if mask is None:
         mask = ComponentMask.full(cfg.n_layers)
     x = np.asarray(x, dtype=np.int64)
-    logits, _ = forward(cfg, w, layer_plan(cfg, w, mask), x)
+    logits = forward(cfg, w, layer_plan(cfg, w, mask), x)
     loss, _ = cross_entropy(logits, y)
     return float(loss)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,41 @@ class TestRoundTrip:
         assert loaded.cfg == CFG
         for name, arr in weights.items():
             np.testing.assert_array_equal(arr, loaded[name])
+
+    def test_loaded_blocks_are_aligned_writeable_float64(self, tmp_path, weights):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        for name, arr in load_checkpoint(path).items():
+            assert arr.dtype == np.float64, name
+            assert arr.flags.c_contiguous and arr.flags.aligned, name
+            assert arr.flags.writeable, name
+
+    def test_writing_a_block_leaves_its_neighbours_unchanged(self, tmp_path,
+                                                             weights):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        loaded = load_checkpoint(path)
+        for name in loaded.names:
+            loaded[name][...] = -1.0
+            for other, arr in loaded.items():
+                expect = -1.0 if other == name else weights[other]
+                np.testing.assert_array_equal(arr, expect, err_msg=other)
+            loaded[name][...] = weights[name]
+
+    def test_load_holds_the_payload_about_once(self, tmp_path):
+        cfg = ModelConfig("parallel_hybrid", n_layers=4, d_model=64, d_state=8)
+        w = init_weights(cfg, 3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, w)
+        payload = 8 * w.n_params()
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_params() == w.n_params()
+        assert peak < 1.25 * payload, (peak, payload)
 
     def test_manifest_mirrors_config(self, tmp_path, weights):
         path = tmp_path / "model.ckpt"
@@ -86,17 +122,43 @@ class TestValidation:
         lambda h: h["config"].pop("arch"),
         lambda h: h["blocks"][-1].update(offset=h["blocks"][-1]["offset"] + 8),
         lambda h: h["blocks"][0].update(offset=-8),
+        lambda h: h["blocks"][0].update(offset=0.0),
         lambda h: h["blocks"][0].update(nbytes=h["blocks"][0]["nbytes"] - 8),
         lambda h: h["blocks"][0].update(dtype="<f4"),
         lambda h: h["blocks"][0].update(dtype=">f8"),
     ], ids=["no_config", "no_blocks", "block_without_offset",
             "unknown_config_field", "config_without_arch",
-            "offset_past_payload", "negative_offset", "nbytes_not_shape",
-            "dtype_f4", "dtype_big_endian"])
+            "offset_past_payload", "negative_offset", "float_offset",
+            "nbytes_not_shape", "dtype_f4", "dtype_big_endian"])
     def test_malformed_header_rejected(self, tmp_path, weights, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, weights)
         rewrite_header(path, edit)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layout", ["overlapping", "out_of_order", "gapped",
+                                        "trailing_bytes"])
+    def test_blocks_must_tile_the_payload(self, tmp_path, weights, layout):
+        # every layout here keeps each block inside the payload; only the
+        # tiling rule rejects it (an overlap would alias two weights)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+
+        def edit(h):
+            blocks = h["blocks"]
+            if layout == "overlapping":
+                blocks[1]["offset"] -= 8
+            elif layout == "out_of_order":
+                wq, wk = (next(b for b in blocks if b["name"] == f"layers.3.attn.{n}")
+                          for n in ("wq", "wk"))
+                wq["offset"], wk["offset"] = wk["offset"], wq["offset"]
+            elif layout == "gapped":
+                blocks[-1]["offset"] += 8
+
+        rewrite_header(path, edit)
+        if layout in ("gapped", "trailing_bytes"):
+            path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError):
             load_checkpoint(path)
 

@@ -218,6 +218,38 @@ class TestAcceptCore:
             residual_distribution(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
+class TestVerifySoftmax:
+    @pytest.mark.parametrize("temp", [0.0, 0.6, 1.0])
+    def test_block_rows_equal_per_row_softmax(self, temp):
+        logits = np.random.default_rng(5).normal(0, 3, (5, PAR8.vocab_size))
+        # a tie for the maximum: T = 0 must still pick the lowest index
+        logits[2, [4, 9, 30]] = logits[2].max() + 1.0
+        block = softmax(logits, temp)
+        for row, dist in zip(logits, block):
+            np.testing.assert_array_equal(dist, softmax(row, temp))
+        if temp == 0.0:
+            assert np.flatnonzero(block[2]).tolist() == [4]
+
+    @pytest.mark.parametrize("temp", [0.0, 0.6])
+    def test_verify_makes_one_softmax_call(self, temp):
+        m = HybridModel.from_seed(PAR8, 1)
+        prompt = prompt_for(PAR8)
+        mask = build_mask(PAR8, DraftStrategy("component_only"))
+        settings = DecodeSettings(k=4, temperature=temp, max_new_tokens=8, seed=0)
+        _, vstate = m.forward_prefix(prompt[:-1])
+        _, dstate = m.forward_prefix(prompt[:-1], mask)
+        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        shapes = []
+
+        def counted(logits, temperature=1.0):
+            shapes.append(np.shape(logits))
+            return softmax(logits, temperature)
+
+        with mock.patch.object(engine, "softmax", counted):
+            verify_and_accept(m, vstate, prompt[-1], draft, settings, RngState(0))
+        assert shapes == [(settings.k + 1, PAR8.vocab_size)]
+
+
 def first_emitted_marginal(ps: np.ndarray, ph: np.ndarray) -> np.ndarray:
     """Independent oracle: exhaustive one-round outcome tree.
 

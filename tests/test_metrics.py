@@ -20,7 +20,7 @@ from speclab.metrics import (
     tv_distance_topk,
 )
 from speclab.model import ComponentMask, HybridModel, ModelConfig
-from speclab.numerics import RngState, softmax
+from speclab.numerics import RngState, log_softmax, softmax
 
 
 def synthetic_round(flags: list[bool]) -> SpecRoundResult:
@@ -253,6 +253,52 @@ class TestPerplexity:
         assert 0 < full < 20
         # overlapping windows give each token more context, not more weight
         assert 0 < halved < 20
+
+
+def prefix_window_perplexity(model, mask, tokens, stride):
+    """The window loop of ``perplexity`` as it ran on ``forward_prefix``,
+    each window on a fresh decode state."""
+    window = model.cfg.context_limit
+    total, scored, last, start = 0.0, 0, 0, 0
+    while start + 1 < tokens.size:
+        chunk = tokens[start:start + window]
+        if chunk.size < 2:
+            break
+        logits, _ = model.forward_prefix(chunk, mask)
+        logp = log_softmax(logits[:-1])
+        nll = -logp[np.arange(chunk.size - 1), chunk[1:]]
+        idx = start + 1 + np.arange(chunk.size - 1)
+        fresh = idx > last
+        total += float(nll[fresh].sum())
+        scored += int(fresh.sum())
+        last = int(idx[-1])
+        if start + window >= tokens.size:
+            break
+        start += stride
+    return float(np.exp(total / scored))
+
+
+class TestPerplexityWindows:
+    @pytest.mark.parametrize("arch", ["parallel_hybrid", "sequential_hybrid"])
+    @pytest.mark.parametrize("stride_div", [1, 3])
+    def test_equals_the_decode_state_window_loop_without_a_decode_state(
+            self, monkeypatch, arch, stride_div):
+        cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
+                          vocab_size=16, context_limit=24)
+        m = HybridModel.from_seed(cfg, 4)
+        # the last window is short: 3 full windows' worth plus 7 tokens
+        corpus = np.random.default_rng(9).integers(0, 16, 3 * 24 + 7)
+        stride = 24 // stride_div
+        masks = (None, build_mask(cfg, DraftStrategy("component_only")))
+        expect = [prefix_window_perplexity(m, mask, corpus, stride)
+                  for mask in masks]
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("perplexity allocated a decode state")
+
+        monkeypatch.setattr(HybridModel, "new_state", no_state)
+        got = [perplexity(m, mask, corpus, stride) for mask in masks]
+        assert got == expect
 
 
 class TestDivergenceStats:

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from speclab import model as model_module
 from speclab.model import (
     ComponentMask,
     HybridModel,
@@ -275,6 +278,68 @@ class TestDecodeStep:
         replay = [m.decode_step(state, t) for t in toks[6:]]
         batch, _ = m.forward_prefix(toks)
         np.testing.assert_allclose(np.stack(replay), batch[6:], atol=1e-9, rtol=0)
+
+
+def watch_scan_outputs(monkeypatch):
+    """Wrap ``ssm_block`` so that each call records a weakref to the scan
+    output it returns and, on entry, whether the previous call's output was
+    still alive."""
+    refs, alive_on_entry = [], []
+    real = model_module.ssm_block
+
+    def watched(*args, **kwargs):
+        if refs:
+            alive_on_entry.append(refs[-1]() is not None)
+        out, states = real(*args, **kwargs)
+        refs.append(weakref.ref(states))
+        return out, states
+
+    monkeypatch.setattr(model_module, "ssm_block", watched)
+    return refs, alive_on_entry
+
+
+class TestMemoryContract:
+    """A forward keeps a layer's scan history only while that layer runs,
+    unless per-row states are recorded; a decode state owns its states."""
+
+    @pytest.mark.parametrize("cfg", [PARALLEL, SEQUENTIAL], ids=lambda c: c.arch)
+    def test_decode_state_owns_its_recurrent_states(self, cfg):
+        m = make_model(cfg)
+        _, state = m.forward_prefix(tokens_for(cfg, cfg.context_limit))
+        held = [s for s in state.ssm if s is not None]
+        assert held
+        for s in held:
+            assert s.base is None and s.shape == (cfg.d_model, cfg.d_state)
+
+    @pytest.mark.parametrize("cfg", [PARALLEL, SEQUENTIAL], ids=lambda c: c.arch)
+    @pytest.mark.parametrize("entry", ["forward_prefix", "forward_masks"])
+    def test_forward_drops_each_scan_output_before_the_next_layer(
+            self, monkeypatch, cfg, entry):
+        m = make_model(cfg)
+        toks = tokens_for(cfg, 40)
+        refs, alive_on_entry = watch_scan_outputs(monkeypatch)
+        if entry == "forward_prefix":
+            m.forward_prefix(toks)
+        else:
+            m.forward_masks(toks, [ComponentMask.full(cfg.n_layers)])
+        assert len(refs) == sum(cfg.has_alt(i) for i in range(cfg.n_layers))
+        assert not any(alive_on_entry)
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("cfg", [PARALLEL, SEQUENTIAL], ids=lambda c: c.arch)
+    def test_recorded_states_keep_every_scan_output(self, monkeypatch, cfg):
+        m = make_model(cfg)
+        state = m.new_state()
+        refs, alive_on_entry = watch_scan_outputs(monkeypatch)
+        _, history = m.forward_chunk(state, tokens_for(cfg, 5),
+                                     record_states=True)
+        assert alive_on_entry and all(alive_on_entry)
+        # the state itself still owns copies, so a rollback point and the
+        # stream never share memory
+        for j, s in enumerate(state.ssm):
+            if s is not None:
+                assert s.base is None
+                np.testing.assert_array_equal(s, history[-1].states[j])
 
 
 def taped_forward(model, mask, toks):
