@@ -18,8 +18,10 @@ bit-identical numbers. The items are:
   forward and one-token steps, under the full mask and every draft mask;
 * ``generate.<arch>.<strategy>.T<temperature>``: greedy and T = 0.6
   speculative outputs and per-round acceptance for every strategy;
-* ``score.<arch>``: full and component-only perplexity and every strategy's
-  ``divergence_stats`` on a 256-byte window.
+* ``perplexity.<arch>``: full and component-only perplexity of a 256-byte
+  window;
+* ``divergence.<arch>``: every strategy's ``divergence_stats`` on the same
+  window.
 
 It needs no checkpoint: the corpora are generated and the models are seeded
 inits or trained here. BLAS runs on one thread, so summation order is fixed.
@@ -124,15 +126,17 @@ def generate_items(models, prompts):
 
 def score_items(models, window):
     for name, model in models.items():
-        d = Digest()
         masks = draft_masks(model.cfg)
+        d = Digest()
         for mask in (None, masks["component_only"]):
             d.add(np.float64(perplexity(model, mask, window)))
+        yield f"perplexity.{name}", d.hex()
+        d = Digest()
         for mask in masks.values():
-            stats = divergence_stats(model, mask, [window], k_top=100)
+            stats = divergence_stats(model, mask, [window])
             d.add(np.float64(stats.tv_mean), np.float64(stats.top1_agreement),
                   np.int64(stats.n_positions))
-        yield f"score.{name}", d.hex()
+        yield f"divergence.{name}", d.hex()
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import DraftStrategy, build_mask
-from .metrics import AcceptanceStats, perplexity
+from .metrics import perplexity
 from .model import HybridModel
 
 VIABLE_BELOW_DEFAULT = 5.0
@@ -44,7 +44,6 @@ class AblationReport:
     ppl_no_attn: float
     ppl_ratio: float
     verdict: str
-    measured_alpha: AcceptanceStats | None = None
 
     def __post_init__(self):
         if self.ppl_base <= 0.0 or self.ppl_no_attn <= 0.0:
@@ -55,20 +54,14 @@ class AblationReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
     def to_dict(self) -> dict:
-        d = {"ppl_base": self.ppl_base, "ppl_no_attn": self.ppl_no_attn,
-             "ppl_ratio": self.ppl_ratio, "verdict": self.verdict}
-        if self.measured_alpha is not None:
-            d["measured_alpha"] = self.measured_alpha.all_token_alpha
-            d["measured_alpha_ci"] = [self.measured_alpha.ci_low,
-                                      self.measured_alpha.ci_high]
-        return d
+        return {"ppl_base": self.ppl_base, "ppl_no_attn": self.ppl_no_attn,
+                "ppl_ratio": self.ppl_ratio, "verdict": self.verdict}
 
 
 def ablate_and_score(model: HybridModel, corpus_tokens,
-                     stride: int | None = None,
                      viable_below: float = VIABLE_BELOW_DEFAULT,
-                     non_viable_above: float = NON_VIABLE_ABOVE_DEFAULT,
-                     measured_alpha: AcceptanceStats | None = None) -> AblationReport:
+                     non_viable_above: float = NON_VIABLE_ABOVE_DEFAULT
+                     ) -> AblationReport:
     """Score a checkpoint with and without its attention pathway.
 
     The no-attention run uses the component_only mask for the model's
@@ -76,15 +69,14 @@ def ablate_and_score(model: HybridModel, corpus_tokens,
     rejected as a draft strategy.
     """
     draft_mask = build_mask(model.cfg, DraftStrategy("component_only"))
-    ppl_base = perplexity(model, None, corpus_tokens, stride)
-    ppl_no_attn = perplexity(model, draft_mask, corpus_tokens, stride)
+    ppl_base = perplexity(model, None, corpus_tokens)
+    ppl_no_attn = perplexity(model, draft_mask, corpus_tokens)
     ratio = ppl_no_attn / ppl_base
     return AblationReport(
         ppl_base=ppl_base,
         ppl_no_attn=ppl_no_attn,
         ppl_ratio=ratio,
         verdict=classify_viability(ratio, viable_below, non_viable_above),
-        measured_alpha=measured_alpha,
     )
 
 

@@ -52,6 +52,24 @@ def _strategy_kind(text: str) -> str:
     return text
 
 
+def _bounded(conv, ok, expect: str):
+    """An argparse type: convert with ``conv``, then reject values that fail
+    ``ok`` at parse time."""
+    def parse(text):
+        value = conv(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expect}")
+        return value
+    parse.__name__ = conv.__name__
+    return parse
+
+
+_alpha = _bounded(float, lambda a: 0.0 <= a < 1.0, "in [0, 1)")
+_at_least_one = _bounded(int, lambda n: n >= 1, ">= 1")
+_positive = _bounded(float, lambda x: x > 0.0, "> 0")
+_non_negative = _bounded(float, lambda x: x >= 0.0, ">= 0")
+
+
 def _load_model(path) -> HybridModel:
     weights = load_checkpoint(path)
     return HybridModel(weights.cfg, weights)
@@ -103,7 +121,6 @@ def cmd_run(args) -> int:
         prompt_len=args.prompt_len,
         max_new_tokens=args.max_new_tokens,
         seed=args.seed,
-        k_top=args.k_top,
         skip_fraction=args.skip_fraction,
         exit_fraction=args.exit_fraction,
     )
@@ -120,8 +137,7 @@ def cmd_divergence(args) -> int:
     corpus = load_corpus(args.corpus)
     prompts = sample_prompts(corpus, args.n_prompts, args.prompt_len, args.seed)
     strategy = _strategy_from_args(args.strategy, args)
-    stats = divergence_stats(model, build_mask(model.cfg, strategy), prompts,
-                             args.k_top)
+    stats = divergence_stats(model, build_mask(model.cfg, strategy), prompts)
     payload = {"checkpoint": str(args.checkpoint), "strategy": strategy.label(),
                "tv_mean": stats.tv_mean, "top1_agreement": stats.top1_agreement,
                "n_positions": stats.n_positions}
@@ -266,15 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", type=_csv_list(str),
                    default=("component_only", "layer_skip", "early_exit"),
                    help="comma list of draft strategies")
-    p.add_argument("--k", type=_csv_list(int), default=(2, 4, 8),
+    p.add_argument("--k", type=_csv_list(_at_least_one), default=(2, 4, 8),
                    help="comma list of draft lengths")
-    p.add_argument("--temperatures", type=_csv_list(float), default=(0.0, 0.6),
-                   help="comma list of temperatures")
-    p.add_argument("--n-prompts", type=int, default=200)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--max-new-tokens", type=int, default=64)
+    p.add_argument("--temperatures", type=_csv_list(_non_negative),
+                   default=(0.0, 0.6), help="comma list of temperatures")
+    p.add_argument("--n-prompts", type=_at_least_one, default=200)
+    p.add_argument("--prompt-len", type=_at_least_one, default=16)
+    p.add_argument("--max-new-tokens", type=_at_least_one, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-top", type=int, default=100)
     _add_strategy_fractions(p)
     p.set_defaults(func=cmd_run)
 
@@ -285,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="component_only")
     p.add_argument("--n-prompts", type=int, default=100)
     p.add_argument("--prompt-len", type=int, default=32)
-    p.add_argument("--k-top", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
     _add_strategy_fractions(p)
@@ -303,16 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("theory", help="speedup model and optimal k")
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--alpha-is-all-token", action="store_true",
                    help="convert alpha(k) to per-token by the k-th root")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cost-ratio", type=float, default=None)
+    p.add_argument("--k", type=_at_least_one, required=True)
+    p.add_argument("--cost-ratio", type=_positive, default=None)
     p.add_argument("--checkpoint", default=None,
                    help="derive the cost ratio from a checkpoint instead")
     p.add_argument("--strategy", choices=STRATEGY_KINDS,
                    default="component_only")
-    p.add_argument("--k-max", type=int, default=16)
+    p.add_argument("--k-max", type=_at_least_one, default=16)
     p.add_argument("--reference-speedup", type=float, default=None,
                    help="external estimate to report deviations against")
     p.add_argument("--json", default=None)

@@ -92,9 +92,6 @@ class DraftSequence:
     def k(self) -> int:
         return len(self.tokens)
 
-    def draft_prob(self, i: int) -> float:
-        return float(self.dists[i][self.tokens[i]])
-
 
 @dataclass
 class SpecRoundResult:
@@ -164,8 +161,7 @@ def build_mask(cfg: ModelConfig, strategy: DraftStrategy) -> ComponentMask:
     keep_layers = math.ceil(strategy.exit_fraction * n)
     skipped = tuple(i >= keep_layers for i in range(n))
     keep = tuple(not s for s in skipped)
-    return ComponentMask(keep, keep, skipped,
-                         max_layer=keep_layers if keep_layers < n else None)
+    return ComponentMask(keep, keep, skipped)
 
 
 def residual_distribution(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarray:

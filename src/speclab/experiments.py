@@ -51,7 +51,7 @@ from .model import HybridModel
 from .theory import expected_tokens, flop_ratio, speedup
 from .training import load_corpus
 
-REPORT_SCHEMA = "speclab-report v1"
+REPORT_SCHEMA = "speclab-report v2"
 PLOT_SCHEMA = "speclab-plot-data v1"
 TIMING_SCHEMA = "speclab-timings v1"
 TIMING_COLUMNS = ["model", "strategy", "k", "temperature",
@@ -66,7 +66,7 @@ REPORT_COLUMNS = [
 ]
 
 # the spec fields, besides the cell's own coordinates, that change its numbers
-KEYED_FIELDS = ("n_prompts", "prompt_len", "max_new_tokens", "seed", "k_top",
+KEYED_FIELDS = ("n_prompts", "prompt_len", "max_new_tokens", "seed",
                 "skip_fraction", "exit_fraction", "bootstrap_resamples")
 
 
@@ -82,7 +82,6 @@ class ExperimentSpec:
     prompt_len: int = 16
     max_new_tokens: int = 64
     seed: int = 0
-    k_top: int = 100
     skip_fraction: float = 1.0 / 3.0
     exit_fraction: float = 0.5
     bootstrap_resamples: int = 10_000
@@ -93,8 +92,12 @@ class ExperimentSpec:
             raise ValueError("sweep dimensions must be non-empty")
         if self.n_prompts < 1 or self.prompt_len < 1:
             raise ValueError("prompt settings must be positive")
-        if self.k_top < 1 or self.bootstrap_resamples < 1:
-            raise ValueError("k_top and bootstrap_resamples must be >= 1")
+        if min(self.k_values) < 1 or self.max_new_tokens < 1:
+            raise ValueError("k_values and max_new_tokens must be >= 1")
+        if min(self.temperatures) < 0.0:
+            raise ValueError("temperatures must be >= 0")
+        if self.bootstrap_resamples < 1:
+            raise ValueError("bootstrap_resamples must be >= 1")
 
     def strategy(self, kind: str) -> DraftStrategy:
         return DraftStrategy(kind, skip_fraction=self.skip_fraction,
@@ -292,7 +295,7 @@ def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
                             seed=spec.seed)
     if kind not in div_cache:
         div_cache[kind] = divergence_stats(
-            model, build_mask(model.cfg, strategy), prompts, spec.k_top)
+            model, build_mask(model.cfg, strategy), prompts)
     div = div_cache[kind]
     rate = None
     if temp == 0.0:

@@ -100,38 +100,23 @@ def all_token_alpha(rounds: list[SpecRoundResult], k: int,
     )
 
 
-def tv_distance_topk(p: np.ndarray, q: np.ndarray, k_top: int = 100):
-    """Total variation over the union of both distributions' top-k supports,
-    along the last axis: a float for 1-D inputs, one distance per row
-    otherwise.
+def tv_distance(p: np.ndarray, q: np.ndarray):
+    """Total variation distance 0.5 * sum |p - q| along the last axis: a
+    float for 1-D inputs, one distance per row otherwise.
 
-    Both restrictions are renormalized over the union set, so each result is
-    a true TV distance on a shared support, in [0, 1]. ``k_top`` larger than
-    the vocabulary is clamped; ties at the cut keep the lowest indices.
+    Under the rejection rule a drafted token from ``p`` is accepted against
+    ``q`` with probability 1 - TV(p, q) (Leviathan et al. 2023, section 3).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim == 0:
         raise ValueError("distributions must share a vocabulary")
-    if k_top < 1:
-        raise ValueError("k_top must be >= 1")
-    k_top = min(k_top, p.shape[-1])
-    union = np.zeros(p.shape, dtype=bool)
-    for d in (p, q):
-        top = np.argsort(-d, axis=-1, kind="stable")[..., :k_top]
-        np.put_along_axis(union, top, True, axis=-1)
-    pr = np.where(union, p, 0.0)
-    qr = np.where(union, q, 0.0)
-    ps = pr.sum(axis=-1, keepdims=True)
-    qs = qr.sum(axis=-1, keepdims=True)
-    if np.any(ps <= 0.0) or np.any(qs <= 0.0):
-        raise ValueError("restricted distribution has no mass")
-    tv = 0.5 * np.abs(pr / ps - qr / qs).sum(axis=-1)
+    tv = 0.5 * np.abs(p - q).sum(axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 
-def divergence_stats(model: HybridModel, draft_mask: ComponentMask, prompts,
-                     k_top: int = 100) -> DivergenceStats:
+def divergence_stats(model: HybridModel, draft_mask: ComponentMask,
+                     prompts) -> DivergenceStats:
     """Draft-vs-full distribution divergence, teacher-forced over prompts.
 
     Scores every next-token distribution along each prompt (positions are
@@ -147,7 +132,7 @@ def divergence_stats(model: HybridModel, draft_mask: ComponentMask, prompts,
         if len(prompt) == 0:
             continue
         p_h, p_s = (softmax(x, 1.0) for x in model.forward_masks(prompt, masks))
-        tvs.append(tv_distance_topk(p_s, p_h, k_top))
+        tvs.append(tv_distance(p_s, p_h))
         agree += int(np.sum(np.argmax(p_s, axis=-1) == np.argmax(p_h, axis=-1)))
     if not tvs:
         raise ValueError("no positions scored")
@@ -199,44 +184,29 @@ def greedy_margin(model: HybridModel, prompts,
     return best
 
 
-def perplexity(model: HybridModel, mask: ComponentMask | None, corpus_tokens,
-               stride: int | None = None) -> float:
+def perplexity(model: HybridModel, mask: ComponentMask | None,
+               corpus_tokens) -> float:
     """exp(mean next-token NLL) under the masked model.
 
-    The corpus is scored in context-length windows hopping by ``stride``
-    (default: non-overlapping). Each token is scored at most once; the first
-    token of a window is never scored. Nothing continues a window, so each
-    is scored by the stateless :meth:`HybridModel.forward_masks`, which
-    equals ``forward_prefix`` bit for bit and allocates no KV cache.
+    The corpus is scored in non-overlapping context-length windows, so each
+    token is scored at most once; the first token of a window is never
+    scored. Nothing continues a window, so each is scored by the stateless
+    :meth:`HybridModel.forward_masks`, which equals ``forward_prefix`` bit
+    for bit and allocates no KV cache.
     """
     tokens = np.asarray(corpus_tokens, dtype=np.int64).ravel()
     if tokens.size < 2:
         raise ValueError("corpus must hold at least two tokens")
     window = model.cfg.context_limit
-    if stride is None:
-        stride = window
-    if not 1 <= stride <= window:
-        raise ValueError("stride must be in [1, context_limit]")
     if mask is None:
         mask = ComponentMask.full(model.cfg.n_layers)
     total_nll = 0.0
     scored = 0
-    last_scored = 0  # global index of the newest scored token
-    start = 0
-    while start + 1 < tokens.size:
+    for start in range(0, tokens.size - 1, window):
         chunk = tokens[start:start + window]
-        if chunk.size < 2:
-            break
         logits = model.forward_masks(chunk, [mask])[0]
         logp = log_softmax(logits[:-1])
         targets = chunk[1:]
-        nll = -logp[np.arange(targets.size), targets]
-        global_idx = start + 1 + np.arange(targets.size)
-        fresh = global_idx > last_scored
-        total_nll += float(nll[fresh].sum())
-        scored += int(fresh.sum())
-        last_scored = int(global_idx[-1])
-        if start + window >= tokens.size:
-            break
-        start += stride
+        total_nll += float(-logp[np.arange(targets.size), targets].sum())
+        scored += targets.size
     return float(np.exp(total_nll / scored))

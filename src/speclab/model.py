@@ -152,16 +152,15 @@ class ComponentMask:
     """Per-layer on/off switches realizing a draft strategy.
 
     ``layer_skipped[i]`` makes layer ``i`` an identity (both components off,
-    feed-forward included). ``max_layer`` marks an early-exit cutoff; layers
-    at or beyond it must be flagged skipped. For transformers ``alt_enabled``
-    is meaningless and a layer with attention off but the alternative branch
-    on is rejected as a mask/arch mismatch when its layer plan is built.
+    feed-forward included); early exit skips every layer past its cutoff.
+    For transformers ``alt_enabled`` is meaningless and a layer with
+    attention off but the alternative branch on is rejected as a mask/arch
+    mismatch when its layer plan is built.
     """
 
     attn_enabled: tuple[bool, ...]
     alt_enabled: tuple[bool, ...]
     layer_skipped: tuple[bool, ...]
-    max_layer: int | None = None
 
     def __post_init__(self):
         n = len(self.attn_enabled)
@@ -170,12 +169,6 @@ class ComponentMask:
         for i in range(n):
             if self.layer_skipped[i] and (self.attn_enabled[i] or self.alt_enabled[i]):
                 raise ValueError(f"layer {i} is skipped but has a component enabled")
-        if self.max_layer is not None:
-            if not 0 < self.max_layer <= n:
-                raise ValueError("max_layer out of range")
-            for i in range(self.max_layer, n):
-                if not self.layer_skipped[i]:
-                    raise ValueError("layers beyond max_layer must be skipped")
 
     @property
     def n_layers(self) -> int:

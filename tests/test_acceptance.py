@@ -27,7 +27,7 @@ from speclab.metrics import (
     bootstrap_ci,
     divergence_stats,
     match_rate,
-    tv_distance_topk,
+    tv_distance,
 )
 from speclab.model import HybridModel, ModelConfig, init_weights
 from speclab.numerics import RngState, sample_categorical, softmax
@@ -320,7 +320,7 @@ class TestCriterion10StatisticsMachinery:
             hits += b_lo <= 0.5 <= b_hi
         coverage = hits / reps
         coverage_ok = abs(coverage - 0.95) < 0.03
-        tv = tv_distance_topk(np.array([0.6, 0.4]), np.array([0.4, 0.6]))
+        tv = tv_distance(np.array([0.6, 0.4]), np.array([0.4, 0.6]))
         tv_ok = abs(tv - 0.2) < 1e-12
         criterion(
             "C10 statistics machinery",

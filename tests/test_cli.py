@@ -148,6 +148,22 @@ class TestDiagnosticsCommands:
     def test_theory_needs_a_ratio_source(self, capsys):
         assert main(["theory", "--alpha", "0.5", "--k", "2"]) == 2
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("theory", "--alpha", "1.0"), ("theory", "--k", "0"),
+        ("theory", "--k-max", "0"), ("theory", "--cost-ratio", "0"),
+        ("run", "--k", "0"), ("run", "--temperatures", "-0.6"),
+        ("run", "--max-new-tokens", "0"), ("run", "--n-prompts", "0")])
+    def test_out_of_range_input_rejected_at_parse_time(
+            self, capsys, command, flag, value):
+        argv = {"theory": {"--alpha": "0.5", "--k": "2", "--cost-ratio": "0.5"},
+                "run": {"--checkpoint": "x.ckpt", "--corpus": "x.bin",
+                        "--out-dir": "x"}}[command]
+        argv[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(t for kv in argv.items() for t in kv)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: '{value}' is not" in capsys.readouterr().err
+
     def test_verify_lossless_passes_on_toy_checkpoint(self, env, capsys):
         rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
                    env["corpus"], "--n-prompts", "4", "--prompt-len", "6",

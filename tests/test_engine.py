@@ -86,7 +86,6 @@ class TestBuildMask:
     def test_early_exit_truncates_the_stack(self):
         mask = build_mask(PAR8, DraftStrategy("early_exit", exit_fraction=0.5))
         assert mask.layer_skipped == (False,) * 4 + (True,) * 4
-        assert mask.max_layer == 4
 
     def test_early_exit_full_fraction_keeps_everything(self):
         assert build_mask(PAR8, DraftStrategy("early_exit", exit_fraction=1.0)) == \

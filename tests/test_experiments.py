@@ -254,10 +254,16 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             tiny_spec(workspace, tmp_path / "x", k_values=())
 
-    @pytest.mark.parametrize("field", ["k_top", "bootstrap_resamples"])
-    def test_counts_below_one_rejected(self, workspace, tmp_path, field):
+    @pytest.mark.parametrize("field, values", [
+        ("bootstrap_resamples", (0, -1)),
+        ("k_values", ((1, 0), (-1,))),
+        ("temperatures", ((0.0, -0.6), (-1e-9,))),
+        ("max_new_tokens", (0, -1)),
+    ])
+    def test_counts_below_one_rejected(self, workspace, tmp_path, field,
+                                       values):
         # caught when the spec is built, not in every cell of the sweep
-        for value in (0, -1):
+        for value in values:
             with pytest.raises(ValueError, match=field):
                 tiny_spec(workspace, tmp_path / "x", **{field: value})
 

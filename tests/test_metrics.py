@@ -17,7 +17,7 @@ from speclab.metrics import (
     divergence_stats,
     match_rate,
     perplexity,
-    tv_distance_topk,
+    tv_distance,
 )
 from speclab.model import ComponentMask, HybridModel, ModelConfig
 from speclab.numerics import RngState, log_softmax, softmax
@@ -108,63 +108,69 @@ class TestAllTokenAlpha:
 class TestTvDistance:
     def test_identical_distributions(self):
         p = np.array([0.25, 0.75])
-        assert tv_distance_topk(p, p) == 0.0
+        assert tv_distance(p, p) == 0.0
 
     def test_disjoint_supports(self):
         p = np.array([1.0, 0.0, 0.0, 0.0])
         q = np.array([0.0, 0.0, 0.5, 0.5])
-        assert tv_distance_topk(p, q, 2) == 1.0
+        assert tv_distance(p, q) == 1.0
 
     def test_hand_case(self):
         p = np.array([0.6, 0.4])
         q = np.array([0.4, 0.6])
-        assert abs(tv_distance_topk(p, q, 100) - 0.2) < 1e-12
+        assert abs(tv_distance(p, q) - 0.2) < 1e-12
 
-    def test_k_top_larger_than_vocab_is_clamped(self):
-        p = np.array([0.6, 0.4])
-        q = np.array([0.4, 0.6])
-        assert tv_distance_topk(p, q, 10**6) == tv_distance_topk(p, q, 2)
-
-    @given(st.integers(0, 1000), st.integers(1, 40))
+    @given(st.integers(0, 1000))
     @settings(max_examples=40)
-    def test_symmetric_and_bounded(self, seed, k_top):
+    def test_symmetric_and_bounded(self, seed):
         rng = np.random.default_rng(seed)
         p = rng.dirichlet(np.ones(16))
         q = rng.dirichlet(np.ones(16))
-        d = tv_distance_topk(p, q, k_top)
+        d = tv_distance(p, q)
         assert 0.0 <= d <= 1.0
-        assert abs(d - tv_distance_topk(q, p, k_top)) < 1e-12
+        assert d == tv_distance(q, p)
 
-    def test_restriction_renormalizes(self):
-        # mass outside the union support is discarded before comparing
-        p = np.array([0.30, 0.30, 0.2, 0.2])
-        q = np.array([0.30, 0.30, 0.2, 0.2])
-        assert tv_distance_topk(p, q, 2) == 0.0
-
-    @given(st.integers(0, 1000), st.integers(1, 40))
+    @given(st.integers(0, 1000))
     @settings(max_examples=40)
-    def test_rows_match_one_row_calls(self, seed, k_top):
+    def test_rows_match_one_row_calls(self, seed):
         rng = np.random.default_rng(seed)
         p = rng.dirichlet(np.ones(24), size=7)
         q = rng.dirichlet(np.ones(24), size=7)
-        d = tv_distance_topk(p, q, k_top)
+        d = tv_distance(p, q)
         assert d.shape == (7,)
         for j in range(7):
-            one = tv_distance_topk(p[j], q[j], k_top)
+            one = tv_distance(p[j], q[j])
             assert isinstance(one, float)
             assert abs(d[j] - one) <= 1e-15
-        assert np.all(tv_distance_topk(p, p, k_top) == 0.0)
+        assert np.all(tv_distance(p, p) == 0.0)
 
-    def test_errors_hold_for_every_row(self):
+    @given(st.integers(0, 1000))
+    @settings(max_examples=40)
+    def test_equals_one_minus_the_overlap(self, seed):
+        # 1 - TV is the rejection rule's acceptance probability sum(min(p, q))
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(32), size=5)
+        q = rng.dirichlet(np.ones(32), size=5)
+        accept = np.minimum(p, q).sum(axis=-1)
+        assert np.all(np.abs(tv_distance(p, q) - (1.0 - accept)) <= 1e-12)
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(3)
+        p = rng.dirichlet(np.ones(8), size=(2, 3))
+        q = rng.dirichlet(np.ones(8), size=(2, 3))
+        d = tv_distance(p, q)
+        assert d.shape == (2, 3)
+        for i in range(2):
+            assert np.array_equal(d[i], tv_distance(p[i], q[i]))
+
+    def test_shape_mismatch_rejected(self):
         p = np.full((3, 4), 0.25)
-        q = p.copy()
         with pytest.raises(ValueError):
-            tv_distance_topk(p, q[:, :3])
+            tv_distance(p, p[:, :3])
         with pytest.raises(ValueError):
-            tv_distance_topk(p, q, 0)
-        p[2] = 0.0
-        with pytest.raises(ValueError, match="no mass"):
-            tv_distance_topk(p, q, 2)
+            tv_distance(p, p[0])
+        with pytest.raises(ValueError):
+            tv_distance(np.float64(1.0), np.float64(1.0))
 
 
 TINY = ModelConfig("parallel_hybrid", n_layers=4, d_model=16, n_heads=2,
@@ -233,7 +239,7 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             perplexity(self.uniform_model(), None, [1])
 
-    def test_stride_variants_agree_with_whole_sequence_scoring(self):
+    def test_one_window_equals_whole_sequence_scoring(self):
         cfg = TINY
         m = HybridModel.from_seed(cfg, 5)
         corpus = np.random.default_rng(1).integers(0, 16, cfg.context_limit)
@@ -248,17 +254,13 @@ class TestPerplexity:
         cfg = TINY
         m = HybridModel.from_seed(cfg, 5)
         corpus = np.random.default_rng(2).integers(0, 16, 3 * cfg.context_limit + 7)
-        full = perplexity(m, None, corpus)
-        halved = perplexity(m, None, corpus, stride=cfg.context_limit // 2)
-        assert 0 < full < 20
-        # overlapping windows give each token more context, not more weight
-        assert 0 < halved < 20
+        assert 0 < perplexity(m, None, corpus) < 20
 
 
-def prefix_window_perplexity(model, mask, tokens, stride):
+def prefix_window_perplexity(model, mask, tokens):
     """The window loop of ``perplexity`` as it ran on ``forward_prefix``,
-    each window on a fresh decode state."""
-    window = model.cfg.context_limit
+    each window on a fresh decode state, at stride = window."""
+    window = stride = model.cfg.context_limit
     total, scored, last, start = 0.0, 0, 0, 0
     while start + 1 < tokens.size:
         chunk = tokens[start:start + window]
@@ -280,24 +282,23 @@ def prefix_window_perplexity(model, mask, tokens, stride):
 
 class TestPerplexityWindows:
     @pytest.mark.parametrize("arch", ["parallel_hybrid", "sequential_hybrid"])
-    @pytest.mark.parametrize("stride_div", [1, 3])
+    # 3 full windows' worth plus: a short last window (7), a lone last token
+    # that no window scores (1), nothing (0)
+    @pytest.mark.parametrize("tail", [7, 1, 0])
     def test_equals_the_decode_state_window_loop_without_a_decode_state(
-            self, monkeypatch, arch, stride_div):
+            self, monkeypatch, arch, tail):
         cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
                           vocab_size=16, context_limit=24)
         m = HybridModel.from_seed(cfg, 4)
-        # the last window is short: 3 full windows' worth plus 7 tokens
-        corpus = np.random.default_rng(9).integers(0, 16, 3 * 24 + 7)
-        stride = 24 // stride_div
+        corpus = np.random.default_rng(9).integers(0, 16, 3 * 24 + tail)
         masks = (None, build_mask(cfg, DraftStrategy("component_only")))
-        expect = [prefix_window_perplexity(m, mask, corpus, stride)
-                  for mask in masks]
+        expect = [prefix_window_perplexity(m, mask, corpus) for mask in masks]
 
         def no_state(*args, **kwargs):
             raise AssertionError("perplexity allocated a decode state")
 
         monkeypatch.setattr(HybridModel, "new_state", no_state)
-        got = [perplexity(m, mask, corpus, stride) for mask in masks]
+        got = [perplexity(m, mask, corpus) for mask in masks]
         assert got == expect
 
 
@@ -320,29 +321,24 @@ class TestDivergenceStats:
     @pytest.mark.parametrize("arch", ["parallel_hybrid", "sequential_hybrid"])
     @pytest.mark.parametrize("kind", ["component_only", "layer_skip",
                                       "early_exit", "identity"])
-    @pytest.mark.parametrize("k_top", [5, 100])
-    def test_matches_per_position_reference(self, arch, kind, k_top):
+    def test_matches_per_position_reference(self, arch, kind):
         cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
                           vocab_size=16, context_limit=96)
         m = HybridModel.from_seed(cfg, 3)
         mask = build_mask(cfg, DraftStrategy(kind))
         rng = np.random.default_rng(4)
         prompts = [rng.integers(0, 16, n).tolist() for n in (40, 0, 9, 1)]
-        # one forward_prefix pair per prompt and one distance per position,
-        # over the union of the two top-k index sets
+        # one forward_prefix pair per prompt and one exact total-variation
+        # distance per position
         tvs, agree = [], 0
         for prompt in prompts:
             full, _ = m.forward_prefix(prompt)
             draft, _ = m.forward_prefix(prompt, mask)
             for j in range(len(prompt)):
                 p_h, p_s = softmax(full[j]), softmax(draft[j])
-                top = min(k_top, cfg.vocab_size)
-                union = np.union1d(np.argsort(-p_s, kind="stable")[:top],
-                                   np.argsort(-p_h, kind="stable")[:top])
-                a, b = p_s[union], p_h[union]
-                tvs.append(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
+                tvs.append(0.5 * np.abs(p_s - p_h).sum())
                 agree += int(np.argmax(p_s) == np.argmax(p_h))
-        stats = divergence_stats(m, mask, prompts, k_top)
+        stats = divergence_stats(m, mask, prompts)
         assert stats.n_positions == len(tvs) == 50
         assert stats.top1_agreement == agree / len(tvs)
         assert abs(stats.tv_mean - np.mean(tvs)) <= 1e-12

@@ -81,10 +81,6 @@ class TestComponentMask:
         with pytest.raises(ValueError):
             ComponentMask((True,), (False,), (True,))
 
-    def test_max_layer_requires_skipped_tail(self):
-        with pytest.raises(ValueError):
-            ComponentMask((True, True), (True, True), (False, False), max_layer=1)
-
     def test_full_mask_describe(self):
         assert ComponentMask.full(3).describe() == "BBB"
 
