@@ -33,9 +33,14 @@ plans share once. Weights are immutable after load and shareable.
 A forward holds one layer's (B, T, d_model, d_state) scan history at a time:
 each recurrent layer's states after every row die when the layer is done,
 unless the caller records per-row states (``forward_chunk(record_states=
-True)``, the draft and verify chunks). A :class:`DecodeState` owns its
-recurrent states: a forward leaves in it a copy of each layer's last-row
-state, not a view pinning the whole history.
+True)``, the draft and verify chunks). The scan writes those states over the
+buffer of input outer products it is given, so the layer holds its history
+about once. A :class:`DecodeState` owns its recurrent states: a forward
+leaves in it a copy of each layer's last-row state, not a view pinning the
+whole history. A training tape holds nothing its backward can rebuild with
+one elementwise product (a block's normalised input, the gate products
+``upre * usig`` and ``pre * sig``); the backward rebuilds those by the same
+expressions, bit for bit.
 
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
@@ -121,9 +126,6 @@ class ModelConfig:
 
     def has_alt(self, i: int) -> bool:
         return self.layer_kind(i) in ("parallel", "lin")
-
-    def attn_layer_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_layers) if self.has_attn(i))
 
     def to_dict(self) -> dict:
         d = {
@@ -308,9 +310,6 @@ class Weights:
     def copy(self) -> "Weights":
         return Weights(self.cfg, {n: a.copy() for n, a in self.items()})
 
-    def n_params(self) -> int:
-        return sum(a.size for _, a in self.items())
-
 
 def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     """Seeded random initialization (platform-stable via Philox).
@@ -428,61 +427,86 @@ class DecodeState:
 # ---------------------------------------------------------------------------
 # Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
 # and, given a tape entry (a dict), records in it what training's backward
-# needs.
+# needs, save what the backward rebuilds with one elementwise product: the
+# rmsnorm cache stands for the normalised input, and the pre-activation and
+# its sigmoid for their product.
 # ---------------------------------------------------------------------------
 
 
 def rmsnorm(x, g):
     """RMS normalization over the last axis, scaled elementwise by ``g``.
-    Returns the output and ``(x, g, 1/rms)`` for the backward."""
+    Returns the output and the cache ``(x, g, 1/rms)`` for the backward."""
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    r = 1.0 / np.sqrt(ms + NORM_EPS)
-    return x * (g * r), (x, g, r)
+    cache = (x, g, 1.0 / np.sqrt(ms + NORM_EPS))
+    return rmsnorm_output(cache), cache
+
+
+def rmsnorm_output(cache):
+    """The output of :func:`rmsnorm` from its cache, so that the backward
+    rebuilds it bit for bit."""
+    x, g, r = cache
+    return x * (g * r)
 
 
 _SCAN_CHUNK = 16
 
 
+def _scan_inputs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The outer products ``a_t (x) b_t`` of the (B, T, d) rows ``a`` and the
+    (B, T, s) rows ``b``, one exact product per element, written on
+    contiguous (d, s) state rows of a buffer padded with zero rows to whole
+    scan chunks, ready for :func:`_linear_scan` to overwrite."""
+    B, T, d = a.shape
+    C = min(_SCAN_CHUNK, T)
+    Tp = -(-T // C) * C
+    buf = np.empty((B, Tp, d, b.shape[-1]), dtype=a.dtype)
+    np.einsum("btd,bts->btds", a, b, out=buf[:, :T])
+    if Tp > T:
+        buf[:, T:] = 0
+    return buf
+
+
 def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
-    """All states of ``S_t = decay * S_{t-1} + inputs_t`` from ``S_{-1} = s0``.
+    """All states of ``S_t = decay * S_{t-1} + inputs_t`` from ``S_{-1} = s0``,
+    written over ``inputs`` (in place when it is C-contiguous, as the
+    buffers of :func:`_scan_inputs` are).
 
     Two-level chunked evaluation: chunks are scanned in parallel, then
-    chunk-boundary carries are combined, turning T python iterations into
-    roughly chunk + T/chunk. ``inputs`` is (B, T, d, s); ``decay`` is the
-    (d, s) array of :func:`ssm_decay`, in (0, 1) so the power terms cannot
-    overflow. Every product runs on contiguous (d, s) state rows; each
-    element gets the arithmetic of a (d,) decay broadcast along the state
-    axis, bit for bit. The first chunk starts from ``s0`` ((d, s), or 0 for
-    a fresh stream) and the others from zero, so a scan of at most one chunk
-    is exactly the row-by-row recurrence.
+    chunk-boundary carries are added chunk by chunk, turning T python
+    iterations into roughly chunk + T/chunk. ``inputs`` is (B, T, d, s), T
+    at most one chunk or whole chunks (see :func:`_scan_inputs`); ``decay``
+    is the (d, s) array of :func:`ssm_decay`, in (0, 1) so the power terms
+    cannot overflow. Every product runs on contiguous (d, s) state rows;
+    each element gets the arithmetic of a (d,) decay broadcast along the
+    state axis, bit for bit. The first chunk starts from ``s0`` ((d, s), or
+    0 for a fresh stream) and the others from zero, so a scan of at most one
+    chunk is exactly the row-by-row recurrence.
     """
     B, T, d, s = inputs.shape
     dt = inputs.dtype
     C = min(_SCAN_CHUNK, T)
-    n_chunks = -(-T // C)
-    Tp = n_chunks * C
-    if Tp != T:
-        pad = np.zeros((B, Tp - T, d, s), dtype=dt)
-        inputs = np.concatenate([inputs, pad], axis=1)
+    n_chunks = T // C
+    if n_chunks * C != T:
+        raise ValueError(f"{T} scan rows are not whole chunks of {C}")
     P = inputs.reshape(B, n_chunks, C, d, s)
-    states = np.empty_like(P)
     acc = np.zeros((B, n_chunks, d, s), dtype=dt)
     acc[:, 0] = s0
     for t in range(C):
         np.multiply(decay, acc, out=acc)
         acc += P[:, :, t]
-        states[:, :, t] = acc
+        P[:, :, t] = acc
     if n_chunks > 1:
         a_chunk = decay ** C
-        carry = np.zeros((B, n_chunks, d, s), dtype=dt)
-        run = np.zeros((B, d, s), dtype=dt)
-        for c in range(1, n_chunks):
-            run = a_chunk * run + states[:, c - 1, C - 1]
-            carry[:, c] = run
         # float exponents: an integer arange would make the powers float64
         powers = decay ** np.arange(1, C + 1, dtype=dt)[:, None, None]
-        states += powers * carry[:, :, None]
-    return states.reshape(B, Tp, d, s)[:, :T]
+        carry = np.zeros((B, d, s), dtype=dt)
+        for c in range(n_chunks):
+            # the next chunk's carry reads this chunk's own last state, so
+            # it is taken before this chunk's carry (zero for chunk 0) is in
+            following = a_chunk * carry + P[:, c, C - 1]
+            P[:, c] += powers * carry[:, None]
+            carry = following
+    return P.reshape(B, T, d, s)
 
 
 def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
@@ -498,14 +522,11 @@ def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
     u = upre * usig
     bm = (x2 @ p.w_b).reshape(B, T, -1)
     cm = (x2 @ p.w_c).reshape(B, T, -1)
-    # the outer product u (x) B as one exact product per element, written
-    # on contiguous state rows
-    states = _linear_scan(decay, np.einsum("btd,bts->btds", u, bm), s0)
+    states = _linear_scan(decay, _scan_inputs(u, bm), s0)[:, :T]
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
-        tape["ssm"] = (p, (xs, ncache, upre, usig, u, bm, cm, decay, states,
-                           y_skip))
+        tape["ssm"] = (p, (ncache, upre, usig, bm, cm, decay, states, y_skip))
     return out.reshape(B, T, d), states
 
 
@@ -541,7 +562,7 @@ def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
     ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
     out = ctx.reshape(B * T, d) @ p.wo
     if tape is not None:
-        tape["attn"] = (p, (xs, ncache, q, k, v, w, ctx))
+        tape["attn"] = (p, (ncache, q, k, v, w, ctx))
     return out.reshape(B, T, d)
 
 
@@ -554,7 +575,7 @@ def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
     act = pre * sig
     out = act @ p.w2
     if tape is not None:
-        tape["ffn"] = (p, (xs, ncache, pre, sig, act))
+        tape["ffn"] = (p, (ncache, pre, sig))
     return out.reshape(B, T, d)
 
 
@@ -617,7 +638,6 @@ def head(w, h: np.ndarray, tape: dict | None = None) -> np.ndarray:
     hn, ncache = rmsnorm(h, w["final_norm_g"])
     logits = hn.reshape(B * T, -1) @ w["head_w"]
     if tape is not None:
-        tape["hn"] = hn
         tape["final_norm"] = ncache
     return logits.reshape(B, T, -1)
 

@@ -1,10 +1,10 @@
 """Probability primitives and deterministic randomness.
 
 Everything here operates on float64 numpy arrays. Distributions are plain
-1-D arrays of non-negative entries summing to 1 (within 1e-9); there is no
-wrapper class, just validators. Randomness goes through :class:`RngState`,
-a counter-based Philox generator, so that identical seeds give identical
-draw sequences across runs and platforms and independent substreams can be
+arrays of non-negative entries summing to 1 over the last axis; there is no
+wrapper class and no validator. Randomness goes through :class:`RngState`, a
+counter-based Philox generator, so that identical seeds give identical draw
+sequences across runs and platforms and independent substreams can be
 spawned for concurrent work.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit
-
-DIST_ATOL = 1e-9
 
 
 class RngState:
@@ -53,27 +51,6 @@ class RngState:
     def resample_indices(self, n: int, shape) -> np.ndarray:
         """Bootstrap index draws in [0, n), shaped ``shape``."""
         return self._gen.integers(0, n, size=shape)
-
-
-def validate_distribution(p: np.ndarray, vocab_size: int | None = None) -> np.ndarray:
-    """Check the distribution invariants and return ``p`` as float64.
-
-    Raises ValueError on negative entries, non-finite entries, a sum that is
-    off 1 by more than ``DIST_ATOL``, or a vocabulary-size mismatch.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("distribution must be a non-empty 1-D array")
-    if vocab_size is not None and p.size != vocab_size:
-        raise ValueError(f"distribution has size {p.size}, expected {vocab_size}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("distribution has non-finite entries")
-    if np.any(p < 0.0):
-        raise ValueError("distribution has negative entries")
-    total = p.sum()
-    if abs(total - 1.0) > DIST_ATOL:
-        raise ValueError(f"distribution sums to {total!r}, not 1")
-    return p
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

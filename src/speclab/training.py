@@ -8,8 +8,16 @@ training's own: the backward, the optimizer, the loop and the
 finite-difference gradient check that pins the backward to the forward.
 Recurrent states come from the forward's chunked scan and the backward runs
 the reverse recurrence as the same scan on time-flipped input, which it
-builds flipped on contiguous (d_model, d_state) rows; the decay gradient
-sums the state axis as whole-column adds in NumPy's own summation order.
+builds flipped on contiguous (d_model, d_state) rows and which the scan
+overwrites with its states; the decay gradient sums the state axis as
+whole-column adds in NumPy's own summation order.
+
+The tape holds nothing its backward can rebuild with one elementwise
+product. Each block's normalised input is rebuilt from its rmsnorm cache as
+``x * (g * r)``, the SSM gate product as ``upre * usig`` and the FFN
+activation as ``pre * sig``: the forward's own expressions, so the bits are
+the same. What costs a product with a weight, a scan or a sigmoid to
+rebuild stays on the tape.
 
 With ``compute_dtype="float32"`` (the default) the forward, the tape, the
 backward and the gradients stay float32 end to end, against float64 master
@@ -42,9 +50,11 @@ from .model import (
     ModelConfig,
     Weights,
     _linear_scan,
+    _scan_inputs,
     forward,
     init_weights,
     layer_plan,
+    rmsnorm_output,
 )
 from .numerics import RngState, log_softmax
 
@@ -143,8 +153,8 @@ def _flat(x):
 
 
 def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
-    xs, ncache, q, k, v, w, ctx = cache
-    B, T, d = xs.shape
+    ncache, q, k, v, w, ctx = cache
+    B, T, d = ctx.shape
     dh = d // n_heads
     do2 = _flat(dout)
     grads[prefix + "wo"] += _flat(ctx).T @ do2
@@ -159,7 +169,7 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     dq2 = _flat(dq.transpose(0, 2, 1, 3).reshape(B, T, d))
     dk2 = _flat(dk.transpose(0, 2, 1, 3).reshape(B, T, d))
     dv2 = _flat(dv.transpose(0, 2, 1, 3).reshape(B, T, d))
-    x2 = _flat(xs)
+    x2 = _flat(rmsnorm_output(ncache))
     grads[prefix + "wq"] += x2.T @ dq2
     grads[prefix + "wk"] += x2.T @ dk2
     grads[prefix + "wv"] += x2.T @ dv2
@@ -201,8 +211,9 @@ def _row_sums(x):
 
 
 def _ssm_bwd(p, dout, cache, grads, prefix):
-    xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip = cache
-    B, T, d = xs.shape
+    ncache, upre, usig, bm, cm, decay, states, y_skip = cache
+    B, T, d = upre.shape
+    u = upre * usig
     do2 = _flat(dout)
     grads[prefix + "w_out"] += _flat(y_skip).T @ do2
     dy = np.ascontiguousarray((do2 @ p.w_out.T).reshape(B, T, d))
@@ -212,8 +223,8 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
     # forward scan on the time-flipped input, whose outer product is built
     # flipped and contiguous
-    q = np.einsum("btd,bts->btds", dy[:, ::-1].copy(), cm[:, ::-1].copy())
-    d_states = _linear_scan(decay, q, 0.0)[:, ::-1]
+    q = _scan_inputs(dy[:, ::-1].copy(), cm[:, ::-1].copy())
+    d_states = _linear_scan(decay, q, 0.0)[:, :T][:, ::-1]
     # the order of one sum over axes (0, 1, 3): each state row pairwise,
     # then the (b, t) rows in turn
     da = _row_sums(d_states[:, 1:] * states[:, :-1]).reshape(-1, d).sum(axis=0)
@@ -222,7 +233,7 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     a = decay[:, 0]
     grads[prefix + "decay_raw"] += da * a * (1.0 - a)
     dupre = _silu_bwd(du, upre, usig)
-    x2 = _flat(xs)
+    x2 = _flat(rmsnorm_output(ncache))
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)
     grads[prefix + "w_in"] += x2.T @ du2
     grads[prefix + "w_b"] += x2.T @ dbm2
@@ -234,13 +245,14 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
 
 
 def _ffn_bwd(p, dout, cache, grads, prefix):
-    xs, ncache, pre, sig, act = cache
-    B, T, d = xs.shape
+    ncache, pre, sig = cache
+    B, T, d = dout.shape
     do2 = _flat(dout)
+    act = pre * sig
     grads[prefix + "w2"] += act.T @ do2
     dact = do2 @ p.w2.T
     dpre = _silu_bwd(dact, pre, sig)
-    grads[prefix + "w1"] += _flat(xs).T @ dpre
+    grads[prefix + "w1"] += _flat(rmsnorm_output(ncache)).T @ dpre
     dxs = (dpre @ p.w1.T).reshape(B, T, d)
     dh_, dg = _rms_bwd(dxs, ncache)
     grads[prefix + "norm_g"] += dg
@@ -267,7 +279,7 @@ def backward_train(cfg: ModelConfig, w, tape: dict,
     x = tape["x"]
     B, T = x.shape
     d2 = _flat(dlogits)
-    grads["head_w"] += _flat(tape["hn"]).T @ d2
+    grads["head_w"] += _flat(rmsnorm_output(tape["final_norm"])).T @ d2
     dh, dg = _rms_bwd((d2 @ w["head_w"].T).reshape(B, T, -1), tape["final_norm"])
     grads["final_norm_g"] += dg
     for entry in reversed(tape["layers"]):

@@ -17,7 +17,7 @@ and ``speclab.training._ssm_bwd`` do, so a test can put them in their place.
 
 import numpy as np
 
-from speclab.model import _SCAN_CHUNK, rmsnorm
+from speclab.model import _SCAN_CHUNK, rmsnorm, rmsnorm_output
 from speclab.numerics import sigmoid
 from speclab.training import _flat, _rms_bwd, _silu_bwd
 
@@ -69,15 +69,15 @@ def ssm_block(p, decay, h, s0, tape=None):
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
-        tape["ssm"] = (p, (xs, ncache, upre, usig, u, bm, cm, decay, states,
-                           y_skip))
+        tape["ssm"] = (p, (ncache, upre, usig, bm, cm, decay, states, y_skip))
     return out.reshape(B, T, d), states
 
 
 def ssm_bwd(p, dout, cache, grads, prefix):
     """The recurrent branch's backward over a tape of :func:`ssm_block`."""
-    xs, ncache, upre, usig, u, bm, cm, decay, states, y_skip = cache
-    B, T, d = xs.shape
+    ncache, upre, usig, bm, cm, decay, states, y_skip = cache
+    B, T, d = upre.shape
+    u = upre * usig
     do2 = _flat(dout)
     grads[prefix + "w_out"] += _flat(y_skip).T @ do2
     dy = np.ascontiguousarray((do2 @ p.w_out.T).reshape(B, T, d))
@@ -91,7 +91,7 @@ def ssm_bwd(p, dout, cache, grads, prefix):
     dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
     grads[prefix + "decay_raw"] += da * decay * (1.0 - decay)
     dupre = _silu_bwd(du, upre, usig)
-    x2 = _flat(xs)
+    x2 = _flat(rmsnorm_output(ncache))
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)
     grads[prefix + "w_in"] += x2.T @ du2
     grads[prefix + "w_b"] += x2.T @ dbm2

@@ -65,14 +65,14 @@ class TestRoundTrip:
         w = init_weights(cfg, 3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, w)
-        payload = 8 * w.n_params()
+        payload = sum(a.nbytes for _, a in w.items())
         tracemalloc.start()
         try:
             loaded = load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loaded.n_params() == w.n_params()
+        assert sum(a.nbytes for _, a in loaded.items()) == payload
         assert peak < 1.25 * payload, (peak, payload)
 
     def test_manifest_mirrors_config(self, tmp_path, weights):

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,9 @@ from speclab.model import (
     ModelConfig,
     SsmParams,
     Weights,
+    _SCAN_CHUNK,
     _linear_scan,
+    _scan_inputs,
     attn_block,
     default_layer_pattern,
     ffn_block,
@@ -337,6 +340,26 @@ class TestMemoryContract:
                 assert s.base is None
                 np.testing.assert_array_equal(s, history[-1].states[j])
 
+    @pytest.mark.parametrize("B, T", [(1, 256), (2, 255)])
+    def test_ssm_block_peak_is_at_most_twice_its_history(self, B, T):
+        # the acceptance toys' recurrent layer in float64; the scan writes
+        # its states over the chunk-padded outer products, so besides the
+        # history the call holds only row-sized arrays and chunk temporaries
+        cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64,
+                          d_state=8)
+        lp = layer_plan(cfg, init_weights(cfg, 7), ComponentMask.full(1))[0]
+        h = np.random.default_rng(T).normal(0, 1, (B, T, cfg.d_model))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, states = ssm_block(lp.ssm, lp.decay, h, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        history = B * T * cfg.d_model * cfg.d_state * 8
+        assert states.shape == (B, T, cfg.d_model, cfg.d_state)
+        assert peak <= 2 * history, peak / history
+
 
 def taped_forward(model, mask, toks):
     """Decode-path forward over ``toks`` on a fresh stream, with a tape."""
@@ -477,6 +500,17 @@ def spread(decay, d_state):
     return np.repeat(decay[:, None], d_state, axis=1)
 
 
+def scan_copy(decay, inputs, s0):
+    """``_linear_scan`` over a copy of ``inputs`` padded with zero rows to
+    whole chunks, as :func:`_scan_inputs` lays its buffers; the first T rows
+    of the states. ``inputs`` itself is left as it was."""
+    B, T, d, s = inputs.shape
+    C = min(_SCAN_CHUNK, T)
+    buf = np.zeros((B, -(-T // C) * C, d, s), inputs.dtype)
+    buf[:, :T] = inputs
+    return _linear_scan(decay, buf, s0)[:, :T]
+
+
 class TestLinearScan:
     @staticmethod
     def case(T, seed=0):
@@ -487,19 +521,38 @@ class TestLinearScan:
     @pytest.mark.parametrize("T", [1, 2, 7, 16])
     def test_seeded_single_chunk_is_the_row_recurrence_bitwise(self, T):
         decay, inputs, s0 = self.case(T)
-        np.testing.assert_array_equal(_linear_scan(spread(decay, 3), inputs, s0),
+        np.testing.assert_array_equal(scan_copy(spread(decay, 3), inputs, s0),
                                       scan_rows(decay, inputs, s0))
 
     def test_seeded_scan_over_several_chunks(self):
         decay, inputs, s0 = self.case(40, seed=1)
-        np.testing.assert_allclose(_linear_scan(spread(decay, 3), inputs, s0),
+        np.testing.assert_allclose(scan_copy(spread(decay, 3), inputs, s0),
                                    scan_rows(decay, inputs, s0),
                                    rtol=1e-12, atol=1e-12)
 
     def test_keeps_float32(self):
         decay, inputs, s0 = (a.astype(np.float32) for a in self.case(16))
-        assert _linear_scan(spread(decay, 3), inputs, s0).dtype == np.float32
-        assert _linear_scan(spread(decay, 3), inputs, 0.0).dtype == np.float32
+        assert scan_copy(spread(decay, 3), inputs, s0).dtype == np.float32
+        assert scan_copy(spread(decay, 3), inputs, 0.0).dtype == np.float32
+
+    @pytest.mark.parametrize("T", [1, 7, 16, 40])
+    def test_states_are_written_over_the_inputs(self, T):
+        decay, inputs, s0 = self.case(T, seed=2)
+        u = np.random.default_rng(T).normal(0, 1, (2, T, 5))
+        buf = _scan_inputs(u, inputs[:, :, 0])
+        assert buf.shape[1] == (T if T <= 16 else 48)
+        assert not buf[:, T:].any()
+        states = _linear_scan(spread(decay, 3), buf, s0)
+        assert np.shares_memory(states, buf) and states.shape == buf.shape
+        np.testing.assert_array_equal(
+            states[:, :T], scan_copy(spread(decay, 3),
+                                     u[..., None] * inputs[:, :, None, 0],
+                                     s0))
+
+    def test_ragged_rows_rejected(self):
+        decay, inputs, s0 = self.case(17)
+        with pytest.raises(ValueError):
+            _linear_scan(spread(decay, 3), inputs, s0)
 
 
 BROADCAST_T = [1, 5, 16, 17, 40]
@@ -521,7 +574,7 @@ class TestContiguousStateRows:
         inputs = rng.normal(0, 1, (B, T, d, s)).astype(dtype)
         for s0 in (0.0, rng.normal(0, 1, (d, s)).astype(dtype)):
             broadcast_form.assert_same_bits(
-                _linear_scan(spread(decay, s), inputs, s0),
+                scan_copy(spread(decay, s), inputs, s0),
                 broadcast_form.linear_scan(decay, inputs, s0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

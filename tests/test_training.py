@@ -1,4 +1,5 @@
 import math
+import sys
 import weakref
 from dataclasses import replace
 
@@ -251,6 +252,101 @@ class TestFloat32Compute:
                 assert arr.dtype == np.float32, mask.describe()
 
 
+def on_returns(funcs, record):
+    """A profile hook calling ``record(name, caller, frame locals, value)``
+    at each return of the python functions ``funcs``."""
+    codes = {f.__code__ for f in funcs}
+
+    def hook(frame, event, value):
+        if event == "return" and frame.f_code in codes:
+            record(frame.f_code.co_name, frame.f_back.f_code.co_name,
+                   frame.f_locals, value)
+    return hook
+
+
+def profiled(hook, fn, *args):
+    sys.setprofile(hook)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+
+
+# the arrays each forward stage leaves off the tape for the backward to
+# rebuild, by their names in its frame
+REBUILT = {"ssm_block": ("xs", "u"), "attn_block": ("xs",),
+           "ffn_block": ("xs", "act"), "head": ("hn",)}
+BLOCKS = (model_module.ssm_block, model_module.attn_block,
+          model_module.ffn_block, model_module.head)
+
+
+class TestTapeContract:
+    """The tape holds nothing its backward can rebuild with one elementwise
+    product, and the backward rebuilds those arrays bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
+                             ids=lambda c: c.arch)
+    def test_forward_keeps_no_rebuildable_array(self, cfg, dtype):
+        wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
+        refs = []
+
+        def record(name, caller, local, value):
+            refs.extend((name, key, weakref.ref(local[key]))
+                        for key in REBUILT[name])
+
+        x, _ = small_batch(cfg, t=20)
+        logits, tape = profiled(on_returns(BLOCKS, record), forward_train,
+                                cfg, wc, None, x)
+        assert {name for name, _, _ in refs} == (
+            {"attn_block", "ffn_block", "head"}
+            | ({"ssm_block"} if cfg.arch != "transformer" else set()))
+        alive = [(name, key) for name, key, ref in refs if ref() is not None]
+        assert alive == []
+        assert tape["layers"] and logits.shape == (*x.shape, cfg.vocab_size)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [5, 17, 40])
+    @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
+                             ids=lambda c: c.arch)
+    def test_backward_rebuilds_the_forward_bits(self, cfg, T, dtype):
+        wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
+        x, y = small_batch(cfg, seed=T, b=2, t=T)
+        computed = {}   # (forward function, name) -> arrays, in call order
+        rebuilt = {}
+
+        def forward_record(name, caller, local, value):
+            for key in REBUILT[name]:
+                computed.setdefault((name, key), []).append(local[key].copy())
+
+        # the backward names the gate products as the forward does; the
+        # normalised inputs are what rmsnorm_output returns to each backward
+        owner = {"_ssm_bwd": "ssm_block", "_attn_bwd": "attn_block",
+                 "_ffn_bwd": "ffn_block", "backward_train": "head"}
+
+        def backward_record(name, caller, local, value):
+            if name == "rmsnorm_output":
+                key = (owner[caller], "hn" if caller == "backward_train"
+                       else "xs")
+                rebuilt.setdefault(key, []).append(value.copy())
+            else:
+                key = (owner[name], "u" if name == "_ssm_bwd" else "act")
+                rebuilt.setdefault(key, []).append(local[key[1]].copy())
+
+        logits, tape = profiled(on_returns(BLOCKS, forward_record),
+                                forward_train, cfg, wc, None, x)
+        _, dlogits = cross_entropy(logits, y)
+        profiled(on_returns((model_module.rmsnorm_output, training._ssm_bwd,
+                             training._ffn_bwd), backward_record),
+                 backward_train, cfg, wc, tape, dlogits)
+        assert rebuilt.keys() == computed.keys()
+        for key, arrays in computed.items():
+            # the backward visits the layers last to first
+            assert len(rebuilt[key]) == len(arrays), key
+            for got, want in zip(reversed(rebuilt[key]), arrays):
+                broadcast_form.assert_same_bits(got, want)
+
+
 class TestTrainLoop:
     def test_zero_steps_returns_seeded_init(self, corpus_file):
         tcfg = TrainConfig(corpus_path=corpus_file, steps=0, seq_len=24, seed=9)
@@ -341,7 +437,8 @@ class TestTrainLoop:
             alive_at_entry.append(sum(ref() is not None for ref in owned))
             logits, tape = original(*args)
             owned.extend(weakref.ref(a) for a in
-                         (logits, tape["hn"], tape["layers"][0]["ssm"][1][8]))
+                         (logits, tape["final_norm"][0],
+                          tape["layers"][0]["ssm"][1][6]))
             return logits, tape
 
         monkeypatch.setattr(training, "forward_train", watched)
