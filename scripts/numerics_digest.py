@@ -21,7 +21,11 @@ bit-identical numbers. The items are:
 * ``perplexity.<arch>``: full and component-only perplexity of a 256-byte
   window;
 * ``divergence.<arch>``: every strategy's ``divergence_stats`` on the same
-  window.
+  window;
+* ``cost.<arch>``: every strategy's ``flop_ratio`` (cost ratio and draft
+  parameter fraction);
+* ``ablation.<arch>``: ``ablate_and_score`` on the same window: both
+  perplexities, their ratio and the verdict.
 
 It needs no checkpoint: the corpora are generated and the models are seeded
 inits or trained here. BLAS runs on one thread, so summation order is fixed.
@@ -40,12 +44,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from speclab.ablation import ablate_and_score  # noqa: E402
 from speclab.corpus import make_corpus, sample_prompts  # noqa: E402
 from speclab.engine import (  # noqa: E402
     STRATEGY_KINDS, DecodeSettings, DraftStrategy, autoregressive_generate,
     build_mask, speculative_generate)
 from speclab.metrics import divergence_stats, perplexity  # noqa: E402
 from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
+from speclab.theory import flop_ratio  # noqa: E402
 from speclab.training import TrainConfig, train  # noqa: E402
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
@@ -137,6 +143,18 @@ def score_items(models, window):
             d.add(np.float64(stats.tv_mean), np.float64(stats.top1_agreement),
                   np.int64(stats.n_positions))
         yield f"divergence.{name}", d.hex()
+        d = Digest()
+        for kind in STRATEGY_KINDS:
+            cost = flop_ratio(model.cfg, DraftStrategy(kind))
+            d.add(np.float64(cost.cost_ratio),
+                  np.float64(cost.draft_param_fraction))
+        yield f"cost.{name}", d.hex()
+        report = ablate_and_score(model, window)
+        d = Digest()
+        d.add(np.float64(report.ppl_base), np.float64(report.ppl_no_attn),
+              np.float64(report.ppl_ratio),
+              np.frombuffer(report.verdict.encode(), np.uint8))
+        yield f"ablation.{name}", d.hex()
 
 
 def main() -> int:

@@ -1,49 +1,43 @@
 #!/usr/bin/env python3
-"""The full desk protocol over trained toy checkpoints.
+"""The full desk protocol over the toy-lab design's toys.
 
-Runs the acceptance-rate sweep (strategies x k x temperature, 200 prompts),
-emits plot data, the ablation verdicts, and the speedup-model report for
-each checkpoint's component draft. Resumable: finished cells are skipped.
-Expects checkpoints from scripts/train_toy_models.py.
+Runs the acceptance-rate sweep (three strategies over the design's k,
+temperatures and prompts; ``speclab.experiments.TOY_SWEEP``), emits plot
+data, the ablation verdicts, and the speedup-model report for each
+checkpoint's component draft. Resumable: finished cells are skipped. Trains
+the toys first where --toys-dir lacks them (see scripts/train_toy_models.py).
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from speclab.cli import main as cli_main
-from speclab.corpus import write_corpus
+from speclab.experiments import (TOY_ARCHS, TOY_SWEEP, ExperimentSpec,
+                                 build_toys, emit_plot_data, run_experiments)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--toys-dir", default="runs/toys")
     parser.add_argument("--out-dir", default="runs/sweep")
-    parser.add_argument("--n-prompts", type=int, default=200)
     args = parser.parse_args()
 
-    toys = Path(args.toys_dir)
+    toys = build_toys(args.toys_dir)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eval_corpus = out / "eval_corpus.bin"
-    if not eval_corpus.exists():
-        write_corpus(eval_corpus, 26_000, 777)
-    par = toys / "toy_parallel.ckpt"
-    seq = toys / "toy_sequential.ckpt"
-
-    rc = cli_main([
-        "run", "--checkpoint", str(par), "--checkpoint", str(seq),
-        "--corpus", str(eval_corpus), "--out-dir", str(out),
-        "--strategies", "component_only,layer_skip,early_exit",
-        "--k", "2,4,8", "--temperatures", "0,0.6",
-        "--n-prompts", str(args.n_prompts),
-    ])
-    if rc != 0:
-        raise SystemExit(rc)
-    cli_main(["plot-data", "--report", str(out / "report.csv"),
-              "--out", str(out / "plot_data.csv")])
-    for ckpt in (par, seq):
+    ckpts = [toys[arch] for arch in TOY_ARCHS]
+    result = run_experiments(ExperimentSpec(
+        checkpoints=tuple(map(str, ckpts)),
+        strategies=("component_only", "layer_skip", "early_exit"),
+        prompt_corpus=str(toys["eval"]), out_dir=str(out), **TOY_SWEEP))
+    for cell, err in result.errors:
+        print(f"error in {cell}: {err}", file=sys.stderr)
+    if result.errors:
+        raise SystemExit(1)
+    emit_plot_data(result.report_path, out / "plot_data.csv")
+    for ckpt in ckpts:
         cli_main(["ablate", "--checkpoint", str(ckpt), "--corpus",
-                  str(eval_corpus), "--json",
+                  str(toys["eval"]), "--json",
                   str(out / f"{ckpt.stem}.ablation.json"),
                   "--ledger", str(out / "ablation_ledger.csv")])
         cli_main(["theory", "--alpha", "0.5", "--k", "2", "--checkpoint",

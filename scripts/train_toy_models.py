@@ -1,42 +1,23 @@
 #!/usr/bin/env python3
-"""Train the matched-budget toy hybrids (same corpus, steps, seed, sizes).
+"""Train the toy-lab design's matched-budget toy hybrids (same corpus, steps,
+seed and sizes; ``speclab.experiments.TOY_*``), the toys the acceptance
+gate judges.
 
-Produces toy_parallel.ckpt and toy_sequential.ckpt plus manifests and
-training logs in --out-dir. The recurrent state is kept small so that the
-corpus's long-range copy structure must be carried by attention.
+Writes the train and eval corpora, both checkpoints with their manifests
+and training logs to --out-dir, skipping any file already there.
 """
 
 import argparse
-from pathlib import Path
 
-from speclab.cli import main as cli_main
-from speclab.corpus import write_corpus
+from speclab.experiments import build_toys
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="runs/toys")
-    parser.add_argument("--steps", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--d-state", type=int, default=8)
-    parser.add_argument("--corpus-bytes", type=int, default=220_000)
     args = parser.parse_args()
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus = out / "train_corpus.bin"
-    if not corpus.exists():
-        write_corpus(corpus, args.corpus_bytes, 1234)
-    for arch, name in (("parallel_hybrid", "toy_parallel"),
-                       ("sequential_hybrid", "toy_sequential")):
-        rc = cli_main([
-            "train", "--arch", arch, "--corpus", str(corpus),
-            "--out", str(out / f"{name}.ckpt"),
-            "--steps", str(args.steps), "--seed", str(args.seed),
-            "--d-state", str(args.d_state),
-        ])
-        if rc != 0:
-            raise SystemExit(rc)
+    for name, path in build_toys(args.out_dir).items():
+        print(f"{name}: {path}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ component-aware self-speculation is worth attempting on an architecture.
 The single number is the ratio of perplexity with the attention pathway
 suppressed to baseline perplexity, measured on the same corpus. Small ratios
 mean the alternative pathway alone is a competent language model (drafts will
-be accepted); catastrophic ratios mean it is not. Thresholds default to 5x
+be accepted); catastrophic ratios mean it is not. The thresholds are 5x
 (below: viable) and 20x (above: not viable); the band in between is reported
 as uncertain rather than forced into a verdict.
 """
@@ -17,23 +17,19 @@ from .engine import DraftStrategy, build_mask
 from .metrics import perplexity
 from .model import HybridModel
 
-VIABLE_BELOW_DEFAULT = 5.0
-NON_VIABLE_ABOVE_DEFAULT = 20.0
+VIABLE_BELOW = 5.0
+NON_VIABLE_ABOVE = 20.0
 
 VERDICTS = ("viable", "uncertain", "non_viable")
 
 
-def classify_viability(ppl_ratio: float,
-                       viable_below: float = VIABLE_BELOW_DEFAULT,
-                       non_viable_above: float = NON_VIABLE_ABOVE_DEFAULT) -> str:
+def classify_viability(ppl_ratio: float) -> str:
     """Map a perplexity-degradation ratio to a verdict."""
     if ppl_ratio <= 0.0:
         raise ValueError("ppl_ratio must be positive")
-    if viable_below > non_viable_above:
-        raise ValueError("thresholds out of order")
-    if ppl_ratio < viable_below:
+    if ppl_ratio < VIABLE_BELOW:
         return "viable"
-    if ppl_ratio > non_viable_above:
+    if ppl_ratio > NON_VIABLE_ABOVE:
         return "non_viable"
     return "uncertain"
 
@@ -58,10 +54,7 @@ class AblationReport:
                 "ppl_ratio": self.ppl_ratio, "verdict": self.verdict}
 
 
-def ablate_and_score(model: HybridModel, corpus_tokens,
-                     viable_below: float = VIABLE_BELOW_DEFAULT,
-                     non_viable_above: float = NON_VIABLE_ABOVE_DEFAULT
-                     ) -> AblationReport:
+def ablate_and_score(model: HybridModel, corpus_tokens) -> AblationReport:
     """Score a checkpoint with and without its attention pathway.
 
     The no-attention run uses the component_only mask for the model's
@@ -76,7 +69,7 @@ def ablate_and_score(model: HybridModel, corpus_tokens,
         ppl_base=ppl_base,
         ppl_no_attn=ppl_no_attn,
         ppl_ratio=ratio,
-        verdict=classify_viability(ratio, viable_below, non_viable_above),
+        verdict=classify_viability(ratio),
     )
 
 

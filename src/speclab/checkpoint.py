@@ -14,7 +14,7 @@ the blocks tile the payload: each block's offset is the sum of the sizes of
 the blocks before it. A checkpoint loads into one float64 buffer, and every
 block of the loaded :class:`Weights` is a reshaped view of it. A JSON
 manifest mirroring the config is written next to the checkpoint for human
-inspection.
+inspection. Every file the lab writes goes through :func:`write_atomic`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ from .model import ModelConfig, Weights
 MAGIC = b"SPECLAB1"
 FORMAT_VERSION = 1
 _DTYPE = "<f8"
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    into place, so no reader or later run sees a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data if isinstance(data, bytes) else data.encode())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, weights: Weights) -> None:
@@ -50,23 +62,16 @@ def save_checkpoint(path, weights: Weights) -> None:
         "blocks": blocks,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.uint32(len(header_bytes)).tobytes())
-        f.write(header_bytes)
-        for _, arr in weights.items():
-            f.write(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes())
-    write_manifest(manifest_path(path), weights.cfg)
+    write_atomic(path, b"".join(
+        [MAGIC, np.uint32(len(header_bytes)).tobytes(), header_bytes]
+        + [np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+           for _, arr in weights.items()]))
+    write_atomic(manifest_path(path), json.dumps(
+        weights.cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def manifest_path(path) -> Path:
     return Path(str(path) + ".manifest.json")
-
-
-def write_manifest(path, cfg: ModelConfig) -> None:
-    with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def load_checkpoint(path) -> Weights:

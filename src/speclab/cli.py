@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .ablation import ablate_and_score
-from .checkpoint import load_checkpoint, save_checkpoint
-from .engine import STRATEGY_KINDS, DecodeSettings, DraftStrategy
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .engine import STRATEGY_KINDS, DecodeSettings, DraftStrategy, build_mask
 from .experiments import ExperimentSpec, emit_plot_data, run_experiments
 from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
-from .engine import build_mask
 from .theory import flop_ratio, optimal_k, speedup_readings
 from .training import TrainConfig, load_corpus, train
 
@@ -66,8 +65,21 @@ def _bounded(conv, ok, expect: str):
 
 _alpha = _bounded(float, lambda a: 0.0 <= a < 1.0, "in [0, 1)")
 _at_least_one = _bounded(int, lambda n: n >= 1, ">= 1")
+_at_least_zero = _bounded(int, lambda n: n >= 0, ">= 0")
+_at_least_two = _bounded(int, lambda n: n >= 2, ">= 2")  # one scored token
 _positive = _bounded(float, lambda x: x > 0.0, "> 0")
 _non_negative = _bounded(float, lambda x: x >= 0.0, ">= 0")
+
+# the ModelConfig sizes that `speclab train` takes as flags of the same name
+_MODEL_SIZES = ("n_layers", "d_model", "n_heads", "d_state", "vocab_size",
+                "context_limit")
+
+
+def _emit(payload: dict, json_path):
+    """Print ``payload`` as JSON, and write it to ``json_path`` if given."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    if json_path:
+        write_atomic(json_path, json.dumps(payload, sort_keys=True))
 
 
 def _load_model(path) -> HybridModel:
@@ -81,18 +93,16 @@ def _strategy_from_args(kind, args) -> DraftStrategy:
 
 
 def _add_strategy_fractions(p):
-    p.add_argument("--skip-fraction", type=float, default=1.0 / 3.0,
-                   help="fraction of layers removed by layer_skip (default 1/3)")
-    p.add_argument("--exit-fraction", type=float, default=0.5,
-                   help="fraction of layers kept by early_exit (default 0.5)")
+    p.add_argument("--skip-fraction", type=float, default=DraftStrategy.skip_fraction,
+                   help="fraction of layers layer_skip removes (default %(default).3g)")
+    p.add_argument("--exit-fraction", type=float, default=DraftStrategy.exit_fraction,
+                   help="fraction of layers early_exit keeps (default %(default).3g)")
 
 
 def cmd_train(args) -> int:
     pattern = tuple(args.layer_pattern.split(",")) if args.layer_pattern else None
-    cfg = ModelConfig(
-        arch=args.arch, n_layers=args.n_layers, d_model=args.d_model,
-        n_heads=args.n_heads, d_state=args.d_state, vocab_size=args.vocab_size,
-        context_limit=args.context_limit, layer_pattern=pattern)
+    cfg = ModelConfig(arch=args.arch, layer_pattern=pattern,
+                      **{name: getattr(args, name) for name in _MODEL_SIZES})
     log_path = args.log or str(args.out) + ".train_log.csv"
     tcfg = TrainConfig(
         corpus_path=args.corpus, steps=args.steps, batch_size=args.batch_size,
@@ -111,19 +121,12 @@ def cmd_train(args) -> int:
 
 def cmd_run(args) -> int:
     spec = ExperimentSpec(
-        checkpoints=tuple(args.checkpoint),
-        strategies=args.strategies,
-        k_values=args.k,
-        temperatures=args.temperatures,
-        prompt_corpus=args.corpus,
-        out_dir=args.out_dir,
-        n_prompts=args.n_prompts,
-        prompt_len=args.prompt_len,
-        max_new_tokens=args.max_new_tokens,
-        seed=args.seed,
-        skip_fraction=args.skip_fraction,
-        exit_fraction=args.exit_fraction,
-    )
+        checkpoints=tuple(args.checkpoint), strategies=args.strategies,
+        k_values=args.k, temperatures=args.temperatures,
+        prompt_corpus=args.corpus, out_dir=args.out_dir,
+        n_prompts=args.n_prompts, prompt_len=args.prompt_len,
+        max_new_tokens=args.max_new_tokens, seed=args.seed,
+        skip_fraction=args.skip_fraction, exit_fraction=args.exit_fraction)
     result = run_experiments(spec)
     print(f"computed {result.n_computed} cells, reused {result.n_skipped}")
     print(f"report: {result.report_path}")
@@ -141,24 +144,14 @@ def cmd_divergence(args) -> int:
     payload = {"checkpoint": str(args.checkpoint), "strategy": strategy.label(),
                "tv_mean": stats.tv_mean, "top1_agreement": stats.top1_agreement,
                "n_positions": stats.n_positions}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True))
+    _emit(payload, args.json)
     return 0
 
 
 def cmd_ablate(args) -> int:
     model = _load_model(args.checkpoint)
-    corpus = load_corpus(args.corpus)
-    if args.eval_bytes:
-        corpus = corpus[:args.eval_bytes]
-    report = ablate_and_score(model, corpus,
-                              viable_below=args.viable_below,
-                              non_viable_above=args.non_viable_above)
-    payload = {"checkpoint": str(args.checkpoint), **report.to_dict()}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True))
+    report = ablate_and_score(model, load_corpus(args.corpus)[:args.eval_bytes])
+    _emit({"checkpoint": str(args.checkpoint), **report.to_dict()}, args.json)
     if args.ledger:
         path = Path(args.ledger)
         new = not path.exists()
@@ -175,8 +168,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_theory(args) -> int:
     if args.cost_ratio is not None:
-        ratio = args.cost_ratio
-        fraction = None
+        ratio, fraction = args.cost_ratio, None
     elif args.checkpoint:
         model = _load_model(args.checkpoint)
         cost = flop_ratio(model.cfg, _strategy_from_args(args.strategy, args))
@@ -186,8 +178,9 @@ def cmd_theory(args) -> int:
         return 2
     alpha = args.alpha
     readings = speedup_readings(alpha, args.k, ratio)
-    alpha_pt = readings["alpha_input"] if not args.alpha_is_all_token else \
-        alpha ** (1.0 / args.k)
+    reading = "all_token_converted" if args.alpha_is_all_token else "direct"
+    alpha_pt = (alpha ** (1.0 / args.k) if args.alpha_is_all_token
+                else readings["alpha_input"])
     payload = {
         "alpha": alpha,
         "alpha_is_all_token": bool(args.alpha_is_all_token),
@@ -195,23 +188,17 @@ def cmd_theory(args) -> int:
         "k": args.k,
         "cost_ratio": ratio,
         "draft_param_fraction": fraction,
-        "expected_tokens": readings["expected_tokens_direct"]
-        if not args.alpha_is_all_token
-        else readings["expected_tokens_all_token_converted"],
-        "speedup": readings["speedup_direct"] if not args.alpha_is_all_token
-        else readings["speedup_all_token_converted"],
+        "expected_tokens": readings[f"expected_tokens_{reading}"],
+        "speedup": readings[f"speedup_{reading}"],
         "speedup_readings": readings,
         "optimal_k": optimal_k(alpha_pt, ratio, args.k_max),
     }
     if args.reference_speedup is not None:
         payload["reference_speedup"] = args.reference_speedup
-        payload["reference_deviation_direct"] = (
-            readings["speedup_direct"] - args.reference_speedup)
-        payload["reference_deviation_all_token_converted"] = (
-            readings["speedup_all_token_converted"] - args.reference_speedup)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True))
+        for name in ("direct", "all_token_converted"):
+            payload[f"reference_deviation_{name}"] = (
+                readings[f"speedup_{name}"] - args.reference_speedup)
+    _emit(payload, args.json)
     return 0
 
 
@@ -255,20 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=ARCHS, required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seq-len", type=int, default=96)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warmup-steps", type=int, default=50)
+    p.add_argument("--steps", type=_at_least_zero, default=2000)
+    p.add_argument("--batch-size", type=_at_least_one, default=TrainConfig.batch_size)
+    p.add_argument("--seq-len", type=_at_least_two, default=TrainConfig.seq_len)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--warmup-steps", type=_at_least_zero,
+                   default=TrainConfig.warmup_steps)
     p.add_argument("--compute-dtype", choices=("float32", "float64"),
-                   default="float32")
-    p.add_argument("--d-model", type=int, default=128)
-    p.add_argument("--n-layers", type=int, default=8)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-state", type=int, default=32)
-    p.add_argument("--vocab-size", type=int, default=256)
-    p.add_argument("--context-limit", type=int, default=256)
+                   default=TrainConfig.compute_dtype)
+    for name in _MODEL_SIZES:
+        p.add_argument("--" + name.replace("_", "-"), type=_at_least_one,
+                       default=getattr(ModelConfig, name))
     p.add_argument("--layer-pattern", default=None,
                    help="comma list of linear/attention (sequential only)")
     p.add_argument("--log", default=None, help="training-log CSV path")
@@ -286,10 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of draft lengths")
     p.add_argument("--temperatures", type=_csv_list(_non_negative),
                    default=(0.0, 0.6), help="comma list of temperatures")
-    p.add_argument("--n-prompts", type=_at_least_one, default=200)
-    p.add_argument("--prompt-len", type=_at_least_one, default=16)
-    p.add_argument("--max-new-tokens", type=_at_least_one, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-prompts", type=_at_least_one, default=ExperimentSpec.n_prompts)
+    p.add_argument("--prompt-len", type=_at_least_one,
+                   default=ExperimentSpec.prompt_len)
+    p.add_argument("--max-new-tokens", type=_at_least_one,
+                   default=ExperimentSpec.max_new_tokens)
+    p.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     _add_strategy_fractions(p)
     p.set_defaults(func=cmd_run)
 
@@ -298,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategy", choices=STRATEGY_KINDS,
                    default="component_only")
-    p.add_argument("--n-prompts", type=int, default=100)
-    p.add_argument("--prompt-len", type=int, default=32)
+    p.add_argument("--n-prompts", type=_at_least_one, default=100)
+    p.add_argument("--prompt-len", type=_at_least_one, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
     _add_strategy_fractions(p)
@@ -308,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="attention-removal viability diagnostic")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--eval-bytes", type=int, default=24_000)
-    p.add_argument("--viable-below", type=float, default=5.0)
-    p.add_argument("--non-viable-above", type=float, default=20.0)
+    p.add_argument("--eval-bytes", type=_at_least_two, default=24_000)
     p.add_argument("--json", default=None)
     p.add_argument("--ledger", default=None,
                    help="CSV to append the verdict row to")
@@ -344,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategies", type=_csv_list(_strategy_kind),
                    default=None, help="comma list of draft strategies")
-    p.add_argument("--n-prompts", type=int, default=100)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--max-new-tokens", type=int, default=64)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--n-prompts", type=_at_least_one, default=100)
+    p.add_argument("--prompt-len", type=_at_least_one, default=16)
+    p.add_argument("--max-new-tokens", type=_at_least_one, default=64)
+    p.add_argument("--k", type=_at_least_one, default=2)
     p.add_argument("--seed", type=int, default=0)
     _add_strategy_fractions(p)
     p.set_defaults(func=cmd_verify_lossless)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .numerics import RngState
 
 _WORDS = (
@@ -117,8 +118,7 @@ def make_corpus(n_bytes: int, seed: int) -> bytes:
 
 
 def write_corpus(path, n_bytes: int, seed: int) -> None:
-    with open(path, "wb") as f:
-        f.write(make_corpus(n_bytes, seed))
+    write_atomic(path, make_corpus(n_bytes, seed))
 
 
 def sample_prompts(corpus_tokens: np.ndarray, n_prompts: int, prompt_len: int,

@@ -285,8 +285,7 @@ def _check_generation_budget(cfg: ModelConfig, prompt, settings: DecodeSettings,
 
 
 def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
-                         settings: DecodeSettings,
-                         target_mask: ComponentMask | None = None):
+                         settings: DecodeSettings):
     """Draft-verify loop; returns (generated tokens, per-round results).
 
     The emitted stream follows the target model's distribution; at
@@ -300,7 +299,7 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
     _check_generation_budget(cfg, prompt, settings, settings.k + 1)
     draft_mask = build_mask(cfg, strategy)
     rng = RngState(settings.seed)
-    _, vstate = model.forward_prefix(prompt[:-1], target_mask)
+    _, vstate = model.forward_prefix(prompt[:-1])
     _, dstate = model.forward_prefix(prompt[:-1], draft_mask)
     pending = int(prompt[-1])
     draft_pending = [pending]
@@ -322,8 +321,7 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
 
 
 def autoregressive_generate(model: HybridModel, prompt,
-                            settings: DecodeSettings,
-                            mask: ComponentMask | None = None) -> list[int]:
+                            settings: DecodeSettings) -> list[int]:
     """Plain one-token-at-a-time decoding; the speculative baseline.
 
     One ``decode_step`` per emitted token: each feeds the pending token (the
@@ -331,7 +329,7 @@ def autoregressive_generate(model: HybridModel, prompt,
     """
     _check_generation_budget(model.cfg, prompt, settings, 0)
     rng = RngState(settings.seed)
-    _, state = model.forward_prefix(prompt[:-1], mask)
+    _, state = model.forward_prefix(prompt[:-1])
     temp = settings.temperature
     pending = int(prompt[-1])
     out: list[int] = []

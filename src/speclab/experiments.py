@@ -27,7 +27,6 @@ import glob
 import hashlib
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -37,19 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
-from .corpus import sample_prompts
-from .engine import (
-    DecodeSettings,
-    DraftStrategy,
-    autoregressive_generate,
-    build_mask,
-    speculative_generate,
-)
-from .metrics import all_token_alpha, divergence_stats
-from .model import HybridModel
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .corpus import sample_prompts, write_corpus
+from .engine import (DecodeSettings, DraftStrategy, autoregressive_generate,
+                     build_mask, speculative_generate)
+from .metrics import BOOTSTRAP_RESAMPLES, all_token_alpha, divergence_stats
+from .model import HybridModel, ModelConfig
 from .theory import expected_tokens, flop_ratio, speedup
-from .training import load_corpus
+from .training import TrainConfig, load_corpus, train
 
 REPORT_SCHEMA = "speclab-report v2"
 PLOT_SCHEMA = "speclab-plot-data v1"
@@ -82,9 +76,9 @@ class ExperimentSpec:
     prompt_len: int = 16
     max_new_tokens: int = 64
     seed: int = 0
-    skip_fraction: float = 1.0 / 3.0
-    exit_fraction: float = 0.5
-    bootstrap_resamples: int = 10_000
+    skip_fraction: float = DraftStrategy.skip_fraction
+    exit_fraction: float = DraftStrategy.exit_fraction
+    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES
 
     def __post_init__(self):
         if not (self.checkpoints and self.strategies and self.k_values
@@ -154,17 +148,6 @@ def _remove_superseded(cells_dir: Path, cell: str):
             path.unlink(missing_ok=True)
 
 
-def _write_atomic(path: Path, text: str):
-    """Write ``text`` to a temporary file beside ``path``, then rename it into
-    place, so no reader or later run sees a partly written file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
     buf = io.StringIO()
     buf.write(f"# {schema}\n")
@@ -172,7 +155,7 @@ def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(c)) for c in columns])
-    _write_atomic(path, buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def read_report(path) -> list[dict]:
@@ -268,8 +251,8 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                             log(f"[fail] {cell}:\n{traceback.format_exc()}")
                             continue
                         payload["key"] = key
-                        _write_atomic(cell_path,
-                                      json.dumps(payload, sort_keys=True))
+                        write_atomic(cell_path,
+                                     json.dumps(payload, sort_keys=True))
                         result.n_computed += 1
                         log(f"[done] {cell}: alpha={payload['row']['alpha']:.3f}")
                     _remove_superseded(cells_dir, cell)
@@ -372,3 +355,39 @@ def emit_plot_data(report_path, out_path) -> int:
                ["model", "strategy", "temperature", "k", "alpha", "ci_low",
                 "ci_high", "mean_accepted"], out_rows)
     return len(out_rows)
+
+
+# The toy-lab design of the acceptance gate and the desk-protocol scripts:
+# both hybrids get the same corpus, steps, seed and sizes. Depth 12 gives
+# layer_skip redundancy to exploit; scarce recurrent state leaves attention
+# the corpus's long-range copies, so it carries real function.
+TOY_ARCHS = ("parallel_hybrid", "sequential_hybrid")
+TOY_MODEL = {"n_layers": 12, "d_model": 64, "d_state": 8}
+TOY_TRAINING = {"steps": 1500, "seq_len": 96, "batch_size": 8,
+                "learning_rate": 3e-3, "seed": 7}
+TOY_CORPORA = {"train": (220_000, 1234), "eval": (26_000, 777)}  # bytes, seed
+TOY_SWEEP = {"k_values": (2, 4, 8), "temperatures": (0.0, 0.6),
+             "n_prompts": 200, "prompt_len": 16, "max_new_tokens": 48}
+
+
+def build_toys(directory) -> dict[str, Path]:
+    """Paths of the toy-lab corpora (keyed "train" and "eval") and toys
+    (keyed by arch) under ``directory``, each made only if absent: making
+    them is bitwise reproducible, and file names carry the design."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, (n_bytes, seed) in TOY_CORPORA.items():
+        paths[name] = directory / f"{name}_corpus_{n_bytes}_{seed}.bin"
+        if not paths[name].exists():
+            write_corpus(paths[name], n_bytes, seed)
+    m, t = TOY_MODEL, TOY_TRAINING
+    for arch in TOY_ARCHS:
+        tag = (f"toy_{arch}_L{m['n_layers']}_d{m['d_model']}_s{m['d_state']}"
+               f"_st{t['steps']}_sl{t['seq_len']}_seed{t['seed']}")
+        paths[arch] = directory / f"{tag}.ckpt"
+        if not paths[arch].exists():
+            tcfg = TrainConfig(corpus_path=str(paths["train"]), **t,
+                               log_path=str(directory / f"{tag}.train_log.csv"))
+            save_checkpoint(paths[arch], train(ModelConfig(arch, **m), tcfg)[0])
+    return paths

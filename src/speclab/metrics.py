@@ -49,14 +49,15 @@ class DivergenceStats:
     n_positions: int
 
 
-def bootstrap_ci(samples, resamples: int = 10_000, level: float = 0.95,
+BOOTSTRAP_RESAMPLES = 10_000
+
+
+def bootstrap_ci(samples, resamples: int = BOOTSTRAP_RESAMPLES,
                  seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean; deterministic under seed."""
+    """Percentile bootstrap 95% interval for the mean, deterministic under seed."""
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("bootstrap_ci needs at least one sample")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     if arr.min() == arr.max():
@@ -72,12 +73,12 @@ def bootstrap_ci(samples, resamples: int = 10_000, level: float = 0.95,
         idx = rng.resample_indices(n, (take, n))
         means[done:done + take] = arr[idx].mean(axis=1)
         done += take
-    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0])
+    lo, hi = np.quantile(means, [(1.0 - 0.95) / 2.0, 1.0 - (1.0 - 0.95) / 2.0])
     return float(lo), float(hi)
 
 
 def all_token_alpha(rounds: list[SpecRoundResult], k: int,
-                    resamples: int = 10_000, level: float = 0.95,
+                    resamples: int = BOOTSTRAP_RESAMPLES,
                     seed: int = 0) -> AcceptanceStats:
     """Aggregate rounds of one (model, strategy, k, T) cell."""
     if not rounds:
@@ -88,7 +89,7 @@ def all_token_alpha(rounds: list[SpecRoundResult], k: int,
     flags = np.array([f for r in rounds for f in r.per_position_match],
                      dtype=np.float64)
     emitted = np.array([len(r.emitted_tokens) for r in rounds], dtype=np.float64)
-    lo, hi = bootstrap_ci(accepted, resamples=resamples, level=level, seed=seed)
+    lo, hi = bootstrap_ci(accepted, resamples=resamples, seed=seed)
     alpha = float(accepted.mean())
     return AcceptanceStats(
         all_token_alpha=alpha,

@@ -38,13 +38,13 @@ the loop itself is single-threaded numpy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .model import (
     ComponentMask,
     ModelConfig,
@@ -59,6 +59,10 @@ from .model import (
 from .numerics import RngState, log_softmax
 
 
+# Adam's first and second moment decays and its denominator guard
+MOMENTUM_DECAY, SECOND_MOMENT_DECAY, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"training loss became non-finite at step {step}")
@@ -70,12 +74,9 @@ class TrainConfig:
     corpus_path: str
     steps: int
     batch_size: int = 8
-    seq_len: int = 64
+    seq_len: int = 96
     learning_rate: float = 3e-3
     seed: int = 0
-    momentum_decay: float = 0.9
-    second_moment_decay: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 50
     log_path: str | None = None
     # float32 keeps the whole step in float32, about half a float64 step;
@@ -332,7 +333,7 @@ class Adam:
         lr = c.learning_rate
         if c.warmup_steps > 0:
             lr *= min(1.0, self.t / c.warmup_steps)
-        b1, b2 = c.momentum_decay, c.second_moment_decay
+        b1, b2 = MOMENTUM_DECAY, SECOND_MOMENT_DECAY
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, g in grads.items():
@@ -342,7 +343,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            w.blocks[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.adam_eps)
+            w.blocks[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _train_step(cfg: ModelConfig, w: Weights, opt: Adam,
@@ -388,11 +389,8 @@ def train(cfg: ModelConfig, tcfg: TrainConfig,
 
 
 def write_training_log(path, history):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "loss"])
-        for step, loss in history:
-            writer.writerow([step, f"{loss:.10g}"])
+    write_atomic(path, "step,loss\n" + "".join(
+        f"{step},{loss:.10g}\n" for step, loss in history))
 
 
 # ---------------------------------------------------------------------------

@@ -9,38 +9,13 @@ directory to exercise the full cold-start budget.
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from speclab.checkpoint import load_checkpoint, save_checkpoint
-from speclab.corpus import write_corpus
-from speclab.experiments import ExperimentSpec, run_experiments
-from speclab.model import HybridModel, ModelConfig
-from speclab.training import TrainConfig, train
-
-# toy-lab experiment design: matched corpus, steps, seed and sizes for both
-# hybrid architectures. Depth 12 gives the layer-skip baseline real
-# redundancy to exploit; the recurrent state is kept scarce relative to the
-# corpus's long-range copy structure so the attention pathway carries real
-# function (see the corpus generator).
-TOY_N_LAYERS = 12
-TOY_D_MODEL = 64
-TOY_D_STATE = 8
-TOY_STEPS = 1500
-TOY_SEQ_LEN = 96
-TOY_BATCH = 8
-TOY_LR = 3e-3
-TOY_SEED = 7
-TRAIN_CORPUS_BYTES = 220_000
-TRAIN_CORPUS_SEED = 1234
-EVAL_CORPUS_BYTES = 26_000
-EVAL_CORPUS_SEED = 777
-
-SWEEP_K = (2, 4, 8)
-SWEEP_TEMPERATURES = (0.0, 0.6)
-SWEEP_PROMPTS = 200
-SWEEP_PROMPT_LEN = 16
-SWEEP_MAX_NEW = 48
+from speclab.checkpoint import load_checkpoint
+from speclab.experiments import (TOY_ARCHS, TOY_SWEEP, ExperimentSpec,
+                                 build_toys, run_experiments)
+from speclab.model import HybridModel
+from speclab.training import load_corpus
 
 _acceptance_lines: dict[str, tuple[bool, str]] = {}
 
@@ -70,51 +45,24 @@ def cache_dir() -> Path:
     return d
 
 
-def toy_config(arch: str) -> ModelConfig:
-    return ModelConfig(arch, n_layers=TOY_N_LAYERS, d_model=TOY_D_MODEL,
-                       d_state=TOY_D_STATE)
-
-
 @pytest.fixture(scope="session")
 def toy_lab():
-    """Two matched-budget toy hybrid checkpoints plus train/eval corpora."""
-    cache = cache_dir()
-    train_corpus = cache / (
-        f"train_corpus_{TRAIN_CORPUS_BYTES}_{TRAIN_CORPUS_SEED}.bin")
-    if not train_corpus.exists():
-        write_corpus(train_corpus, TRAIN_CORPUS_BYTES, TRAIN_CORPUS_SEED)
-    eval_corpus = cache / (
-        f"eval_corpus_{EVAL_CORPUS_BYTES}_{EVAL_CORPUS_SEED}.bin")
-    if not eval_corpus.exists():
-        write_corpus(eval_corpus, EVAL_CORPUS_BYTES, EVAL_CORPUS_SEED)
+    """The two matched-budget toy hybrids of the toy-lab design
+    (``speclab.experiments.TOY_*``) plus their train and eval corpora."""
     t0 = time.perf_counter()
-    checkpoints: dict[str, Path] = {}
-    for arch in ("parallel_hybrid", "sequential_hybrid"):
-        tag = (f"toy_{arch}_L{TOY_N_LAYERS}_d{TOY_D_MODEL}_s{TOY_D_STATE}"
-               f"_st{TOY_STEPS}_sl{TOY_SEQ_LEN}_seed{TOY_SEED}")
-        ckpt = cache / f"{tag}.ckpt"
-        if not ckpt.exists():
-            tcfg = TrainConfig(
-                corpus_path=str(train_corpus), steps=TOY_STEPS,
-                batch_size=TOY_BATCH, seq_len=TOY_SEQ_LEN,
-                learning_rate=TOY_LR, seed=TOY_SEED,
-                log_path=str(cache / f"{tag}.train_log.csv"))
-            weights, _ = train(toy_config(arch), tcfg)
-            save_checkpoint(ckpt, weights)
-        checkpoints[arch] = ckpt
+    paths = build_toys(cache_dir())
     train_seconds = time.perf_counter() - t0
+    checkpoints = {arch: paths[arch] for arch in TOY_ARCHS}
     models = {}
     for arch, path in checkpoints.items():
         weights = load_checkpoint(path)
         models[arch] = HybridModel(weights.cfg, weights)
-    eval_tokens = np.frombuffer(eval_corpus.read_bytes(),
-                                dtype=np.uint8).astype(np.int64)
     return {
         "checkpoints": checkpoints,
         "models": models,
-        "train_corpus": train_corpus,
-        "eval_corpus": eval_corpus,
-        "eval_tokens": eval_tokens,
+        "train_corpus": paths["train"],
+        "eval_corpus": paths["eval"],
+        "eval_tokens": load_corpus(paths["eval"]),
         "train_seconds": train_seconds,
     }
 
@@ -125,14 +73,9 @@ def acceptance_sweep(toy_lab):
     spec = ExperimentSpec(
         checkpoints=tuple(str(p) for p in toy_lab["checkpoints"].values()),
         strategies=("component_only", "layer_skip"),
-        k_values=SWEEP_K,
-        temperatures=SWEEP_TEMPERATURES,
         prompt_corpus=str(toy_lab["eval_corpus"]),
         out_dir=str(cache_dir() / "acceptance_sweep"),
-        n_prompts=SWEEP_PROMPTS,
-        prompt_len=SWEEP_PROMPT_LEN,
-        max_new_tokens=SWEEP_MAX_NEW,
-        seed=0,
+        **TOY_SWEEP,
     )
     t0 = time.perf_counter()
     result = run_experiments(spec, log=lambda m: None)

@@ -48,11 +48,6 @@ class TestClassifyViability:
         with pytest.raises(ValueError):
             classify_viability(0.0)
 
-    def test_thresholds_are_configurable(self):
-        assert classify_viability(10.0, viable_below=12.0) == "viable"
-        with pytest.raises(ValueError):
-            classify_viability(1.0, viable_below=30.0, non_viable_above=20.0)
-
 
 class TestAblationReport:
     def test_inconsistent_ratio_rejected(self):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from speclab.checkpoint import (
     load_checkpoint,
     manifest_path,
     save_checkpoint,
+    write_atomic,
 )
+from speclab.corpus import write_corpus
 from speclab.model import ModelConfig, init_weights
+from speclab.training import write_training_log
 
 CFG = ModelConfig("sequential_hybrid", n_layers=4, d_model=16, n_heads=2,
                   d_state=4, vocab_size=32, context_limit=48)
@@ -29,6 +33,27 @@ def rewrite_header(path, edit):
 @pytest.fixture
 def weights():
     return init_weights(CFG, 21)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: write_atomic(path, b"\x00" * 1000),
+        lambda path: write_atomic(path, "step,loss\n"),
+        lambda path: save_checkpoint(path, init_weights(CFG, 21)),
+        lambda path: write_corpus(path, 1_000, seed=3),
+        lambda path: write_training_log(path, [(0, 1.5), (1, 1.25)]),
+    ], ids=["bytes", "text", "checkpoint", "corpus", "training_log"])
+    def test_write_cut_short_leaves_no_file(self, tmp_path, monkeypatch,
+                                            write):
+        def cut_short(path, data):
+            with path.open("wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", cut_short)
+        with pytest.raises(OSError):
+            write(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:

@@ -10,9 +10,9 @@ import speclab.cli as cli
 from speclab.checkpoint import load_checkpoint, manifest_path, save_checkpoint
 from speclab.cli import main
 from speclab.corpus import make_corpus, sample_prompts
-from speclab.experiments import read_report
+from speclab.experiments import ExperimentSpec, read_report
 from speclab.model import HybridModel, ModelConfig, init_weights
-from speclab.training import load_corpus
+from speclab.training import TrainConfig, load_corpus
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,48 @@ class TestTrainCommand:
         ])
         assert rc == 0
         assert load_checkpoint(out).cfg.layer_pattern == ("linear", "attention")
+
+
+class _Stop(Exception):
+    """Raised by a stub to end a command once its inputs are captured."""
+
+
+def _capture(monkeypatch, name: str) -> list:
+    """Replace ``cli.<name>`` by a stub that records its arguments, then stops
+    the command."""
+    seen = []
+
+    def stub(*args):
+        seen.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(cli, name, stub)
+    return seen
+
+
+class TestDefaultsWrittenOnce:
+    """The CLI reads its defaults from the dataclasses it fills."""
+
+    def test_run_builds_the_spec_defaults(self, monkeypatch):
+        seen = _capture(monkeypatch, "run_experiments")
+        with pytest.raises(_Stop):
+            main(["run", "--checkpoint", "x.ckpt", "--corpus", "x.bin",
+                  "--out-dir", "x"])
+        (spec,), = seen
+        assert spec == ExperimentSpec(
+            checkpoints=("x.ckpt",), strategies=spec.strategies,
+            k_values=spec.k_values, temperatures=spec.temperatures,
+            prompt_corpus="x.bin", out_dir="x")
+
+    def test_train_builds_the_config_defaults(self, monkeypatch):
+        seen = _capture(monkeypatch, "train")
+        with pytest.raises(_Stop):
+            main(["train", "--arch", "sequential_hybrid", "--corpus", "x.bin",
+                  "--out", "x.ckpt"])
+        (cfg, tcfg), = seen
+        assert cfg == ModelConfig("sequential_hybrid")
+        assert tcfg == TrainConfig(corpus_path="x.bin", steps=tcfg.steps,
+                                   log_path="x.ckpt.train_log.csv")
 
 
 class TestRunCommand:
@@ -152,12 +194,20 @@ class TestDiagnosticsCommands:
         ("theory", "--alpha", "1.0"), ("theory", "--k", "0"),
         ("theory", "--k-max", "0"), ("theory", "--cost-ratio", "0"),
         ("run", "--k", "0"), ("run", "--temperatures", "-0.6"),
-        ("run", "--max-new-tokens", "0"), ("run", "--n-prompts", "0")])
+        ("run", "--max-new-tokens", "0"), ("run", "--n-prompts", "0"),
+        ("ablate", "--eval-bytes", "-2990"), ("ablate", "--eval-bytes", "0"),
+        ("ablate", "--eval-bytes", "1"),
+        ("divergence", "--n-prompts", "0"), ("divergence", "--prompt-len", "0"),
+        ("verify-lossless", "--k", "0"), ("train", "--steps", "-1"),
+        ("train", "--seq-len", "1")])
     def test_out_of_range_input_rejected_at_parse_time(
             self, capsys, command, flag, value):
+        files = {"--checkpoint": "x.ckpt", "--corpus": "x.bin"}
         argv = {"theory": {"--alpha": "0.5", "--k": "2", "--cost-ratio": "0.5"},
-                "run": {"--checkpoint": "x.ckpt", "--corpus": "x.bin",
-                        "--out-dir": "x"}}[command]
+                "run": {**files, "--out-dir": "x"},
+                "ablate": files, "divergence": files, "verify-lossless": files,
+                "train": {"--arch": "parallel_hybrid", "--corpus": "x.bin",
+                          "--out": "x.ckpt"}}[command].copy()
         argv[flag] = value
         with pytest.raises(SystemExit) as exc:
             main([command, *(t for kv in argv.items() for t in kv)])

@@ -6,6 +6,7 @@ import pytest
 from speclab import experiments
 from speclab.checkpoint import save_checkpoint
 from speclab.corpus import make_corpus
+from speclab.engine import STRATEGY_KINDS, DraftStrategy
 from speclab.experiments import (
     ExperimentSpec,
     emit_plot_data,
@@ -266,6 +267,15 @@ class TestRunExperiments:
         for value in values:
             with pytest.raises(ValueError, match=field):
                 tiny_spec(workspace, tmp_path / "x", **{field: value})
+
+
+class TestSpecDefaults:
+    def test_strategy_fractions_are_the_strategy_defaults(self):
+        spec = ExperimentSpec(checkpoints=("x.ckpt",), strategies=STRATEGY_KINDS,
+                              k_values=(2,), temperatures=(0.0,),
+                              prompt_corpus="x.bin", out_dir="x")
+        for kind in STRATEGY_KINDS:
+            assert spec.strategy(kind) == DraftStrategy(kind)
 
 
 class TestPlotData:
