@@ -25,7 +25,13 @@ bit-identical numbers. The items are:
 * ``cost.<arch>``: every strategy's ``flop_ratio`` (cost ratio and draft
   parameter fraction);
 * ``ablation.<arch>``: ``ablate_and_score`` on the same window: both
-  perplexities, their ratio and the verdict.
+  perplexities, their ratio and the verdict;
+* ``cost.tra``: the transformer control's ``flop_ratio`` for every strategy
+  it admits (layer_skip, early_exit, identity);
+* ``params.<arch>``: ``params_per_token`` of the toy configuration of all
+  three architectures under hand-built masks: full, attention-only,
+  FFN-only and skip-all, plus SSM-only for the two hybrids (masks that
+  ``build_mask`` never makes).
 
 It needs no checkpoint: the corpora are generated and the models are seeded
 inits or trained here. BLAS runs on one thread, so summation order is fixed.
@@ -51,7 +57,7 @@ from speclab.engine import (  # noqa: E402
     build_mask, speculative_generate)
 from speclab.metrics import divergence_stats, perplexity  # noqa: E402
 from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
-from speclab.theory import flop_ratio  # noqa: E402
+from speclab.theory import flop_ratio, params_per_token  # noqa: E402
 from speclab.training import TrainConfig, train  # noqa: E402
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
@@ -145,9 +151,7 @@ def score_items(models, window):
         yield f"divergence.{name}", d.hex()
         d = Digest()
         for kind in STRATEGY_KINDS:
-            cost = flop_ratio(model.cfg, DraftStrategy(kind))
-            d.add(np.float64(cost.cost_ratio),
-                  np.float64(cost.draft_param_fraction))
+            add_cost(d, model.cfg, kind)
         yield f"cost.{name}", d.hex()
         report = ablate_and_score(model, window)
         d = Digest()
@@ -155,6 +159,35 @@ def score_items(models, window):
               np.float64(report.ppl_ratio),
               np.frombuffer(report.verdict.encode(), np.uint8))
         yield f"ablation.{name}", d.hex()
+
+
+def add_cost(d: Digest, cfg: ModelConfig, kind: str):
+    cost = flop_ratio(cfg, DraftStrategy(kind))
+    d.add(np.float64(cost.cost_ratio), np.float64(cost.draft_param_fraction))
+
+
+def hand_masks(n: int, hybrid: bool) -> list[ComponentMask]:
+    """Full, attention-only, FFN-only, skip-all, and SSM-only for hybrids."""
+    on, off = (True,) * n, (False,) * n
+    masks = [ComponentMask(on, on, off), ComponentMask(on, off, off),
+             ComponentMask(off, off, off), ComponentMask(off, off, on)]
+    if hybrid:
+        masks.append(ComponentMask(off, on, off))
+    return masks
+
+
+def param_items():
+    tra = toy_config("transformer")
+    d = Digest()
+    for kind in ("layer_skip", "early_exit", "identity"):
+        add_cost(d, tra, kind)
+    yield "cost.tra", d.hex()
+    for name, arch in {**ARCHS, "tra": "transformer"}.items():
+        cfg = toy_config(arch)
+        d = Digest()
+        for mask in hand_masks(cfg.n_layers, arch != "transformer"):
+            d.add(np.int64(params_per_token(cfg, mask)))
+        yield f"params.{name}", d.hex()
 
 
 def main() -> int:
@@ -169,6 +202,7 @@ def main() -> int:
     items += decode_items(models, prompts)
     items += generate_items(models, prompts)
     items += score_items(models, eval_tokens[:256])
+    items += param_items()
     total = hashlib.sha256()
     for name, hexdigest in items:
         print(f"{name:42s} {hexdigest}")

@@ -29,7 +29,8 @@ from .experiments import ExperimentSpec, emit_plot_data, run_experiments
 from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
-from .theory import flop_ratio, optimal_k, speedup_readings
+from .theory import (flop_ratio, optimal_k, per_token_from_all_token,
+                     speedup_readings)
 from .training import TrainConfig, load_corpus, train
 
 
@@ -179,8 +180,8 @@ def cmd_theory(args) -> int:
     alpha = args.alpha
     readings = speedup_readings(alpha, args.k, ratio)
     reading = "all_token_converted" if args.alpha_is_all_token else "direct"
-    alpha_pt = (alpha ** (1.0 / args.k) if args.alpha_is_all_token
-                else readings["alpha_input"])
+    alpha_pt = (per_token_from_all_token(alpha, args.k)
+                if args.alpha_is_all_token else alpha)
     payload = {
         "alpha": alpha,
         "alpha_is_all_token": bool(args.alpha_is_all_token),
@@ -341,8 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A ``ValueError`` from it, such as settings that do
+    not fit a checkpoint's context, is bad input: reported on stderr as
+    argparse reports its own, with exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"speclab {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,12 @@ them with the full model in one batched forward, and accepts the longest
 prefix under the standard rejection rule: token ``x`` is accepted with
 probability ``min(1, P_H(x)/P_S(x))``; the first rejection is replaced by a
 sample from the residual ``norm(max(0, P_H - P_S))``; full acceptance earns a
-bonus token from the target distribution. Under greedy decoding the rule
-degenerates to per-position argmax agreement. Either way the emitted stream
-follows the target distribution.
+bonus token from the target distribution. The emitted stream follows the
+target distribution. Greedy decoding is the same rule on the one-hot
+distributions of ``softmax(·, 0)``: a drafted token is accepted exactly when
+the two argmaxes agree, and the correction and bonus are the target's argmax.
+There is no separate greedy path; the randomness drawn at temperature 0
+never reaches the output.
 
 Draft and verify keep separate decode states (no cache sharing). Both are
 driven by a *pending* input: tokens already emitted that the side has not
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ComponentMask, DecodeState, HybridModel, ModelConfig, SsmSnapshot
-from .numerics import RngState, argmax_tiebreak, sample_categorical, softmax
+from .numerics import RngState, sample_categorical, softmax
 
 STRATEGY_KINDS = ("component_only", "layer_skip", "early_exit", "identity")
 
@@ -186,17 +189,16 @@ def draft_k(model: HybridModel, mask: ComponentMask, state: DecodeState,
         raise ValueError("state was built under a different mask")
     if len(pending) == 0:
         raise ValueError("draft needs a pending input to feed")
-    k, temp = settings.k, settings.temperature
     base_pos = state.pos + len(pending)
     tokens: list[int] = []
     dists: list[np.ndarray] = []
     snaps: list[SsmSnapshot] = []
     feed = list(pending)
-    for _ in range(k):
+    for _ in range(settings.k):
         logits, hist = model.forward_chunk(state, feed, record_states=True)
         snaps.append(hist[-1])
-        dist = softmax(logits[-1], temp)
-        tok = argmax_tiebreak(dist) if temp == 0.0 else sample_categorical(dist, rng)
+        dist = softmax(logits[-1], settings.temperature)
+        tok = sample_categorical(dist, rng)
         tokens.append(tok)
         dists.append(dist)
         feed = [tok]
@@ -204,48 +206,36 @@ def draft_k(model: HybridModel, mask: ComponentMask, state: DecodeState,
 
 
 def accept_draft(target_dists: list[np.ndarray] | np.ndarray,
-                 draft: DraftSequence, temperature: float,
-                 rng: RngState) -> SpecRoundResult:
+                 draft: DraftSequence, rng: RngState) -> SpecRoundResult:
     """Pure acceptance core over precomputed distributions.
 
     ``target_dists`` holds k+1 target distributions (a list, or the rows of
     a (k+1, vocab) array): one per drafted position plus the bonus position.
-    Randomness is consumed only at temperature > 0.
+    The distributions carry the temperature; at temperature 0 they are
+    one-hot, so the rule accepts exactly on argmax agreement whatever the
+    uniforms drawn.
     """
     k = draft.k
     if len(target_dists) != k + 1:
         raise ValueError(f"need {k + 1} target distributions, got {len(target_dists)}")
-    matches = [argmax_tiebreak(draft.dists[i]) == argmax_tiebreak(target_dists[i])
-               for i in range(k)]
-    if temperature == 0.0:
-        accepted = 0
-        while accepted < k and matches[accepted]:
+    matches = (np.argmax(draft.dists, axis=-1)
+               == np.argmax(target_dists[:k], axis=-1)).tolist()
+    accepted = 0
+    while accepted < k:
+        tok = draft.tokens[accepted]
+        p_s = draft.dists[accepted][tok]
+        p_h = target_dists[accepted][tok]
+        if p_s <= 0.0:
+            raise ValueError("drafted token has zero draft probability")
+        if rng.uniform() < min(1.0, p_h / p_s):
             accepted += 1
-    else:
-        accepted = 0
-        while accepted < k:
-            tok = draft.tokens[accepted]
-            p_s = draft.dists[accepted][tok]
-            p_h = target_dists[accepted][tok]
-            if p_s <= 0.0:
-                raise ValueError("drafted token has zero draft probability")
-            if rng.uniform() < min(1.0, p_h / p_s):
-                accepted += 1
-            else:
-                break
-    if accepted == k:
-        bonus_dist = target_dists[k]
-        tok = (argmax_tiebreak(bonus_dist) if temperature == 0.0
-               else sample_categorical(bonus_dist, rng))
-        emitted = list(draft.tokens) + [tok]
-    else:
-        if temperature == 0.0:
-            correction = argmax_tiebreak(target_dists[accepted])
         else:
-            res = residual_distribution(target_dists[accepted],
-                                        draft.dists[accepted])
-            correction = sample_categorical(res, rng)
-        emitted = list(draft.tokens[:accepted]) + [correction]
+            break
+    if accepted == k:
+        emitted = list(draft.tokens) + [sample_categorical(target_dists[k], rng)]
+    else:
+        res = residual_distribution(target_dists[accepted], draft.dists[accepted])
+        emitted = list(draft.tokens[:accepted]) + [sample_categorical(res, rng)]
     return SpecRoundResult(accepted, accepted == k, emitted, matches)
 
 
@@ -264,10 +254,9 @@ def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
         raise ValueError(
             f"draft was produced at position {draft.base_pos}, "
             f"verify state expects {state.pos + 1}")
-    temp = settings.temperature
     logits, hist = model.forward_chunk(state, [pending] + draft.tokens,
                                        record_states=True)
-    result = accept_draft(softmax(logits, temp), draft, temp, rng)
+    result = accept_draft(softmax(logits, settings.temperature), draft, rng)
     if not result.all_accepted:
         state.restore(hist[result.accepted_count])
     return result
@@ -330,11 +319,10 @@ def autoregressive_generate(model: HybridModel, prompt,
     _check_generation_budget(model.cfg, prompt, settings, 0)
     rng = RngState(settings.seed)
     _, state = model.forward_prefix(prompt[:-1])
-    temp = settings.temperature
     pending = int(prompt[-1])
     out: list[int] = []
     for _ in range(settings.max_new_tokens):
-        dist = softmax(model.decode_step(state, pending), temp)
-        pending = argmax_tiebreak(dist) if temp == 0.0 else sample_categorical(dist, rng)
+        dist = softmax(model.decode_step(state, pending), settings.temperature)
+        pending = sample_categorical(dist, rng)
         out.append(pending)
     return out

@@ -97,7 +97,6 @@ class ModelConfig:
             pattern = self.layer_pattern
             if pattern is None:
                 pattern = default_layer_pattern(self.n_layers)
-                object.__setattr__(self, "layer_pattern", pattern)
             pattern = tuple(pattern)
             object.__setattr__(self, "layer_pattern", pattern)
             if len(pattern) != self.n_layers:
@@ -143,9 +142,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "layer_pattern" in d and d["layer_pattern"] is not None:
-            d["layer_pattern"] = tuple(d["layer_pattern"])
         return cls(**d)
 
 
@@ -157,7 +153,7 @@ class ComponentMask:
     feed-forward included); early exit skips every layer past its cutoff.
     For transformers ``alt_enabled`` is meaningless and a layer with
     attention off but the alternative branch on is rejected as a mask/arch
-    mismatch when its layer plan is built.
+    mismatch by :func:`mask_blocks`, which decides the blocks a mask runs.
     """
 
     attn_enabled: tuple[bool, ...]
@@ -342,20 +338,15 @@ def ssm_decay(p: SsmParams) -> np.ndarray:
     return np.repeat(sigmoid(p.decay_raw)[:, None], p.w_b.shape[1], axis=1)
 
 
-def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
-    """The blocks every unskipped layer runs under ``mask``, read from ``w``
-    (a :class:`Weights` or any name-to-array mapping, such as training's
-    float32 casts). Skipped layers are left out, so a forward over the plan
-    neither branches on nor validates the mask.
-
-    Each recurrent layer's decay is derived here, once, by :func:`ssm_decay`:
-    a plan reads the weights as they were when it was built, so a weight
-    changed in place needs a new plan (as it already needs a new
-    :class:`DecodeState`)."""
+def mask_blocks(cfg: ModelConfig,
+                mask: ComponentMask) -> list[tuple[int, bool, bool]]:
+    """``(layer, runs attention, runs the recurrent branch)`` for every
+    unskipped layer under ``mask``; each such layer also runs its
+    feed-forward block. The one place a mask is checked against ``cfg``."""
     if mask.n_layers != cfg.n_layers:
         raise ValueError(
             f"mask covers {mask.n_layers} layers, model has {cfg.n_layers}")
-    plan = []
+    blocks = []
     for i in range(cfg.n_layers):
         if mask.layer_skipped[i]:
             continue
@@ -364,11 +355,29 @@ def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
             raise ValueError(
                 "mask/arch mismatch: transformer layers have no "
                 "alternative component to run on its own")
+        blocks.append((i, cfg.has_attn(i) and mask.attn_enabled[i],
+                       cfg.has_alt(i) and mask.alt_enabled[i]))
+    return blocks
+
+
+def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
+    """The blocks every unskipped layer runs under ``mask``, per
+    :func:`mask_blocks`, read from ``w`` (a :class:`Weights` or any
+    name-to-array mapping, such as training's float32 casts). Skipped layers
+    are left out, so a forward over the plan neither branches on nor
+    validates the mask.
+
+    Each recurrent layer's decay is derived here, once, by :func:`ssm_decay`:
+    a plan reads the weights as they were when it was built, so a weight
+    changed in place needs a new plan (as it already needs a new
+    :class:`DecodeState`)."""
+    plan = []
+    for i, runs_attn, runs_alt in mask_blocks(cfg, mask):
         attn = ssm = decay = None
-        if cfg.has_attn(i) and mask.attn_enabled[i]:
+        if runs_attn:
             attn = AttnParams(*(w[f"layers.{i}.attn.{n}"]
                                 for n in AttnParams._fields))
-        if cfg.has_alt(i) and mask.alt_enabled[i]:
+        if runs_alt:
             ssm = SsmParams(*(w[f"layers.{i}.ssm.{n}"]
                               for n in SsmParams._fields))
             decay = ssm_decay(ssm)

@@ -77,14 +77,6 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def argmax_tiebreak(p: np.ndarray) -> int:
-    """Index of the maximal entry; equal maxima resolve to the lowest index."""
-    p = np.asarray(p)
-    if p.size == 0:
-        raise ValueError("argmax of empty array")
-    return int(np.argmax(p))
-
-
 def sample_categorical(p: np.ndarray, rng: RngState) -> int:
     """Draw an index distributed according to ``p``.
 
@@ -94,10 +86,11 @@ def sample_categorical(p: np.ndarray, rng: RngState) -> int:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("cannot sample from an empty distribution")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("categorical weights must be finite and non-negative")
     cum = np.cumsum(p)
     total = cum[-1]
+    # one pass for the entries: a NaN fails the comparison as a negative does
+    if not (p.min() >= 0.0 and np.isfinite(total)):
+        raise ValueError("categorical weights must be non-negative with a finite sum")
     if total <= 0.0:
         raise ValueError("cannot sample from an all-zero distribution")
     u = rng.uniform() * total

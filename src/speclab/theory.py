@@ -5,18 +5,20 @@ speculation round yields ``(1 - alpha^(k+1)) / (1 - alpha)`` tokens in
 expectation (the k+1 covers the bonus token on full acceptance), and the
 speedup over autoregressive decoding is that yield divided by the round cost
 ``1 + k * c_draft/c_verify``. The cost ratio is estimated by counting the
-parameters touched per token under the draft mask versus the full mask, a
-proxy that deliberately excludes sequence-length-dependent attention-score
-work.
+parameters touched per token under the draft mask versus the full mask: the
+sizes of the :func:`~speclab.model.param_spec` blocks the mask runs, as
+:func:`~speclab.model.mask_blocks` lists them. The proxy deliberately
+excludes sequence-length-dependent attention-score work.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .engine import DraftStrategy, build_mask
-from .model import ComponentMask, ModelConfig, FFN_MULT
+from .model import ComponentMask, ModelConfig, mask_blocks, param_spec
 
 
 @dataclass(frozen=True)
@@ -64,29 +66,25 @@ def per_token_from_all_token(alpha_k: float, k: int) -> float:
 def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
     """Parameters touched to produce one token under a mask.
 
-    Counts projection, recurrence, feed-forward, norm and head parameters of
-    active blocks, plus one embedding row and one position row. KV-cache
-    reads and attention-score work (which grow with sequence length) are
-    deliberately not parameters and not counted.
+    Sums the :func:`param_spec` sizes of the blocks :func:`mask_blocks` says
+    the mask runs, plus one embedding row, one position row, the final norm
+    and the head. KV-cache reads and attention-score work (which grow with
+    sequence length) are deliberately not parameters and not counted.
     """
     if mask is None:
         mask = ComponentMask.full(cfg.n_layers)
-    if mask.n_layers != cfg.n_layers:
-        raise ValueError("mask length mismatch")
-    d, s = cfg.d_model, cfg.d_state
-    attn_block = d + 4 * d * d
-    ssm_block = d + d * d + 2 * d * s + d + d + d * d
-    ffn_block = d + FFN_MULT * d * d * 2
-    total = 2 * d  # embedding row + position row
-    for i in range(cfg.n_layers):
-        if mask.layer_skipped[i]:
-            continue
-        if cfg.has_attn(i) and mask.attn_enabled[i]:
-            total += attn_block
-        if cfg.has_alt(i) and mask.alt_enabled[i]:
-            total += ssm_block
-        total += ffn_block
-    total += d + d * cfg.vocab_size  # final norm + head
+    sizes: Counter[str] = Counter()  # "layers.3.attn", "embed", "head_w", ...
+    for name, shape in param_spec(cfg):
+        sizes[name.rsplit(".", 1)[0]] += math.prod(shape)
+    total = sizes["final_norm_g"] + sizes["head_w"]
+    total += sizes["embed"] // cfg.vocab_size  # one embedding row
+    total += sizes["pos_embed"] // cfg.context_limit  # one position row
+    for i, runs_attn, runs_alt in mask_blocks(cfg, mask):
+        total += sizes[f"layers.{i}.ffn"]
+        if runs_attn:
+            total += sizes[f"layers.{i}.attn"]
+        if runs_alt:
+            total += sizes[f"layers.{i}.ssm"]
     return total
 
 

@@ -119,7 +119,7 @@ class TestCriterion2LosslessnessSampling:
         for _ in range(n):
             tok = sample_categorical(ps, rng)
             draft = DraftSequence([tok], [ps], base_pos=0)
-            res = accept_draft([ph, ph], draft, temp, rng)
+            res = accept_draft([ph, ph], draft, rng)
             counts[res.emitted_tokens[0]] += 1
         expected = ph * n
         # merge low-expectation bins so the chi-square approximation is

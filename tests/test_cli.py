@@ -230,6 +230,19 @@ class TestDiagnosticsCommands:
         assert exc.value.code == 2
         assert "unknown strategy 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,argv,message", [
+        ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],
+         "prompt + max_new_tokens needs 76 positions, context_limit is 64"),
+        ("divergence", ["--prompt-len", "100"],
+         "context overflow: 0+100 exceeds limit 64")])
+    def test_prompt_beyond_the_context_is_bad_input(self, env, capsys, command,
+                                                    argv, message):
+        # the limit comes from the checkpoint, so it is checked after parsing
+        rc = main([command, "--checkpoint", env["ckpt"], "--corpus",
+                   env["corpus"], "--n-prompts", "2", *argv])
+        assert rc == 2
+        assert capsys.readouterr().err == f"speclab {command}: error: {message}\n"
+
     def test_verify_lossless_prints_smallest_greedy_margin(self, env, capsys):
         rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
                    env["corpus"], "--n-prompts", "4", "--prompt-len", "6",

@@ -20,7 +20,7 @@ from speclab.engine import (
     verify_and_accept,
 )
 from speclab.model import ComponentMask, HybridModel, ModelConfig
-from speclab.numerics import RngState, softmax
+from speclab.numerics import RngState, sample_categorical, softmax
 
 
 PAR8 = ModelConfig("parallel_hybrid", n_layers=8, d_model=32, n_heads=2,
@@ -173,10 +173,10 @@ class TestDraftK:
 class TestAcceptCore:
     def test_identical_distributions_accept_everything_greedy(self):
         v = 6
-        dists = [softmax(np.arange(v) * (0.1 * (i + 1)), 1.0) for i in range(4)]
+        dists = [softmax(np.arange(v) * (0.1 * (i + 1)), 0.0) for i in range(4)]
         draft = DraftSequence([int(np.argmax(d)) for d in dists[:3]],
                               dists[:3], base_pos=0)
-        res = accept_draft(dists, draft, 0.0, RngState(0))
+        res = accept_draft(dists, draft, RngState(0))
         assert res.all_accepted and res.accepted_count == 3
         assert len(res.emitted_tokens) == 4
 
@@ -187,9 +187,9 @@ class TestAcceptCore:
         ps = np.array([1.0, 0.0])
         bonus = np.array([0.5, 0.5])
         draft = DraftSequence([0], [ps], base_pos=0)
-        res_acc = accept_draft([ph, bonus], draft, 0.6, FakeRng([0.49, 0.0]))
+        res_acc = accept_draft([ph, bonus], draft, FakeRng([0.49, 0.0]))
         assert res_acc.accepted_count == 1
-        res_rej = accept_draft([ph, bonus], draft, 0.6, FakeRng([0.51, 0.3]))
+        res_rej = accept_draft([ph, bonus], draft, FakeRng([0.51, 0.3]))
         assert res_rej.accepted_count == 0
         assert res_rej.emitted_tokens == [1]
         np.testing.assert_array_equal(residual_distribution(ph, ps), [0.0, 1.0])
@@ -199,8 +199,8 @@ class TestAcceptCore:
         ph = np.array([0.4, 0.6])
         ps = np.array([0.8, 0.2])
         draft = DraftSequence([0], [ps], base_pos=0)
-        accepted = accept_draft([ph, ph], draft, 1.0, FakeRng([0.4999, 0.0]))
-        rejected = accept_draft([ph, ph], draft, 1.0, FakeRng([0.5001, 0.0]))
+        accepted = accept_draft([ph, ph], draft, FakeRng([0.4999, 0.0]))
+        rejected = accept_draft([ph, ph], draft, FakeRng([0.5001, 0.0]))
         assert accepted.accepted_count == 1
         assert rejected.accepted_count == 0
 
@@ -208,9 +208,42 @@ class TestAcceptCore:
         ph = np.array([0.4, 0.6])
         ps = np.array([0.8, 0.2])
         draft = DraftSequence([0], [ps], base_pos=0)
-        res = accept_draft([ph, ph], draft, 1.0, FakeRng([0.0, 0.0]))
+        res = accept_draft([ph, ph], draft, FakeRng([0.0, 0.0]))
         assert res.per_position_match == [False]
         assert res.accepted_count == 1  # stochastic rule may still accept
+
+    @hsettings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_greedy_is_the_rule_on_one_hots(self, data):
+        # small integer logits force ties; the longest argmax-agreeing prefix
+        # is accepted and the argmax picks are emitted, whatever the seed
+        k = data.draw(st.integers(1, 5))
+        vocab = data.draw(st.integers(2, 6))
+        row = st.lists(st.integers(-2, 2), min_size=vocab, max_size=vocab)
+        draft_logits = np.array(data.draw(st.lists(row, min_size=k, max_size=k)),
+                                dtype=np.float64)
+        target_logits = np.array(
+            data.draw(st.lists(row, min_size=k + 1, max_size=k + 1)),
+            dtype=np.float64)
+        for i in range(k):  # agree often enough to reach long prefixes
+            if data.draw(st.booleans()):
+                target_logits[i] = draft_logits[i]
+        draft_picks = np.argmax(draft_logits, axis=-1).tolist()
+        target_picks = np.argmax(target_logits, axis=-1).tolist()
+        accepted = 0
+        while accepted < k and draft_picks[accepted] == target_picks[accepted]:
+            accepted += 1
+        draft_dists = softmax(draft_logits, 0.0)
+        draft = DraftSequence(
+            [sample_categorical(d, RngState(0)) for d in draft_dists],
+            list(draft_dists), base_pos=0)
+        assert draft.tokens == draft_picks
+        res = accept_draft(softmax(target_logits, 0.0), draft,
+                           RngState(data.draw(st.integers(0, 2 ** 32 - 1))))
+        assert res.accepted_count == accepted
+        assert res.emitted_tokens == target_picks[:accepted + 1]
+        assert res.per_position_match == [a == b for a, b in
+                                          zip(draft_picks, target_picks)]
 
     def test_residual_without_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -300,11 +333,10 @@ class TestLosslessnessOneRound:
         rng = RngState(99)
         n = 200_000
         counts = np.zeros(4, dtype=int)
-        from speclab.numerics import sample_categorical
         for _ in range(n):
             tok = sample_categorical(ps, rng)
             draft = DraftSequence([tok], [ps], base_pos=0)
-            res = accept_draft([ph, ph], draft, temp, rng)
+            res = accept_draft([ph, ph], draft, rng)
             counts[res.emitted_tokens[0]] += 1
         _, pval = stats.chisquare(counts, ph * n)
         assert pval > 0.01
@@ -330,6 +362,21 @@ class TestSpeculativeGenerate:
                     m, DraftStrategy(kind), prompt, settings)
                 assert spec == ar, f"{cfg.arch}/{kind}/k={k}"
                 assert all(1 <= len(r.emitted_tokens) <= k + 1 for r in rounds)
+
+    @pytest.mark.parametrize("cfg", [PAR8, SEQ8], ids=lambda c: c.arch)
+    def test_greedy_output_ignores_the_seed(self, cfg):
+        m = HybridModel.from_seed(cfg, 2)
+        prompt = prompt_for(cfg)
+        runs = []
+        for seed in (0, 12345):
+            settings = DecodeSettings(k=3, temperature=0.0, max_new_tokens=24,
+                                      seed=seed)
+            out, rounds = speculative_generate(
+                m, DraftStrategy("layer_skip"), prompt, settings)
+            runs.append((out, [r.accepted_count for r in rounds],
+                         autoregressive_generate(m, prompt, settings)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[0][2]
 
     def test_identity_strategy_accepts_every_round_greedy(self):
         m = HybridModel.from_seed(PAR8, 4)

@@ -8,7 +8,6 @@ from scipy import stats
 
 from speclab.numerics import (
     RngState,
-    argmax_tiebreak,
     sample_categorical,
     softmax,
 )
@@ -63,22 +62,7 @@ class TestSoftmax:
 
     @given(finite_logits, st.floats(min_value=1e-2, max_value=1e2))
     def test_argmax_invariant_to_temperature(self, logits, temp):
-        assert argmax_tiebreak(softmax(logits, temp)) == \
-            argmax_tiebreak(softmax(logits, 1.0))
-
-
-class TestArgmaxTiebreak:
-    def test_plain_maximum(self):
-        assert argmax_tiebreak(np.array([0.2, 0.5, 0.3])) == 1
-
-    def test_tie_resolves_to_lowest_index(self):
-        assert argmax_tiebreak(np.array([0.5, 0.5])) == 0
-
-    @pytest.mark.parametrize("i", [0, 3, 7])
-    def test_one_hot_identity(self, i):
-        p = np.zeros(8)
-        p[i] = 1.0
-        assert argmax_tiebreak(p) == i
+        assert np.argmax(softmax(logits, temp)) == np.argmax(softmax(logits, 1.0))
 
 
 class TestSampleCategorical:
@@ -88,11 +72,29 @@ class TestSampleCategorical:
         for seed in (0, 1, 99):
             assert sample_categorical(p, RngState(seed)) == 3
 
+    @pytest.mark.parametrize("i", [0, 3, 7])
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)])
+    def test_one_hot_returns_its_index_at_either_end_of_the_uniform(self, i, u):
+        # greedy picks are sample_categorical of softmax(., 0) one-hots, so
+        # no uniform in [0, 1) may move them off the argmax
+        class FixedRng:
+            def uniform(self):
+                return u
+
+        p = np.zeros(8)
+        p[i] = 1.0
+        assert sample_categorical(p, FixedRng()) == i
+
     def test_same_seed_same_draw(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         a = [sample_categorical(p, RngState(7)) for _ in range(5)]
         b = [sample_categorical(p, RngState(7)) for _ in range(5)]
         assert a == b
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, -np.inf])
+    def test_negative_or_nonfinite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative with a finite sum"):
+            sample_categorical(np.array([0.5, bad, 0.5]), RngState(0))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from speclab.engine import DraftStrategy
-from speclab.model import ModelConfig, FFN_MULT
+from speclab.model import ComponentMask, ModelConfig, FFN_MULT
 from speclab.theory import (
     CostModel,
     expected_tokens,
     flop_ratio,
     optimal_k,
+    params_per_token,
     per_token_from_all_token,
     speedup,
     speedup_readings,
@@ -131,6 +132,13 @@ class TestFlopRatio:
     def test_invalid_strategy_for_architecture_propagates(self):
         with pytest.raises(ValueError):
             flop_ratio(TRA, DraftStrategy("component_only"))
+
+    def test_transformer_mask_with_alternative_branch_alone_rejected(self):
+        n = TRA.n_layers
+        on, off = (True,) * n, (False,) * n
+        params_per_token(TRA, ComponentMask(on, off, off))  # attention only
+        with pytest.raises(ValueError, match="mask/arch mismatch"):
+            params_per_token(TRA, ComponentMask(off, on, off))
 
     def test_cost_model_validation(self):
         with pytest.raises(ValueError):
