@@ -23,7 +23,10 @@ reports its array buffers to ``tracemalloc``). The entry points are:
   ``tape``: what that step's forward leaves alive besides its logits;
 * ``ssm_block`` (parallel toy only): the first recurrent layer over float64
   rows at (B, T) = (1, 256) and (2, 255), with the peak's multiple of the
-  (B, T, d_model, d_state) history the call returns.
+  (B, T, d_model, d_state) history the call returns;
+* ``_ssm_bwd`` (parallel toy only): the last recurrent layer's backward over
+  the float32 tape of ``train_step``'s batch, with the peak's multiple of
+  the history it reads from the tape.
 
 The toys are seeded inits of the acceptance configuration (12 layers,
 d_model 64, d_state 8), saved to a temporary directory. The eval text is
@@ -54,7 +57,7 @@ from speclab.model import (  # noqa: E402
     ComponentMask, HybridModel, ModelConfig, init_weights, layer_plan,
     ssm_block)
 from speclab.training import (  # noqa: E402
-    backward_train, cross_entropy, evaluate_loss, forward_train)
+    _ssm_bwd, backward_train, cross_entropy, evaluate_loss, forward_train)
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
 SEED = 7
@@ -95,6 +98,21 @@ def scan_peaks(weights):
         h = rng.normal(0, 1, (B, T, cfg.d_model))
         mb = traced_peak_mb(ssm_block, lp.ssm, lp.decay, h, 0.0)
         yield B, T, mb, mb * 1e6 / (B * T * cfg.d_model * cfg.d_state * 8)
+
+
+def ssm_bwd_peak(cfg, w, x):
+    """(peak MB, peak over history) of the last recurrent layer's backward
+    over a training tape of the windows ``x``."""
+    _, tape = forward_train(cfg, w, None, x)
+    entry = next(e for e in reversed(tape["layers"]) if "ssm" in e)
+    p, cache = entry["ssm"]
+    states = cache[6]
+    dout = np.random.default_rng(SEED).normal(0, 1, states.shape[:3])
+    prefix = f"layers.{entry['layer']}.ssm."
+    grads = {n: np.zeros_like(a) for n, a in w.items() if n.startswith(prefix)}
+    mb = traced_peak_mb(_ssm_bwd, p, dout.astype(states.dtype), cache, grads,
+                        prefix)
+    return mb, mb * 1e6 / states.nbytes
 
 
 def peaks(path: Path, windows: np.ndarray, train_windows: np.ndarray):
@@ -142,6 +160,11 @@ def main() -> int:
                 for B, T, mb, ratio in scan_peaks(load_checkpoint(path)):
                     entry = f"ssm_block.{B}x{T}.{name}"
                     print(f"{entry:24s} {mb:7.1f} MB  {ratio:.2f}x its history")
+                w32 = {n: a.astype(np.float32)
+                       for n, a in load_checkpoint(path).items()}
+                mb, ratio = ssm_bwd_peak(cfg, w32, train_windows[:, :-1])
+                print(f"{'_ssm_bwd.' + name:24s} {mb:7.1f} MB  "
+                      f"{ratio:.2f}x its history")
     return 0
 
 

@@ -3,8 +3,10 @@
 seed and sizes; ``speclab.experiments.TOY_*``), the toys the acceptance
 gate judges.
 
-Writes the train and eval corpora, both checkpoints with their manifests
-and training logs to --out-dir, skipping any file already there.
+Writes the train and eval corpora, both checkpoints with their manifests,
+training logs and training-digest records to --out-dir. A corpus already
+there is kept; a toy already there is kept only if its record matches the
+digest of two training steps by the current code.
 """
 
 import argparse

@@ -16,6 +16,7 @@ if _threads:
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -154,17 +155,26 @@ def cmd_ablate(args) -> int:
     report = ablate_and_score(model, load_corpus(args.corpus)[:args.eval_bytes])
     _emit({"checkpoint": str(args.checkpoint), **report.to_dict()}, args.json)
     if args.ledger:
-        path = Path(args.ledger)
-        new = not path.exists()
-        with open(path, "a", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            if new:
-                writer.writerow(["checkpoint", "ppl_base", "ppl_no_attn",
-                                 "ppl_ratio", "verdict"])
-            writer.writerow([args.checkpoint, f"{report.ppl_base:.10g}",
-                             f"{report.ppl_no_attn:.10g}",
-                             f"{report.ppl_ratio:.10g}", report.verdict])
+        append_ledger(args.ledger, args.checkpoint, report)
     return 0
+
+
+def append_ledger(path, checkpoint, report) -> None:
+    """Add one ablation row to the CSV ledger at ``path``, with a header row
+    when the ledger is new: the old ledger plus the row is written whole
+    through :func:`write_atomic`, so a cut-short write leaves the old one."""
+    path = Path(path)
+    new = not path.exists()
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    if new:
+        writer.writerow(["checkpoint", "ppl_base", "ppl_no_attn", "ppl_ratio",
+                         "verdict"])
+    writer.writerow([checkpoint, f"{report.ppl_base:.10g}",
+                     f"{report.ppl_no_attn:.10g}", f"{report.ppl_ratio:.10g}",
+                     report.verdict])
+    old = b"" if new else path.read_bytes()
+    write_atomic(path, old + rows.getvalue().encode())
 
 
 def cmd_theory(args) -> int:

@@ -370,10 +370,24 @@ TOY_SWEEP = {"k_values": (2, 4, 8), "temperatures": (0.0, 0.6),
              "n_prompts": 200, "prompt_len": 16, "max_new_tokens": 48}
 
 
+def training_digest(cfg: ModelConfig, tcfg: TrainConfig) -> str:
+    """SHA-256 of the weights after the first two steps of ``tcfg``'s seeded
+    training of ``cfg``: a change to the training numerics that moves one
+    bit of those steps changes it."""
+    digest = hashlib.sha256()
+    for _, arr in train(cfg, replace(tcfg, steps=2, log_path=None))[0].items():
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def build_toys(directory) -> dict[str, Path]:
     """Paths of the toy-lab corpora (keyed "train" and "eval") and toys
-    (keyed by arch) under ``directory``, each made only if absent: making
-    them is bitwise reproducible, and file names carry the design."""
+    (keyed by arch) under ``directory``. Making them is bitwise
+    reproducible, and file names carry the design. A corpus is made only if
+    absent. Beside each toy, ``<tag>.train_digest`` records the
+    :func:`training_digest` of the code that trained it; a toy is retrained
+    when it, or its record, is missing or the record differs from the
+    current code's digest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -386,8 +400,13 @@ def build_toys(directory) -> dict[str, Path]:
         tag = (f"toy_{arch}_L{m['n_layers']}_d{m['d_model']}_s{m['d_state']}"
                f"_st{t['steps']}_sl{t['seq_len']}_seed{t['seed']}")
         paths[arch] = directory / f"{tag}.ckpt"
-        if not paths[arch].exists():
-            tcfg = TrainConfig(corpus_path=str(paths["train"]), **t,
-                               log_path=str(directory / f"{tag}.train_log.csv"))
-            save_checkpoint(paths[arch], train(ModelConfig(arch, **m), tcfg)[0])
+        record = directory / f"{tag}.train_digest"
+        cfg = ModelConfig(arch, **m)
+        tcfg = TrainConfig(corpus_path=str(paths["train"]), **t,
+                           log_path=str(directory / f"{tag}.train_log.csv"))
+        digest = training_digest(cfg, tcfg)
+        if not (paths[arch].exists() and record.exists()
+                and record.read_text() == digest):
+            save_checkpoint(paths[arch], train(cfg, tcfg)[0])
+            write_atomic(record, digest)
     return paths

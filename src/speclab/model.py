@@ -37,10 +37,13 @@ True)``, the draft and verify chunks). The scan writes those states over the
 buffer of input outer products it is given, so the layer holds its history
 about once. A :class:`DecodeState` owns its recurrent states: a forward
 leaves in it a copy of each layer's last-row state, not a view pinning the
-whole history. A training tape holds nothing its backward can rebuild with
-one elementwise product (a block's normalised input, the gate products
-``upre * usig`` and ``pre * sig``); the backward rebuilds those by the same
-expressions, bit for bit.
+whole history. A training tape holds no (T, T) term: attention records
+the row max and denominator of its softmax, from which the backward
+rebuilds the probabilities with ``q`` and ``k`` by :func:`attn_scores` and
+the forward's in-place steps. Nor does it hold anything its backward can
+rebuild with one elementwise product (a block's normalised input, the gate
+products ``upre * usig`` and ``pre * sig``); the backward rebuilds those by
+the same expressions. Every rebuilt array has the forward's bits.
 
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
@@ -436,9 +439,10 @@ class DecodeState:
 # ---------------------------------------------------------------------------
 # Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
 # and, given a tape entry (a dict), records in it what training's backward
-# needs, save what the backward rebuilds with one elementwise product: the
-# rmsnorm cache stands for the normalised input, and the pre-activation and
-# its sigmoid for their product.
+# needs, save what the backward rebuilds: the rmsnorm cache stands for the
+# normalised input, the pre-activation and its sigmoid for their product,
+# and the softmax's row max and denominator, with q and k, for the
+# attention probabilities.
 # ---------------------------------------------------------------------------
 
 
@@ -539,6 +543,22 @@ def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
     return out.reshape(B, T, d), states
 
 
+def causal_bias(T: int, pos0: int, dtype) -> np.ndarray:
+    """The additive attention bias (T, pos0 + T) of rows at positions
+    ``pos0..``: 0 on the keys up to a row's own position, -inf after it."""
+    return np.triu(np.full((T, pos0 + T), -np.inf, dtype=dtype), pos0 + 1)
+
+
+def attn_scores(q: np.ndarray, keys: np.ndarray, bias: np.ndarray):
+    """The scaled, biased scores ``q keysᵀ / sqrt(d_head) + bias`` of the
+    (B, heads, T, d_head) queries, one new (B, heads, T, keys) array; the
+    scale is a python float so that float32 scores stay float32."""
+    scores = q @ keys.transpose(0, 1, 3, 2)
+    scores /= math.sqrt(q.shape[-1])
+    scores += bias
+    return scores
+
+
 def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
                cache: KVCache | None = None, pos0: int = 0,
                tape: dict | None = None):
@@ -560,18 +580,18 @@ def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
         cache.k[:, pos0:n] = k[0]
         cache.v[:, pos0:n] = v[0]
         keys, values = cache.k[None, :, :n], cache.v[None, :, :n]
-    # softmax in place on one (B, heads, T, keys) array; the scale is a
-    # python float so that float32 scores stay float32
-    scores = q @ keys.transpose(0, 1, 3, 2)
-    scores /= math.sqrt(dh)
-    scores += bias
-    scores -= scores.max(axis=-1, keepdims=True)
+    # softmax in place on the scores; the tape keeps its row max and
+    # denominator, from which the backward rebuilds ``w`` by these steps
+    scores = attn_scores(q, keys, bias)
+    row_max = scores.max(axis=-1, keepdims=True)
+    scores -= row_max
     w = np.exp(scores, out=scores)
-    w /= w.sum(axis=-1, keepdims=True)
+    denom = w.sum(axis=-1, keepdims=True)
+    w /= denom
     ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
     out = ctx.reshape(B * T, d) @ p.wo
     if tape is not None:
-        tape["attn"] = (p, (ncache, q, k, v, w, ctx))
+        tape["attn"] = (p, (ncache, q, k, v, row_max, denom, ctx))
     return out.reshape(B, T, d)
 
 
@@ -599,8 +619,7 @@ def embed(cfg: ModelConfig, w, x: np.ndarray, pos0: int = 0):
         raise ValueError(
             f"context overflow: {pos0}+{T} exceeds limit {cfg.context_limit}")
     h = w["embed"][x] + w["pos_embed"][pos0:pos0 + T]
-    bias = np.triu(np.full((T, pos0 + T), -np.inf, dtype=h.dtype), pos0 + 1)
-    return h, bias
+    return h, causal_bias(T, pos0, h.dtype)
 
 
 def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,

@@ -12,12 +12,18 @@ builds flipped on contiguous (d_model, d_state) rows and which the scan
 overwrites with its states; the decay gradient sums the state axis as
 whole-column adds in NumPy's own summation order.
 
-The tape holds nothing its backward can rebuild with one elementwise
-product. Each block's normalised input is rebuilt from its rmsnorm cache as
-``x * (g * r)``, the SSM gate product as ``upre * usig`` and the FFN
-activation as ``pre * sig``: the forward's own expressions, so the bits are
-the same. What costs a product with a weight, a scan or a sigmoid to
-rebuild stays on the tape.
+The tape holds no (T, T) term: the attention probabilities are rebuilt
+from the tape's ``q`` and ``k`` and their row max and softmax denominator,
+by the forward's own steps in the forward's order (scores, minus the max,
+exp, over the denominator). Nor does it hold anything its backward can
+rebuild with one elementwise product. Each block's normalised input is
+rebuilt from its rmsnorm cache as ``x * (g * r)``, the SSM gate product as
+``upre * usig`` and the FFN activation as ``pre * sig``: the forward's own
+expressions. So every rebuilt array has the forward's bits. What costs a
+product with a weight, a scan or a sigmoid to rebuild stays on the tape,
+the SSM state history among them; the SSM backward forms its decay gradient
+one batch row at a time, so the flipped scan's buffer is the one
+history-sized array it makes.
 
 With ``compute_dtype="float32"`` (the default) the forward, the tape, the
 backward and the gradients stay float32 end to end, against float64 master
@@ -27,7 +33,8 @@ about half the time of a float64 step. ``compute_dtype="float64"`` remains
 available.
 
 A training step holds one tape: each step's casts, tape, logits and
-gradients are freed before the next step's forward starts. Evaluation
+gradients are freed before the next step's forward starts, and the logits
+as soon as their loss gradient is formed. Evaluation
 (:func:`evaluate_loss`, the finite-difference probes of :func:`grad_check`)
 records no tape.
 
@@ -51,6 +58,8 @@ from .model import (
     Weights,
     _linear_scan,
     _scan_inputs,
+    attn_scores,
+    causal_bias,
     forward,
     init_weights,
     layer_plan,
@@ -154,9 +163,14 @@ def _flat(x):
 
 
 def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
-    ncache, q, k, v, w, ctx = cache
+    ncache, q, k, v, row_max, denom, ctx = cache
     B, T, d = ctx.shape
     dh = d // n_heads
+    # the probabilities by the forward's own steps, bit for bit
+    w = attn_scores(q, k, causal_bias(T, 0, q.dtype))
+    w -= row_max
+    np.exp(w, out=w)
+    w /= denom
     do2 = _flat(dout)
     grads[prefix + "wo"] += _flat(ctx).T @ do2
     dctx = (do2 @ p.wo.T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
@@ -167,6 +181,7 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
+    del dscores
     dq2 = _flat(dq.transpose(0, 2, 1, 3).reshape(B, T, d))
     dk2 = _flat(dk.transpose(0, 2, 1, 3).reshape(B, T, d))
     dv2 = _flat(dv.transpose(0, 2, 1, 3).reshape(B, T, d))
@@ -227,10 +242,15 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     q = _scan_inputs(dy[:, ::-1].copy(), cm[:, ::-1].copy())
     d_states = _linear_scan(decay, q, 0.0)[:, :T][:, ::-1]
     # the order of one sum over axes (0, 1, 3): each state row pairwise,
-    # then the (b, t) rows in turn
-    da = _row_sums(d_states[:, 1:] * states[:, :-1]).reshape(-1, d).sum(axis=0)
+    # then the (b, t) rows in turn; one batch row's product at a time, so
+    # no product the size of the history is alive beside the scan buffer
+    rows = np.empty((B, T - 1, d), dtype=states.dtype)
+    for b in range(B):
+        rows[b] = _row_sums(d_states[b, 1:] * states[b, :-1])
+    da = rows.reshape(-1, d).sum(axis=0)
     du += (d_states @ bm[..., None])[..., 0]
     dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
+    del q, d_states
     a = decay[:, 0]
     grads[prefix + "decay_raw"] += da * a * (1.0 - a)
     dupre = _silu_bwd(du, upre, usig)
@@ -349,12 +369,13 @@ class Adam:
 def _train_step(cfg: ModelConfig, w: Weights, opt: Adam,
                 mask: ComponentMask | None, x, y, dt, step: int) -> float:
     """One forward, backward and Adam step on the batch ``(x, y)``; returns
-    the loss. The casts, tape, logits and gradients are this function's
-    locals, so they are freed when it returns, before the next step's
-    forward builds its own tape."""
+    the loss. The casts, tape and gradients are this function's locals, so
+    they are freed when it returns, before the next step's forward builds
+    its own tape; the logits go once ``cross_entropy`` has read them."""
     wc = w if dt == np.float64 else {n: a.astype(dt) for n, a in w.items()}
     logits, tape = forward_train(cfg, wc, mask, x)
     loss, dlogits = cross_entropy(logits, y)
+    del logits
     if not np.isfinite(loss):
         raise TrainingDiverged(step)
     grads = backward_train(cfg, wc, tape, dlogits)

@@ -2,8 +2,10 @@
 and the acceptance-criteria summary printed at the end of a run.
 
 Training and sweep outputs are cached under ``.speclab_cache/`` at the repo
-root (training is bitwise reproducible, so the cache is safe); delete that
-directory to exercise the full cold-start budget.
+root. Training is bitwise reproducible, and each cached toy carries the
+digest of two training steps by the code that trained it, so a change to
+the training numerics retrains it; delete that directory to exercise the
+full cold-start budget.
 """
 
 import time

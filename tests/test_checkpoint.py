@@ -5,18 +5,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speclab.ablation import AblationReport
 from speclab.checkpoint import (
     load_checkpoint,
     manifest_path,
     save_checkpoint,
     write_atomic,
 )
+from speclab.cli import append_ledger
 from speclab.corpus import write_corpus
 from speclab.model import ModelConfig, init_weights
 from speclab.training import write_training_log
 
 CFG = ModelConfig("sequential_hybrid", n_layers=4, d_model=16, n_heads=2,
                   d_state=4, vocab_size=32, context_limit=48)
+
+REPORT = AblationReport(ppl_base=4.0, ppl_no_attn=10.0, ppl_ratio=2.5,
+                        verdict="viable")
 
 
 def rewrite_header(path, edit):
@@ -42,7 +47,8 @@ class TestAtomicWrites:
         lambda path: save_checkpoint(path, init_weights(CFG, 21)),
         lambda path: write_corpus(path, 1_000, seed=3),
         lambda path: write_training_log(path, [(0, 1.5), (1, 1.25)]),
-    ], ids=["bytes", "text", "checkpoint", "corpus", "training_log"])
+        lambda path: append_ledger(path, "toy.ckpt", REPORT),
+    ], ids=["bytes", "text", "checkpoint", "corpus", "training_log", "ledger"])
     def test_write_cut_short_leaves_no_file(self, tmp_path, monkeypatch,
                                             write):
         def cut_short(path, data):
@@ -54,6 +60,23 @@ class TestAtomicWrites:
         with pytest.raises(OSError):
             write(tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+    def test_ledger_append_cut_short_keeps_the_old_ledger(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "ledger.csv"
+        append_ledger(path, "a.ckpt", REPORT)
+        old = path.read_bytes()
+
+        def cut_short(path, data):
+            with path.open("wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", cut_short)
+        with pytest.raises(OSError):
+            append_ledger(path, "b.ckpt", REPORT)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
 
 
 class TestRoundTrip:

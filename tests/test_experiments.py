@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from speclab import experiments
+from speclab import experiments, training
 from speclab.checkpoint import save_checkpoint
 from speclab.corpus import make_corpus
 from speclab.engine import STRATEGY_KINDS, DraftStrategy
@@ -317,3 +318,69 @@ class TestPlotData:
         report.write_text("# speclab-report v1\nmodel,k\n")
         with pytest.raises(ValueError):
             emit_plot_data(report, tmp_path / "plot.csv")
+
+
+class TestToyCache:
+    """Cached toys are keyed by the numerics of the code that trained them."""
+
+    @pytest.fixture
+    def tiny_lab(self, monkeypatch):
+        monkeypatch.setattr(experiments, "TOY_ARCHS", ("parallel_hybrid",))
+        monkeypatch.setattr(experiments, "TOY_MODEL",
+                            {"n_layers": 2, "d_model": 16, "d_state": 4})
+        monkeypatch.setattr(experiments, "TOY_TRAINING",
+                            {"steps": 3, "seq_len": 16, "batch_size": 2,
+                             "learning_rate": 3e-3, "seed": 7})
+        monkeypatch.setattr(experiments, "TOY_CORPORA",
+                            {"train": (4_000, 1), "eval": (1_000, 2)})
+        saved = []
+        original = experiments.save_checkpoint
+
+        def counted(path, weights):
+            saved.append(path.name)
+            original(path, weights)
+
+        monkeypatch.setattr(experiments, "save_checkpoint", counted)
+        return saved
+
+    @staticmethod
+    def nudge_one_bit(monkeypatch):
+        """Move the first logits gradient of every step by one ulp."""
+        original = training.cross_entropy
+
+        def nudged(logits, targets):
+            loss, dlogits = original(logits, targets)
+            dlogits.flat[0] = np.nextafter(dlogits.flat[0], np.inf)
+            return loss, dlogits
+
+        monkeypatch.setattr(training, "cross_entropy", nudged)
+
+    def test_digest_is_stable_and_sees_one_bit(self, tiny_lab, tmp_path,
+                                               monkeypatch):
+        paths = experiments.build_toys(tmp_path)
+        cfg = ModelConfig("parallel_hybrid", **experiments.TOY_MODEL)
+        tcfg = training.TrainConfig(corpus_path=str(paths["train"]),
+                                    **experiments.TOY_TRAINING)
+        digest = experiments.training_digest(cfg, tcfg)
+        assert experiments.training_digest(cfg, tcfg) == digest
+        self.nudge_one_bit(monkeypatch)
+        assert experiments.training_digest(cfg, tcfg) != digest
+
+    def test_toy_retrained_when_its_record_is_missing_or_differs(
+            self, tiny_lab, tmp_path, monkeypatch):
+        name = "toy_parallel_hybrid_L2_d16_s4_st3_sl16_seed7"
+        record = tmp_path / f"{name}.train_digest"
+        paths = experiments.build_toys(tmp_path)
+        assert paths["parallel_hybrid"] == tmp_path / f"{name}.ckpt"
+        assert tiny_lab == [f"{name}.ckpt"]
+        first = record.read_text()
+        experiments.build_toys(tmp_path)
+        assert len(tiny_lab) == 1          # same code: the cache holds
+        record.unlink()
+        experiments.build_toys(tmp_path)
+        assert len(tiny_lab) == 2 and record.read_text() == first
+        self.nudge_one_bit(monkeypatch)
+        experiments.build_toys(tmp_path)
+        assert len(tiny_lab) == 3 and record.read_text() != first
+        experiments.build_toys(tmp_path)
+        assert len(tiny_lab) == 3

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -274,15 +275,18 @@ def profiled(hook, fn, *args):
 
 # the arrays each forward stage leaves off the tape for the backward to
 # rebuild, by their names in its frame
-REBUILT = {"ssm_block": ("xs", "u"), "attn_block": ("xs",),
+REBUILT = {"ssm_block": ("xs", "u"), "attn_block": ("xs", "w"),
            "ffn_block": ("xs", "act"), "head": ("hn",)}
 BLOCKS = (model_module.ssm_block, model_module.attn_block,
           model_module.ffn_block, model_module.head)
 
 
 class TestTapeContract:
-    """The tape holds nothing its backward can rebuild with one elementwise
-    product, and the backward rebuilds those arrays bit for bit."""
+    """The tape holds no (T, T) term and nothing its backward can rebuild
+    with one elementwise product: the attention probabilities are rebuilt
+    from ``q``, ``k`` and their row max and denominator, the normalised
+    inputs and gate products by the forward's own expressions. The backward
+    rebuilds those arrays bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
@@ -330,14 +334,18 @@ class TestTapeContract:
                        else "xs")
                 rebuilt.setdefault(key, []).append(value.copy())
             else:
-                key = (owner[name], "u" if name == "_ssm_bwd" else "act")
+                key = (owner[name], {"_ssm_bwd": "u", "_attn_bwd": "w",
+                                     "_ffn_bwd": "act"}[name])
                 rebuilt.setdefault(key, []).append(local[key[1]].copy())
 
         logits, tape = profiled(on_returns(BLOCKS, forward_record),
                                 forward_train, cfg, wc, None, x)
+        # nothing on the tape grows with the square of the window
+        assert not [a.shape for a in tape_arrays(tape) if a.shape[-2:] == (T, T)]
         _, dlogits = cross_entropy(logits, y)
         profiled(on_returns((model_module.rmsnorm_output, training._ssm_bwd,
-                             training._ffn_bwd), backward_record),
+                             training._attn_bwd, training._ffn_bwd),
+                            backward_record),
                  backward_train, cfg, wc, tape, dlogits)
         assert rebuilt.keys() == computed.keys()
         for key, arrays in computed.items():
@@ -345,6 +353,30 @@ class TestTapeContract:
             assert len(rebuilt[key]) == len(arrays), key
             for got, want in zip(reversed(rebuilt[key]), arrays):
                 broadcast_form.assert_same_bits(got, want)
+
+
+class TestSsmBackwardPeak:
+    def test_peak_stays_under_two_histories(self):
+        # the flipped scan's buffer is the one history-sized array the
+        # backward makes: the decay gradient takes one batch row's product
+        # at a time, and the buffer goes once the last gradient has read it
+        cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
+        wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
+        x, _ = small_batch(cfg, b=8, t=96)
+        _, tape = forward_train(cfg, wc, None, x)
+        p, cache = tape["layers"][0]["ssm"]
+        states = cache[6]
+        dout = np.random.default_rng(0).normal(0, 1, states.shape[:3])
+        dout = dout.astype(np.float32)
+        grads = {n: np.zeros_like(a) for n, a in wc.items()}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training._ssm_bwd(p, dout, cache, grads, "layers.0.ssm.")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * states.nbytes
 
 
 class TestTrainLoop:
