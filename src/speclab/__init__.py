@@ -2,7 +2,7 @@
 
 Toy hybrid byte-level language models (parallel SSM+attention, sequential
 interleaved, pure transformer), a lossless draft-verify speculative decoding
-engine with pluggable draft strategies, and the measurement stack around them:
+engine with four fixed draft strategies, and the measurement stack around them:
 acceptance rates, divergence, speedup modelling, and ablation diagnostics.
 """
 

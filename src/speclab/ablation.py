@@ -11,7 +11,7 @@ as uncertain rather than forced into a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import DraftStrategy, build_mask
 from .metrics import perplexity
@@ -50,8 +50,7 @@ class AblationReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
     def to_dict(self) -> dict:
-        return {"ppl_base": self.ppl_base, "ppl_no_attn": self.ppl_no_attn,
-                "ppl_ratio": self.ppl_ratio, "verdict": self.verdict}
+        return asdict(self)
 
 
 def ablate_and_score(model: HybridModel, corpus_tokens) -> AblationReport:

@@ -89,18 +89,6 @@ def _load_model(path) -> HybridModel:
     return HybridModel(weights.cfg, weights)
 
 
-def _strategy_from_args(kind, args) -> DraftStrategy:
-    return DraftStrategy(kind, skip_fraction=args.skip_fraction,
-                         exit_fraction=args.exit_fraction)
-
-
-def _add_strategy_fractions(p):
-    p.add_argument("--skip-fraction", type=float, default=DraftStrategy.skip_fraction,
-                   help="fraction of layers layer_skip removes (default %(default).3g)")
-    p.add_argument("--exit-fraction", type=float, default=DraftStrategy.exit_fraction,
-                   help="fraction of layers early_exit keeps (default %(default).3g)")
-
-
 def cmd_train(args) -> int:
     pattern = tuple(args.layer_pattern.split(",")) if args.layer_pattern else None
     cfg = ModelConfig(arch=args.arch, layer_pattern=pattern,
@@ -127,8 +115,7 @@ def cmd_run(args) -> int:
         k_values=args.k, temperatures=args.temperatures,
         prompt_corpus=args.corpus, out_dir=args.out_dir,
         n_prompts=args.n_prompts, prompt_len=args.prompt_len,
-        max_new_tokens=args.max_new_tokens, seed=args.seed,
-        skip_fraction=args.skip_fraction, exit_fraction=args.exit_fraction)
+        max_new_tokens=args.max_new_tokens, seed=args.seed)
     result = run_experiments(spec)
     print(f"computed {result.n_computed} cells, reused {result.n_skipped}")
     print(f"report: {result.report_path}")
@@ -141,7 +128,7 @@ def cmd_divergence(args) -> int:
     model = _load_model(args.checkpoint)
     corpus = load_corpus(args.corpus)
     prompts = sample_prompts(corpus, args.n_prompts, args.prompt_len, args.seed)
-    strategy = _strategy_from_args(args.strategy, args)
+    strategy = DraftStrategy(args.strategy)
     stats = divergence_stats(model, build_mask(model.cfg, strategy), prompts)
     payload = {"checkpoint": str(args.checkpoint), "strategy": strategy.label(),
                "tv_mean": stats.tv_mean, "top1_agreement": stats.top1_agreement,
@@ -182,7 +169,7 @@ def cmd_theory(args) -> int:
         ratio, fraction = args.cost_ratio, None
     elif args.checkpoint:
         model = _load_model(args.checkpoint)
-        cost = flop_ratio(model.cfg, _strategy_from_args(args.strategy, args))
+        cost = flop_ratio(model.cfg, DraftStrategy(args.strategy))
         ratio, fraction = cost.cost_ratio, cost.draft_param_fraction
     else:
         print("need --cost-ratio or --checkpoint", file=sys.stderr)
@@ -230,8 +217,7 @@ def cmd_verify_lossless(args) -> int:
                               max_new_tokens=args.max_new_tokens,
                               seed=args.seed)
     rates, continuations = match_rate(
-        model, [_strategy_from_args(kind, args) for kind in kinds], prompts,
-        settings)
+        model, [DraftStrategy(kind) for kind in kinds], prompts, settings)
     for kind, rate in zip(kinds, rates):
         print(f"{kind}: match rate {rate:.3f} over {len(prompts)} prompts")
     margin, i, j = greedy_margin(model, prompts, continuations)
@@ -275,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint path; repeatable")
     p.add_argument("--corpus", required=True, help="prompt source corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--strategies", type=_csv_list(str),
+    p.add_argument("--strategies", type=_csv_list(_strategy_kind),
                    default=("component_only", "layer_skip", "early_exit"),
                    help="comma list of draft strategies")
     p.add_argument("--k", type=_csv_list(_at_least_one), default=(2, 4, 8),
@@ -288,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-new-tokens", type=_at_least_one,
                    default=ExperimentSpec.max_new_tokens)
     p.add_argument("--seed", type=int, default=ExperimentSpec.seed)
-    _add_strategy_fractions(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("divergence", help="draft-vs-full distribution gap")
@@ -300,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt-len", type=_at_least_one, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None)
-    _add_strategy_fractions(p)
     p.set_defaults(func=cmd_divergence)
 
     p = sub.add_parser("ablate", help="attention-removal viability diagnostic")
@@ -326,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-speedup", type=float, default=None,
                    help="external estimate to report deviations against")
     p.add_argument("--json", default=None)
-    _add_strategy_fractions(p)
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("plot-data", help="tidy CSV for acceptance-vs-k plots")
@@ -345,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-new-tokens", type=_at_least_one, default=64)
     p.add_argument("--k", type=_at_least_one, default=2)
     p.add_argument("--seed", type=int, default=0)
-    _add_strategy_fractions(p)
     p.set_defaults(func=cmd_verify_lossless)
 
     return parser

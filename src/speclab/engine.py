@@ -24,6 +24,11 @@ rewound, so both sides record a snapshot per fed position and roll back to
 the accepted prefix: the emitted token becomes the next pending input, and
 after full acceptance the draft side's pending input is ``[d_k, bonus]``
 because it never fed ``d_k``.
+
+A draft strategy is its kind, and each kind is one fixed mask over the L
+layers: component_only drops the attention pathway (hybrids only),
+layer_skip skips ceil(L/3) evenly spaced interior layers, early_exit keeps
+the first ceil(L/2) layers, and identity is the full model.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .model import ComponentMask, DecodeState, HybridModel, ModelConfig, SsmSnap
 from .numerics import RngState, sample_categorical, softmax
 
 STRATEGY_KINDS = ("component_only", "layer_skip", "early_exit", "identity")
+LAYER_SKIP_FRACTION = 1.0 / 3.0  # of the layers, skipped by layer_skip
+EARLY_EXIT_FRACTION = 0.5  # of the layers, kept by early_exit
 
 
 @dataclass(frozen=True)
@@ -44,22 +51,16 @@ class DraftStrategy:
     """How the draft sub-model is carved out of the target."""
 
     kind: str
-    skip_fraction: float = 1.0 / 3.0
-    exit_fraction: float = 0.5
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if not 0.0 <= self.skip_fraction < 1.0:
-            raise ValueError("skip_fraction must be in [0, 1)")
-        if not 0.0 < self.exit_fraction <= 1.0:
-            raise ValueError("exit_fraction must be in (0, 1]")
 
     def label(self) -> str:
         if self.kind == "layer_skip":
-            return f"layer_skip_{self.skip_fraction:.2f}"
+            return f"layer_skip_{LAYER_SKIP_FRACTION:.2f}"
         if self.kind == "early_exit":
-            return f"early_exit_{self.exit_fraction:.2f}"
+            return f"early_exit_{EARLY_EXIT_FRACTION:.2f}"
         return self.kind
 
 
@@ -108,22 +109,22 @@ class SpecRoundResult:
     """
 
     accepted_count: int
-    all_accepted: bool
     emitted_tokens: list[int]
     per_position_match: list[bool]
 
     def __post_init__(self):
-        k = len(self.per_position_match)
-        if not 0 <= self.accepted_count <= k:
+        if not 0 <= self.accepted_count <= self.k:
             raise ValueError("accepted_count out of range")
-        if self.all_accepted != (self.accepted_count == k):
-            raise ValueError("all_accepted inconsistent with accepted_count")
         if len(self.emitted_tokens) != self.accepted_count + 1:
             raise ValueError("emitted_tokens must hold accepted + 1 tokens")
 
     @property
     def k(self) -> int:
         return len(self.per_position_match)
+
+    @property
+    def all_accepted(self) -> bool:
+        return self.accepted_count == self.k
 
 
 def _skip_indices(n_layers: int, n_skip: int) -> list[int]:
@@ -155,13 +156,13 @@ def build_mask(cfg: ModelConfig, strategy: DraftStrategy) -> ComponentMask:
         keep = tuple(not s for s in skipped)
         return ComponentMask(keep, keep, skipped)
     if strategy.kind == "layer_skip":
-        n_skip = math.ceil(strategy.skip_fraction * n)
+        n_skip = math.ceil(LAYER_SKIP_FRACTION * n)
         chosen = set(_skip_indices(n, n_skip))
         skipped = tuple(i in chosen for i in range(n))
         keep = tuple(not s for s in skipped)
         return ComponentMask(keep, keep, skipped)
     # early_exit
-    keep_layers = math.ceil(strategy.exit_fraction * n)
+    keep_layers = math.ceil(EARLY_EXIT_FRACTION * n)
     skipped = tuple(i >= keep_layers for i in range(n))
     keep = tuple(not s for s in skipped)
     return ComponentMask(keep, keep, skipped)
@@ -236,7 +237,7 @@ def accept_draft(target_dists: list[np.ndarray] | np.ndarray,
     else:
         res = residual_distribution(target_dists[accepted], draft.dists[accepted])
         emitted = list(draft.tokens[:accepted]) + [sample_categorical(res, rng)]
-    return SpecRoundResult(accepted, accepted == k, emitted, matches)
+    return SpecRoundResult(accepted, emitted, matches)
 
 
 def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,

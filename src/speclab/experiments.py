@@ -2,8 +2,10 @@
 
 A sweep is the cross product (checkpoint, strategy, k, temperature). Each
 cell's results live in ``<out_dir>/cells/<cell_id>.json``. The cell id
-carries a hash of everything else that changes the cell's numbers: the spec
-fields in ``KEYED_FIELDS`` and the content digests of the checkpoint and the
+carries a hash of everything else that changes the cell's numbers: the four
+spec fields in ``KEYED_FIELDS``, the three constants that fix the drafts and
+the confidence interval (``LAYER_SKIP_FRACTION``, ``EARLY_EXIT_FRACTION`` and
+``BOOTSTRAP_RESAMPLES``), and the content digests of the checkpoint and the
 prompt corpus. Completed cells with a matching id are skipped on re-run, and
 the top-level ``report.csv`` is regenerated from cell files every run, so
 re-running a finished sweep does no model work and reproduces the report
@@ -38,9 +40,11 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import sample_prompts, write_corpus
-from .engine import (DecodeSettings, DraftStrategy, autoregressive_generate,
-                     build_mask, speculative_generate)
-from .metrics import BOOTSTRAP_RESAMPLES, all_token_alpha, divergence_stats
+from .engine import (EARLY_EXIT_FRACTION, LAYER_SKIP_FRACTION, DecodeSettings,
+                     DraftStrategy, autoregressive_generate, build_mask,
+                     speculative_generate)
+from .metrics import (BOOTSTRAP_RESAMPLES, DivergenceStats, all_token_alpha,
+                      divergence_stats)
 from .model import HybridModel, ModelConfig
 from .theory import expected_tokens, flop_ratio, speedup
 from .training import TrainConfig, load_corpus, train
@@ -60,8 +64,7 @@ REPORT_COLUMNS = [
 ]
 
 # the spec fields, besides the cell's own coordinates, that change its numbers
-KEYED_FIELDS = ("n_prompts", "prompt_len", "max_new_tokens", "seed",
-                "skip_fraction", "exit_fraction", "bootstrap_resamples")
+KEYED_FIELDS = ("n_prompts", "prompt_len", "max_new_tokens", "seed")
 
 
 @dataclass(frozen=True)
@@ -76,26 +79,19 @@ class ExperimentSpec:
     prompt_len: int = 16
     max_new_tokens: int = 64
     seed: int = 0
-    skip_fraction: float = DraftStrategy.skip_fraction
-    exit_fraction: float = DraftStrategy.exit_fraction
-    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES
 
     def __post_init__(self):
         if not (self.checkpoints and self.strategies and self.k_values
                 and self.temperatures):
             raise ValueError("sweep dimensions must be non-empty")
+        for kind in self.strategies:
+            DraftStrategy(kind)  # an unknown kind raises here, before any work
         if self.n_prompts < 1 or self.prompt_len < 1:
             raise ValueError("prompt settings must be positive")
         if min(self.k_values) < 1 or self.max_new_tokens < 1:
             raise ValueError("k_values and max_new_tokens must be >= 1")
         if min(self.temperatures) < 0.0:
             raise ValueError("temperatures must be >= 0")
-        if self.bootstrap_resamples < 1:
-            raise ValueError("bootstrap_resamples must be >= 1")
-
-    def strategy(self, kind: str) -> DraftStrategy:
-        return DraftStrategy(kind, skip_fraction=self.skip_fraction,
-                             exit_fraction=self.exit_fraction)
 
 
 @dataclass
@@ -128,7 +124,12 @@ def _sha256(path) -> str:
 
 def _cell_key(spec: ExperimentSpec, checkpoint_sha256: str,
               corpus_sha256: str) -> dict:
-    return {"spec": {f: getattr(spec, f) for f in KEYED_FIELDS},
+    # the constants are keyed under the names of the spec fields they were,
+    # so the ids of cells computed before they became constants still match
+    return {"spec": {**{f: getattr(spec, f) for f in KEYED_FIELDS},
+                     "skip_fraction": LAYER_SKIP_FRACTION,
+                     "exit_fraction": EARLY_EXIT_FRACTION,
+                     "bootstrap_resamples": BOOTSTRAP_RESAMPLES},
             "checkpoint_sha256": checkpoint_sha256,
             "corpus_sha256": corpus_sha256}
 
@@ -224,10 +225,10 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
             continue
         ar_cache: dict[float, list] = {}
         ar_seconds: dict[float, float | None] = {}
-        div_cache: dict[str, tuple] = {}
+        div_cache: dict[DraftStrategy, DivergenceStats] = {}
         for kind in spec.strategies:
+            strategy = DraftStrategy(kind)
             try:
-                strategy = spec.strategy(kind)
                 build_mask(model.cfg, strategy)
             except ValueError as exc:
                 result.errors.append((f"{model_name}/{kind}", str(exc)))
@@ -243,8 +244,8 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                     else:
                         try:
                             payload = _compute_cell(
-                                spec, model, model_name, strategy, kind, k,
-                                temp, prompts, ar_cache, ar_seconds, div_cache)
+                                spec, model, model_name, strategy, k, temp,
+                                prompts, ar_cache, ar_seconds, div_cache)
                         except Exception as exc:  # recorded; the sweep goes on
                             result.errors.append(
                                 (cell, f"{type(exc).__name__}: {exc}"))
@@ -266,7 +267,7 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
     return result
 
 
-def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
+def _compute_cell(spec, model, model_name, strategy, k, temp, prompts,
                   ar_cache, ar_seconds, div_cache):
     settings = DecodeSettings(k=k, temperature=temp,
                               max_new_tokens=spec.max_new_tokens,
@@ -274,12 +275,11 @@ def _compute_cell(spec, model, model_name, strategy, kind, k, temp, prompts,
     outputs, rounds, spec_spt = _run_prompts(
         lambda p, s: speculative_generate(model, strategy, p, s),
         prompts, settings)
-    stats = all_token_alpha(rounds, k, resamples=spec.bootstrap_resamples,
-                            seed=spec.seed)
-    if kind not in div_cache:
-        div_cache[kind] = divergence_stats(
+    stats = all_token_alpha(rounds, k, seed=spec.seed)
+    if strategy not in div_cache:
+        div_cache[strategy] = divergence_stats(
             model, build_mask(model.cfg, strategy), prompts)
-    div = div_cache[kind]
+    div = div_cache[strategy]
     rate = None
     if temp == 0.0:
         if temp not in ar_cache:

@@ -78,9 +78,9 @@ def bootstrap_ci(samples, resamples: int = BOOTSTRAP_RESAMPLES,
 
 
 def all_token_alpha(rounds: list[SpecRoundResult], k: int,
-                    resamples: int = BOOTSTRAP_RESAMPLES,
                     seed: int = 0) -> AcceptanceStats:
-    """Aggregate rounds of one (model, strategy, k, T) cell."""
+    """Aggregate rounds of one (model, strategy, k, T) cell; the interval
+    takes ``BOOTSTRAP_RESAMPLES`` resamples."""
     if not rounds:
         raise ValueError("no rounds to aggregate")
     if any(r.k != k for r in rounds):
@@ -89,7 +89,7 @@ def all_token_alpha(rounds: list[SpecRoundResult], k: int,
     flags = np.array([f for r in rounds for f in r.per_position_match],
                      dtype=np.float64)
     emitted = np.array([len(r.emitted_tokens) for r in rounds], dtype=np.float64)
-    lo, hi = bootstrap_ci(accepted, resamples=resamples, seed=seed)
+    lo, hi = bootstrap_ci(accepted, seed=seed)
     alpha = float(accepted.mean())
     return AcceptanceStats(
         all_token_alpha=alpha,
@@ -187,7 +187,8 @@ def greedy_margin(model: HybridModel, prompts,
 
 def perplexity(model: HybridModel, mask: ComponentMask | None,
                corpus_tokens) -> float:
-    """exp(mean next-token NLL) under the masked model.
+    """exp(mean next-token NLL) under the masked model (``None``: the full
+    model).
 
     The corpus is scored in non-overlapping context-length windows, so each
     token is scored at most once; the first token of a window is never
@@ -199,8 +200,6 @@ def perplexity(model: HybridModel, mask: ComponentMask | None,
     if tokens.size < 2:
         raise ValueError("corpus must hold at least two tokens")
     window = model.cfg.context_limit
-    if mask is None:
-        mask = ComponentMask.full(model.cfg.n_layers)
     total_nll = 0.0
     scored = 0
     for start in range(0, tokens.size - 1, window):

@@ -56,7 +56,7 @@ broadcast along the state axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -130,17 +130,9 @@ class ModelConfig:
         return self.layer_kind(i) in ("parallel", "lin")
 
     def to_dict(self) -> dict:
-        d = {
-            "arch": self.arch,
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_state": self.d_state,
-            "vocab_size": self.vocab_size,
-            "context_limit": self.context_limit,
-        }
-        if self.layer_pattern is not None:
-            d["layer_pattern"] = list(self.layer_pattern)
+        d = asdict(self)
+        if d["layer_pattern"] is None:
+            del d["layer_pattern"]
         return d
 
     @classmethod
@@ -290,14 +282,6 @@ class Weights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.blocks[name]
 
-    def __setitem__(self, name: str, value: np.ndarray):
-        if name not in self.blocks:
-            raise KeyError(name)
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != self.blocks[name].shape:
-            raise ValueError(f"shape mismatch for {name}")
-        self.blocks[name] = value
-
     def items(self):
         return ((n, self.blocks[n]) for n in self.names)
 
@@ -342,10 +326,13 @@ def ssm_decay(p: SsmParams) -> np.ndarray:
 
 
 def mask_blocks(cfg: ModelConfig,
-                mask: ComponentMask) -> list[tuple[int, bool, bool]]:
+                mask: ComponentMask | None) -> list[tuple[int, bool, bool]]:
     """``(layer, runs attention, runs the recurrent branch)`` for every
-    unskipped layer under ``mask``; each such layer also runs its
-    feed-forward block. The one place a mask is checked against ``cfg``."""
+    unskipped layer under ``mask`` (``None``: the full mask); each such
+    layer also runs its feed-forward block. The one place a mask is checked
+    against ``cfg``."""
+    if mask is None:
+        mask = ComponentMask.full(cfg.n_layers)
     if mask.n_layers != cfg.n_layers:
         raise ValueError(
             f"mask covers {mask.n_layers} layers, model has {cfg.n_layers}")
@@ -363,7 +350,8 @@ def mask_blocks(cfg: ModelConfig,
     return blocks
 
 
-def layer_plan(cfg: ModelConfig, w, mask: ComponentMask) -> list[LayerPlan]:
+def layer_plan(cfg: ModelConfig, w,
+               mask: ComponentMask | None) -> list[LayerPlan]:
     """The blocks every unskipped layer runs under ``mask``, per
     :func:`mask_blocks`, read from ``w`` (a :class:`Weights` or any
     name-to-array mapping, such as training's float32 casts). Skipped layers

@@ -64,15 +64,14 @@ def per_token_from_all_token(alpha_k: float, k: int) -> float:
 
 
 def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
-    """Parameters touched to produce one token under a mask.
+    """Parameters touched to produce one token under a mask (``None``: the
+    full mask).
 
     Sums the :func:`param_spec` sizes of the blocks :func:`mask_blocks` says
     the mask runs, plus one embedding row, one position row, the final norm
     and the head. KV-cache reads and attention-score work (which grow with
     sequence length) are deliberately not parameters and not counted.
     """
-    if mask is None:
-        mask = ComponentMask.full(cfg.n_layers)
     sizes: Counter[str] = Counter()  # "layers.3.attn", "embed", "head_w", ...
     for name, shape in param_spec(cfg):
         sizes[name.rsplit(".", 1)[0]] += math.prod(shape)

@@ -132,8 +132,6 @@ def forward_train(cfg: ModelConfig, w, mask: ComponentMask | None,
     ``w`` is a Weights object or any name-to-array mapping with ``items()``
     (training passes float32 casts of the float64 master weights).
     """
-    if mask is None:
-        mask = ComponentMask.full(cfg.n_layers)
     x = np.asarray(x, dtype=np.int64)
     tape = {"x": x, "layers": []}
     logits = forward(cfg, w, layer_plan(cfg, w, mask), x, tape=tape)
@@ -324,8 +322,6 @@ def evaluate_loss(cfg: ModelConfig, w: Weights, mask: ComponentMask | None,
                   x: np.ndarray, y: np.ndarray) -> float:
     """Mean next-token loss of the windows ``x`` against ``y``; the forward
     is :func:`forward_train`'s without its tape."""
-    if mask is None:
-        mask = ComponentMask.full(cfg.n_layers)
     x = np.asarray(x, dtype=np.int64)
     logits = forward(cfg, w, layer_plan(cfg, w, mask), x)
     loss, _ = cross_entropy(logits, y)

@@ -230,6 +230,29 @@ class TestDiagnosticsCommands:
         assert exc.value.code == 2
         assert "unknown strategy 'foo'" in capsys.readouterr().err
 
+    def test_run_rejects_unknown_strategy_names_before_any_work(
+            self, env, tmp_path, capsys, monkeypatch):
+        seen = _capture(monkeypatch, "run_experiments")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--checkpoint", env["ckpt"], "--corpus", env["corpus"],
+                  "--out-dir", str(tmp_path / "runs"), "--strategies", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown strategy 'bogus'" in capsys.readouterr().err
+        assert seen == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--checkpoint", "x", "--corpus", "x", "--out-dir", "x"],
+        ["divergence", "--checkpoint", "x", "--corpus", "x"],
+        ["theory", "--alpha", "0.5", "--k", "2"],
+        ["verify-lossless", "--checkpoint", "x", "--corpus", "x"]],
+        ids=lambda argv: argv[0])
+    def test_draft_fractions_are_not_options(self, argv, capsys):
+        # each strategy kind is one fixed draft
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--skip-fraction", "0.25"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --skip-fraction" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,argv,message", [
         ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],
          "prompt + max_new_tokens needs 76 positions, context_limit is 64"),

@@ -11,6 +11,7 @@ from speclab.engine import (
     DraftSequence,
     DraftStrategy,
     SpecRoundResult,
+    _skip_indices,
     accept_draft,
     autoregressive_generate,
     build_mask,
@@ -68,46 +69,42 @@ class TestBuildMask:
             build_mask(TRA6, DraftStrategy("component_only"))
 
     def test_layer_skip_spares_first_and_last(self):
-        mask = build_mask(TRA6, DraftStrategy("layer_skip", skip_fraction=1 / 3))
+        mask = build_mask(TRA6, DraftStrategy("layer_skip"))
         assert sum(mask.layer_skipped) == 2  # ceil(6/3)
         assert not mask.layer_skipped[0] and not mask.layer_skipped[-1]
 
     def test_layer_skip_count_and_spacing(self):
-        mask = build_mask(PAR8, DraftStrategy("layer_skip", skip_fraction=1 / 3))
+        mask = build_mask(PAR8, DraftStrategy("layer_skip"))
         skipped = [i for i, s in enumerate(mask.layer_skipped) if s]
         assert len(skipped) == 3  # ceil(8/3)
         assert skipped[0] >= 1 and skipped[-1] <= 6
         assert len(set(skipped)) == 3
 
     def test_layer_skip_zero_fraction_is_identity(self):
-        assert build_mask(PAR8, DraftStrategy("layer_skip", skip_fraction=0.0)) == \
-            ComponentMask.full(8)
+        assert _skip_indices(8, 0) == []
 
     def test_early_exit_truncates_the_stack(self):
-        mask = build_mask(PAR8, DraftStrategy("early_exit", exit_fraction=0.5))
+        mask = build_mask(PAR8, DraftStrategy("early_exit"))
         assert mask.layer_skipped == (False,) * 4 + (True,) * 4
-
-    def test_early_exit_full_fraction_keeps_everything(self):
-        assert build_mask(PAR8, DraftStrategy("early_exit", exit_fraction=1.0)) == \
-            ComponentMask.full(8)
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             DraftStrategy("unknown")
-        with pytest.raises(ValueError):
-            DraftStrategy("layer_skip", skip_fraction=1.0)
-        with pytest.raises(ValueError):
-            DraftStrategy("early_exit", exit_fraction=0.0)
+
+    def test_labels_carry_the_fixed_fractions(self):
+        # the report's strategy column and every cell id are built from these
+        assert [DraftStrategy(kind).label() for kind in engine.STRATEGY_KINDS] == \
+            ["component_only", "layer_skip_0.33", "early_exit_0.50", "identity"]
 
 
 class TestRoundResultInvariants:
     def test_emitted_length_enforced(self):
         with pytest.raises(ValueError):
-            SpecRoundResult(1, False, [1, 2, 3], [True, False])
+            SpecRoundResult(1, [1, 2, 3], [True, False])
 
-    def test_all_accepted_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SpecRoundResult(2, False, [1, 2, 3], [True, True])
+    def test_all_accepted_is_derived_from_the_count(self):
+        assert SpecRoundResult(2, [1, 2, 3], [True, True]).all_accepted
+        assert not SpecRoundResult(1, [1, 2], [True, False]).all_accepted
 
 
 class TestDraftK:

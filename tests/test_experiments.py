@@ -46,7 +46,6 @@ def tiny_spec(workspace, out_dir, **kw):
         prompt_len=6,
         max_new_tokens=8,
         seed=5,
-        bootstrap_resamples=200,
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
@@ -256,8 +255,27 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             tiny_spec(workspace, tmp_path / "x", k_values=())
 
+    def test_unknown_strategy_rejected_when_the_spec_is_built(self, workspace,
+                                                             tmp_path):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            tiny_spec(workspace, tmp_path / "x", strategies=("identity", "bogus"))
+
+    def test_cell_id_keys_the_fixed_draft_and_interval_constants(self):
+        # the constants sit in the key under the names and values they had
+        # as spec fields, so cells computed before keep their ids
+        spec = ExperimentSpec(checkpoints=("x.ckpt",), strategies=STRATEGY_KINDS,
+                              k_values=(2,), temperatures=(0.0,),
+                              prompt_corpus="x.bin", out_dir="x")
+        key = experiments._cell_key(spec, "0" * 64, "1" * 64)
+        assert key["spec"] == {
+            "n_prompts": 200, "prompt_len": 16, "max_new_tokens": 64, "seed": 0,
+            "skip_fraction": 1 / 3, "exit_fraction": 0.5,
+            "bootstrap_resamples": 10_000}
+        label = DraftStrategy("layer_skip").label()
+        assert experiments._cell_id("toy", label, 2, 0.0, key) == \
+            "toy__layer_skip_0.33__k2__T0__8cf8aaa52968"
+
     @pytest.mark.parametrize("field, values", [
-        ("bootstrap_resamples", (0, -1)),
         ("k_values", ((1, 0), (-1,))),
         ("temperatures", ((0.0, -0.6), (-1e-9,))),
         ("max_new_tokens", (0, -1)),
@@ -268,15 +286,6 @@ class TestRunExperiments:
         for value in values:
             with pytest.raises(ValueError, match=field):
                 tiny_spec(workspace, tmp_path / "x", **{field: value})
-
-
-class TestSpecDefaults:
-    def test_strategy_fractions_are_the_strategy_defaults(self):
-        spec = ExperimentSpec(checkpoints=("x.ckpt",), strategies=STRATEGY_KINDS,
-                              k_values=(2,), temperatures=(0.0,),
-                              prompt_corpus="x.bin", out_dir="x")
-        for kind in STRATEGY_KINDS:
-            assert spec.strategy(kind) == DraftStrategy(kind)
 
 
 class TestPlotData:

@@ -29,7 +29,7 @@ def synthetic_round(flags: list[bool]) -> SpecRoundResult:
     while accepted < len(flags) and flags[accepted]:
         accepted += 1
     emitted = list(range(accepted + 1))
-    return SpecRoundResult(accepted, accepted == len(flags), emitted, flags)
+    return SpecRoundResult(accepted, emitted, flags)
 
 
 class TestBootstrapCI:
@@ -73,7 +73,7 @@ class TestBootstrapCI:
 class TestAllTokenAlpha:
     def test_everything_accepted_is_alpha_one(self):
         rounds = [synthetic_round([True, True]) for _ in range(20)]
-        stats = all_token_alpha(rounds, 2, resamples=200)
+        stats = all_token_alpha(rounds, 2)
         assert stats.all_token_alpha == 1.0
         assert stats.per_token_alpha == 1.0
         assert stats.mean_accepted_per_round == 3.0
@@ -84,7 +84,7 @@ class TestAllTokenAlpha:
         rng = RngState(3)
         rounds = [synthetic_round([rng.uniform() < p for _ in range(k)])
                   for _ in range(n)]
-        stats = all_token_alpha(rounds, k, resamples=500)
+        stats = all_token_alpha(rounds, k)
         assert abs(stats.all_token_alpha - p ** k) < 0.012
         assert abs(stats.per_token_alpha - p) < 0.01
 
@@ -92,7 +92,7 @@ class TestAllTokenAlpha:
         rng = RngState(1)
         rounds = [synthetic_round([rng.uniform() < 0.6 for _ in range(4)])
                   for _ in range(300)]
-        stats = all_token_alpha(rounds, 4, resamples=300)
+        stats = all_token_alpha(rounds, 4)
         assert stats.per_token_alpha >= stats.all_token_alpha
         assert 1.0 <= stats.mean_accepted_per_round <= 5.0
         assert stats.ci_low <= stats.all_token_alpha <= stats.ci_high

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import weakref
 
@@ -20,6 +21,7 @@ from speclab.model import (
     forward,
     init_weights,
     layer_plan,
+    mask_blocks,
     param_spec,
     rmsnorm,
     ssm_block,
@@ -78,6 +80,23 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig("transformer", d_model=30, n_heads=4)
 
+    @pytest.mark.parametrize("cfg, compact", [
+        (ModelConfig("parallel_hybrid", n_layers=12, d_model=64, d_state=8),
+         '{"arch": "parallel_hybrid", "n_layers": 12, "d_model": 64, '
+         '"n_heads": 4, "d_state": 8, "vocab_size": 256, "context_limit": 256}'),
+        (ModelConfig("sequential_hybrid", n_layers=4),
+         '{"arch": "sequential_hybrid", "n_layers": 4, "d_model": 128, '
+         '"n_heads": 4, "d_state": 32, "vocab_size": 256, "context_limit": 256, '
+         '"layer_pattern": ["linear", "linear", "linear", "attention"]}'),
+        (ModelConfig("transformer"),
+         '{"arch": "transformer", "n_layers": 8, "d_model": 128, "n_heads": 4, '
+         '"d_state": 32, "vocab_size": 256, "context_limit": 256}'),
+    ], ids=["par", "seq", "tra"])
+    def test_dict_form_is_the_checkpoint_header_form(self, cfg, compact):
+        # checkpoint headers write this compact form; a None pattern is left out
+        assert json.dumps(cfg.to_dict()) == compact
+        assert ModelConfig.from_dict(json.loads(compact)) == cfg
+
 
 class TestComponentMask:
     def test_skipped_layer_must_disable_components(self):
@@ -110,6 +129,11 @@ class TestWeights:
 
 
 class TestForwardPrefix:
+    @pytest.mark.parametrize("cfg", ALL_CFGS, ids=lambda c: c.arch)
+    def test_absent_mask_is_the_full_mask(self, cfg):
+        assert mask_blocks(cfg, None) == \
+            mask_blocks(cfg, ComponentMask.full(cfg.n_layers))
+
     @pytest.mark.parametrize("cfg", ALL_CFGS, ids=lambda c: c.arch)
     def test_absent_mask_equals_full_mask_bitwise(self, cfg):
         m = make_model(cfg)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 from scipy import stats
 
@@ -62,7 +62,22 @@ class TestSoftmax:
 
     @given(finite_logits, st.floats(min_value=1e-2, max_value=1e2))
     def test_argmax_invariant_to_temperature(self, logits, temp):
+        # exact wherever the top two logits are further apart than rounding
+        # (of the logits' scale, and of exp's near 1); closer, both
+        # probabilities can round to the same value at one temperature only
+        top2 = np.sort(logits)[-2:]
+        assume(logits.size == 1 or top2[1] - top2[0]
+               > 1e-9 * max(1.0, np.max(np.abs(logits))))
         assert np.argmax(softmax(logits, temp)) == np.argmax(softmax(logits, 1.0))
+
+    def test_near_tie_argmax_is_within_one_ulp_of_the_max(self):
+        # a near tie where the argmax does move with temperature: at T = 5
+        # both probabilities round to 0.5 and index 0 is picked; its logit is
+        # one ulp of 1.0, the scale exp works at, below the maximum
+        logits = np.array([-2.220446049250313e-16, 0.0])
+        assert np.argmax(softmax(logits, 1.0)) == 1
+        i = int(np.argmax(softmax(logits, 5.0)))
+        assert logits.max() - logits[i] <= np.spacing(1.0)
 
 
 class TestSampleCategorical:

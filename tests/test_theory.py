@@ -99,8 +99,8 @@ class TestFlopRatio:
         attn = d + 4 * d * d
         ffn = d + 2 * FFN_MULT * d * d
         full = 2 * d + TRA.n_layers * (attn + ffn) + d + d * v
-        strategy = DraftStrategy("layer_skip", skip_fraction=0.25)  # 1 layer
-        draft = full - (attn + ffn)
+        strategy = DraftStrategy("layer_skip")  # ceil(4/3) = 2 layers
+        draft = full - 2 * (attn + ffn)
         cm = flop_ratio(TRA, strategy)
         assert abs(cm.cost_ratio - draft / full) < 1e-12
 
