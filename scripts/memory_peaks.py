@@ -26,17 +26,28 @@ reports its array buffers to ``tracemalloc``). The entry points are:
   (B, T, d_model, d_state) history the call returns;
 * ``_ssm_bwd`` (parallel toy only): the last recurrent layer's backward over
   the float32 tape of ``train_step``'s batch, with the peak's multiple of
-  the history it reads from the tape.
+  one (B, T, d_model, d_state) float32 state history, which the tape no
+  longer holds.
 
 The toys are seeded inits of the acceptance configuration (12 layers,
 d_model 64, d_state 8), saved to a temporary directory. The eval text is
 generated. Peaks count what Python and NumPy allocate, not the process's
 resident set, so they are the same from run to run on any machine.
+
+The last lines are not peaks: ``train_faults`` is the minor page faults
+(``ru_minflt``) per step of ``train`` from a seeded init on the training
+bytes of ``train_step``, over the steps after the first, with tracing off,
+first under the C library's default allocator settings and then, as
+``train_faults_kept``, after ``training.keep_freed_pages`` (which lasts for
+the rest of the process, so it comes last). They show how many pages each
+step faults in again after the previous one freed them; they depend on the
+C library's allocator, so they are not the same on every machine.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -56,14 +67,17 @@ from speclab.metrics import divergence_stats  # noqa: E402
 from speclab.model import (  # noqa: E402
     ComponentMask, HybridModel, ModelConfig, init_weights, layer_plan,
     ssm_block)
+import speclab.training as training  # noqa: E402
 from speclab.training import (  # noqa: E402
-    _ssm_bwd, backward_train, cross_entropy, evaluate_loss, forward_train)
+    TrainConfig, _ssm_bwd, backward_train, cross_entropy, evaluate_loss,
+    forward_train, train)
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
 SEED = 7
 WINDOWS = 2
 TRAIN_BATCH, TRAIN_LEN = 8, 96
 SCAN_SHAPES = ((1, 256), (2, 255))
+FAULT_STEPS = 6
 
 
 def traced_peak_mb(fn, *args) -> float:
@@ -102,17 +116,41 @@ def scan_peaks(weights):
 
 def ssm_bwd_peak(cfg, w, x):
     """(peak MB, peak over history) of the last recurrent layer's backward
-    over a training tape of the windows ``x``."""
+    over a training tape of the windows ``x``, against the (B, T, d_model,
+    d_state) history of those windows."""
     _, tape = forward_train(cfg, w, None, x)
     entry = next(e for e in reversed(tape["layers"]) if "ssm" in e)
     p, cache = entry["ssm"]
-    states = cache[6]
-    dout = np.random.default_rng(SEED).normal(0, 1, states.shape[:3])
+    usig = cache[1]
+    dout = np.random.default_rng(SEED).normal(0, 1, usig.shape)
     prefix = f"layers.{entry['layer']}.ssm."
     grads = {n: np.zeros_like(a) for n, a in w.items() if n.startswith(prefix)}
-    mb = traced_peak_mb(_ssm_bwd, p, dout.astype(states.dtype), cache, grads,
+    mb = traced_peak_mb(_ssm_bwd, p, dout.astype(usig.dtype), cache, grads,
                         prefix)
-    return mb, mb * 1e6 / states.nbytes
+    return mb, mb * 1e6 / (usig.nbytes * cfg.d_state)
+
+
+def train_faults(cfg, corpus_path) -> float:
+    """Minor page faults per ``train`` step over the steps after the first,
+    from a fresh weight init, on windows of ``corpus_path``."""
+    faults = []
+    step = training._train_step
+
+    def counted(*args):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        loss = step(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+        return loss
+
+    training._train_step = counted
+    try:
+        train(cfg, TrainConfig(corpus_path=str(corpus_path), steps=FAULT_STEPS,
+                               batch_size=TRAIN_BATCH, seq_len=TRAIN_LEN,
+                               seed=SEED))
+    finally:
+        training._train_step = step
+    return sum(faults[1:]) / (len(faults) - 1)
 
 
 def peaks(path: Path, windows: np.ndarray, train_windows: np.ndarray):
@@ -142,17 +180,20 @@ def peaks(path: Path, windows: np.ndarray, train_windows: np.ndarray):
 def main() -> int:
     tracemalloc.start()
     with tempfile.TemporaryDirectory() as tmp:
+        train_path = Path(tmp) / "train.bin"
+        train_path.write_bytes(make_corpus(TRAIN_BATCH * (TRAIN_LEN + 1), 1234))
+        train_corpus = np.frombuffer(train_path.read_bytes(),
+                                     np.uint8).astype(np.int64)
+        train_windows = train_corpus.reshape(TRAIN_BATCH, TRAIN_LEN + 1)
+        configs = {}
         for name, arch in ARCHS.items():
-            cfg = ModelConfig(arch, n_layers=12, d_model=64, d_state=8)
+            cfg = configs[name] = ModelConfig(arch, n_layers=12, d_model=64,
+                                              d_state=8)
             path = Path(tmp) / f"{name}.ckpt"
             save_checkpoint(path, init_weights(cfg, SEED))
             corpus = np.frombuffer(make_corpus(WINDOWS * cfg.context_limit, 777),
                                    np.uint8).astype(np.int64)
             windows = corpus.reshape(WINDOWS, cfg.context_limit)
-            train_corpus = np.frombuffer(
-                make_corpus(TRAIN_BATCH * (TRAIN_LEN + 1), 1234),
-                np.uint8).astype(np.int64)
-            train_windows = train_corpus.reshape(TRAIN_BATCH, TRAIN_LEN + 1)
             print(f"{name}: checkpoint {path.stat().st_size / 1e6:.1f} MB")
             for entry, mb in peaks(path, windows, train_windows):
                 print(f"{entry + '.' + name:24s} {mb:7.1f} MB")
@@ -165,6 +206,13 @@ def main() -> int:
                 mb, ratio = ssm_bwd_peak(cfg, w32, train_windows[:, :-1])
                 print(f"{'_ssm_bwd.' + name:24s} {mb:7.1f} MB  "
                       f"{ratio:.2f}x its history")
+        tracemalloc.stop()
+        for label in ("train_faults", "train_faults_kept"):
+            if label == "train_faults_kept":
+                training.keep_freed_pages()
+            for name, cfg in configs.items():
+                print(f"{label + '.' + name:24s} "
+                      f"{train_faults(cfg, train_path):7.1f} faults per step")
     return 0
 
 

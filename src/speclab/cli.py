@@ -32,7 +32,7 @@ from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
 from .theory import (flop_ratio, optimal_k, per_token_from_all_token,
                      speedup_readings)
-from .training import TrainConfig, load_corpus, train
+from .training import TrainConfig, keep_freed_pages, load_corpus, train
 
 
 # a greedy margin below this is a near tie that the ~1e-14 difference
@@ -99,6 +99,7 @@ def cmd_train(args) -> int:
         seq_len=args.seq_len, learning_rate=args.lr, seed=args.seed,
         warmup_steps=args.warmup_steps, log_path=log_path,
         compute_dtype=args.compute_dtype)
+    keep_freed_pages()    # this process only trains
     weights, history = train(cfg, tcfg)
     save_checkpoint(args.out, weights)
     if history:
@@ -206,13 +207,23 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+def _mask_kinds(cfg: ModelConfig) -> tuple[str, ...]:
+    """The strategy kinds :func:`build_mask` realises for ``cfg``."""
+    kinds = []
+    for kind in STRATEGY_KINDS:
+        try:
+            build_mask(cfg, DraftStrategy(kind))
+        except ValueError:
+            continue
+        kinds.append(kind)
+    return tuple(kinds)
+
+
 def cmd_verify_lossless(args) -> int:
     model = _load_model(args.checkpoint)
     corpus = load_corpus(args.corpus)
     prompts = sample_prompts(corpus, args.n_prompts, args.prompt_len, args.seed)
-    kinds = args.strategies or tuple(
-        k for k in STRATEGY_KINDS
-        if not (k == "component_only" and model.cfg.arch == "transformer"))
+    kinds = args.strategies or _mask_kinds(model.cfg)
     settings = DecodeSettings(k=args.k, temperature=0.0,
                               max_new_tokens=args.max_new_tokens,
                               seed=args.seed)

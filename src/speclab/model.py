@@ -37,13 +37,16 @@ True)``, the draft and verify chunks). The scan writes those states over the
 buffer of input outer products it is given, so the layer holds its history
 about once. A :class:`DecodeState` owns its recurrent states: a forward
 leaves in it a copy of each layer's last-row state, not a view pinning the
-whole history. A training tape holds no (T, T) term: attention records
-the row max and denominator of its softmax, from which the backward
-rebuilds the probabilities with ``q`` and ``k`` by :func:`attn_scores` and
-the forward's in-place steps. Nor does it hold anything its backward can
-rebuild with one elementwise product (a block's normalised input, the gate
-products ``upre * usig`` and ``pre * sig``); the backward rebuilds those by
-the same expressions. Every rebuilt array has the forward's bits.
+whole history. A training tape keeps what a sigmoid or the softmax
+statistics produce, beside each block's rmsnorm cache: the SSM gate
+sigmoid and decay, attention's row max and softmax denominator, and the
+FFN sigmoid. The backward rebuilds everything else by the forward's own
+expressions: the normalised inputs, every product with a weight, the gate
+products, the attention probabilities (by :func:`attn_scores` and the
+forward's in-place steps) and context, and the state history, two batch
+rows at a time by :func:`_scan_inputs` and :func:`_linear_scan`. So the tape
+holds no (T, T) term and no state history, and every rebuilt array has the
+forward's bits.
 
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
@@ -427,10 +430,9 @@ class DecodeState:
 # ---------------------------------------------------------------------------
 # Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
 # and, given a tape entry (a dict), records in it what training's backward
-# needs, save what the backward rebuilds: the rmsnorm cache stands for the
-# normalised input, the pre-activation and its sigmoid for their product,
-# and the softmax's row max and denominator, with q and k, for the
-# attention probabilities.
+# cannot rebuild without a sigmoid or a softmax reduction: its rmsnorm cache,
+# from which the backward rebuilds the normalised input and every product
+# with a weight, and its sigmoids or softmax row max and denominator.
 # ---------------------------------------------------------------------------
 
 
@@ -527,7 +529,7 @@ def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
-        tape["ssm"] = (p, (ncache, upre, usig, bm, cm, decay, states, y_skip))
+        tape["ssm"] = (p, (ncache, usig, decay))
     return out.reshape(B, T, d), states
 
 
@@ -579,7 +581,7 @@ def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
     ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
     out = ctx.reshape(B * T, d) @ p.wo
     if tape is not None:
-        tape["attn"] = (p, (ncache, q, k, v, row_max, denom, ctx))
+        tape["attn"] = (p, (ncache, row_max, denom))
     return out.reshape(B, T, d)
 
 
@@ -592,7 +594,7 @@ def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
     act = pre * sig
     out = act @ p.w2
     if tape is not None:
-        tape["ffn"] = (p, (ncache, pre, sig))
+        tape["ffn"] = (p, (ncache, sig))
     return out.reshape(B, T, d)
 
 

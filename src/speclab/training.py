@@ -6,24 +6,28 @@ scoring and decoding run, here over B windows from position 0 in float32 or
 float64, with a tape of what the backward needs. This module keeps what is
 training's own: the backward, the optimizer, the loop and the
 finite-difference gradient check that pins the backward to the forward.
-Recurrent states come from the forward's chunked scan and the backward runs
-the reverse recurrence as the same scan on time-flipped input, which it
-builds flipped on contiguous (d_model, d_state) rows and which the scan
-overwrites with its states; the decay gradient sums the state axis as
-whole-column adds in NumPy's own summation order.
 
-The tape holds no (T, T) term: the attention probabilities are rebuilt
-from the tape's ``q`` and ``k`` and their row max and softmax denominator,
-by the forward's own steps in the forward's order (scores, minus the max,
-exp, over the denominator). Nor does it hold anything its backward can
-rebuild with one elementwise product. Each block's normalised input is
-rebuilt from its rmsnorm cache as ``x * (g * r)``, the SSM gate product as
-``upre * usig`` and the FFN activation as ``pre * sig``: the forward's own
-expressions. So every rebuilt array has the forward's bits. What costs a
-product with a weight, a scan or a sigmoid to rebuild stays on the tape,
-the SSM state history among them; the SSM backward forms its decay gradient
-one batch row at a time, so the flipped scan's buffer is the one
-history-sized array it makes.
+The tape keeps what a sigmoid or the softmax statistics produce, beside
+each block's rmsnorm cache: the SSM gate sigmoid ``usig`` and the decay,
+attention's row max and softmax denominator, and the FFN sigmoid ``sig``.
+Every product with a weight, and the state history, is rebuilt, by the
+forward's own expressions in the forward's order, so every rebuilt array
+has the forward's bits (Chen et al. 2016's rematerialisation, arXiv
+1604.06174): each block's normalised input as ``x * (g * r)``; ``upre``,
+``bm``, ``cm``, ``q``, ``k``, ``v`` and ``pre`` by their weight products on
+it; the gate products ``upre * usig`` and ``pre * sig``; the attention
+probabilities from ``q``, ``k``, the row max and the denominator (scores,
+minus the max, exp, over the denominator), and the context ``w @ v``. The
+SSM backward rebuilds the state history two batch rows at a time, by the
+forward's chunked scan from zero, and scans in the same call those rows'
+reverse-time recurrence on their time-flipped input, built flipped on
+contiguous (d_model, d_state) rows; the decay gradient sums the state axis
+as whole-column adds in NumPy's own summation order. So the tape holds no
+(T, T) term and no state history, and the backward makes no
+(B, T, d_model, d_state) array: on the parallel acceptance toy (B = 8,
+T = 96, float32) the tape is 17.2 MB, where it was 60.3 MB with the weight
+products and the history on it, and a traced step peaks at 27.1 MB instead
+of 69.2 MB.
 
 With ``compute_dtype="float32"`` (the default) the forward, the tape, the
 backward and the gradients stay float32 end to end, against float64 master
@@ -34,7 +38,13 @@ available.
 
 A training step holds one tape: each step's casts, tape, logits and
 gradients are freed before the next step's forward starts, and the logits
-as soon as their loss gradient is formed. Evaluation
+as soon as their loss gradient is formed. Under glibc's default settings
+the next step faults much of that memory in again: on the toy above about
+4,650 minor page faults per step after the first. :func:`keep_freed_pages`
+has glibc keep the freed pages instead (0 faults per step); it sets the
+allocator for the whole process, so the training-only entry points
+(``speclab train``, ``scripts/train_toy_models.py``) call it and
+:func:`train` does not. Evaluation
 (:func:`evaluate_loss`, the finite-difference probes of :func:`grad_check`)
 records no tape.
 
@@ -45,6 +55,7 @@ the loop itself is single-threaded numpy.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,14 +172,19 @@ def _flat(x):
 
 
 def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
-    ncache, q, k, v, row_max, denom, ctx = cache
-    B, T, d = ctx.shape
+    ncache, row_max, denom = cache
+    B, T, d = dout.shape
     dh = d // n_heads
-    # the probabilities by the forward's own steps, bit for bit
+    # q, k, v, the probabilities and the context by the forward's own
+    # products and steps, bit for bit
+    x2 = _flat(rmsnorm_output(ncache))
+    q, k, v = ((x2 @ wm).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+               for wm in (p.wq, p.wk, p.wv))
     w = attn_scores(q, k, causal_bias(T, 0, q.dtype))
     w -= row_max
     np.exp(w, out=w)
     w /= denom
+    ctx = (w @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
     do2 = _flat(dout)
     grads[prefix + "wo"] += _flat(ctx).T @ do2
     dctx = (do2 @ p.wo.T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
@@ -183,7 +199,6 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     dq2 = _flat(dq.transpose(0, 2, 1, 3).reshape(B, T, d))
     dk2 = _flat(dk.transpose(0, 2, 1, 3).reshape(B, T, d))
     dv2 = _flat(dv.transpose(0, 2, 1, 3).reshape(B, T, d))
-    x2 = _flat(rmsnorm_output(ncache))
     grads[prefix + "wq"] += x2.T @ dq2
     grads[prefix + "wk"] += x2.T @ dk2
     grads[prefix + "wv"] += x2.T @ dv2
@@ -224,35 +239,56 @@ def _row_sums(x):
     return total
 
 
+# batch rows per scan call of the SSM backward: each group's scan buffer holds
+# its states and adjoint states, 2 * _BWD_SCAN_ROWS / B of one history; two
+# rows keep the backward's peak plus the layer's tape under two histories at
+# B = 8 and make half as many scan calls as one row
+_BWD_SCAN_ROWS = 2
+
+
 def _ssm_bwd(p, dout, cache, grads, prefix):
-    ncache, upre, usig, bm, cm, decay, states, y_skip = cache
-    B, T, d = upre.shape
+    ncache, usig, decay = cache
+    B, T, d = usig.shape
+    # the gate's input and the state projections by the forward's products
+    x2 = _flat(rmsnorm_output(ncache))
+    upre = (x2 @ p.w_in).reshape(B, T, d)
+    bm = (x2 @ p.w_b).reshape(B, T, -1)
+    cm = (x2 @ p.w_c).reshape(B, T, -1)
     u = upre * usig
     do2 = _flat(dout)
-    grads[prefix + "w_out"] += _flat(y_skip).T @ do2
     dy = np.ascontiguousarray((do2 @ p.w_out.T).reshape(B, T, d))
     grads[prefix + "skip_gain"] += np.sum(dy * u, axis=(0, 1))
     du = dy * p.skip_gain
-    dcm = (dy[:, :, None, :] @ states)[:, :, 0, :]
-    # reverse-time recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t is a
-    # forward scan on the time-flipped input, whose outer product is built
-    # flipped and contiguous
-    q = _scan_inputs(dy[:, ::-1].copy(), cm[:, ::-1].copy())
-    d_states = _linear_scan(decay, q, 0.0)[:, :T][:, ::-1]
-    # the order of one sum over axes (0, 1, 3): each state row pairwise,
-    # then the (b, t) rows in turn; one batch row's product at a time, so
-    # no product the size of the history is alive beside the scan buffer
-    rows = np.empty((B, T - 1, d), dtype=states.dtype)
-    for b in range(B):
-        rows[b] = _row_sums(d_states[b, 1:] * states[b, :-1])
+    y_skip = np.empty_like(u)
+    dbm = np.empty_like(bm)
+    dcm = np.empty_like(cm)
+    rows = np.empty((B, T - 1, d), dtype=u.dtype)
+    for b in range(0, B, _BWD_SCAN_ROWS):
+        # a group of batch rows at a time, two scans from zero in one call:
+        # the rows' states, by the forward's scan, and the reverse-time
+        # recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t on the flipped
+        # rows; so no array the size of the history is made
+        g = slice(b, b + _BWD_SCAN_ROWS)
+        n = len(u[g])
+        scans = _linear_scan(decay, _scan_inputs(
+            np.concatenate([u[g], dy[g, ::-1]]),
+            np.concatenate([bm[g], cm[g, ::-1]])), 0.0)[:, :T]
+        states, d_states = scans[:n], scans[n:, ::-1]
+        y_skip[g] = (states @ cm[g, :, :, None])[..., 0] + p.skip_gain * u[g]
+        dcm[g] = (dy[g, :, None, :] @ states)[:, :, 0, :]
+        du[g] += (d_states @ bm[g, :, :, None])[..., 0]
+        dbm[g] = (u[g, :, None, :] @ d_states)[:, :, 0, :]
+        # the decay gradient's sum over axes (0, 1, 3) in its order: each
+        # state row pairwise, then the (b, t) rows in turn
+        rows[g] = _row_sums(np.multiply(d_states[:, 1:], states[:, :-1],
+                                        out=states[:, :-1]))
+        del scans, states, d_states    # before the next group's are made
+    grads[prefix + "w_out"] += _flat(y_skip).T @ do2
     da = rows.reshape(-1, d).sum(axis=0)
-    du += (d_states @ bm[..., None])[..., 0]
-    dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
-    del q, d_states
     a = decay[:, 0]
     grads[prefix + "decay_raw"] += da * a * (1.0 - a)
     dupre = _silu_bwd(du, upre, usig)
-    x2 = _flat(rmsnorm_output(ncache))
+    del rows, dy, du     # so the input gradient's peak stays below the loop's
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)
     grads[prefix + "w_in"] += x2.T @ du2
     grads[prefix + "w_b"] += x2.T @ dbm2
@@ -264,14 +300,16 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
 
 
 def _ffn_bwd(p, dout, cache, grads, prefix):
-    ncache, pre, sig = cache
+    ncache, sig = cache
     B, T, d = dout.shape
-    do2 = _flat(dout)
+    x2 = _flat(rmsnorm_output(ncache))
+    pre = x2 @ p.w1
     act = pre * sig
+    do2 = _flat(dout)
     grads[prefix + "w2"] += act.T @ do2
     dact = do2 @ p.w2.T
     dpre = _silu_bwd(dact, pre, sig)
-    grads[prefix + "w1"] += _flat(rmsnorm_output(ncache)).T @ dpre
+    grads[prefix + "w1"] += x2.T @ dpre
     dxs = (dpre @ p.w1.T).reshape(B, T, d)
     dh_, dg = _rms_bwd(dxs, ncache)
     grads[prefix + "norm_g"] += dg
@@ -377,6 +415,26 @@ def _train_step(cfg: ModelConfig, w: Weights, opt: Adam,
     grads = backward_train(cfg, wc, tape, dlogits)
     opt.step(w, grads)
     return float(loss)
+
+
+def keep_freed_pages():
+    """Have glibc keep the pages a training step frees, so that the next
+    step reuses them instead of faulting fresh ones in: no free returns heap
+    memory to the kernel below 1 GiB at the heap's top, and blocks under
+    32 MiB (every array of a toy step) come from the heap, not from mmap.
+
+    The setting is the whole process's and lasts until it exits (it also
+    turns off glibc's adaptive mmap threshold), so only the entry points of
+    processes that do nothing but train call it, never :func:`train`
+    itself. Where libc has no ``mallopt`` it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)     # M_TRIM_THRESHOLD of glibc's malloc.h
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, at glibc's maximum
 
 
 def train(cfg: ModelConfig, tcfg: TrainConfig,

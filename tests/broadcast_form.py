@@ -12,7 +12,9 @@ contiguous state rows and sums the decay gradient's state axis as column
 adds; each element's arithmetic is the same.
 
 ``ssm_block`` and ``ssm_bwd`` take and record what ``speclab.model.ssm_block``
-and ``speclab.training._ssm_bwd`` do, so a test can put them in their place.
+and ``speclab.training._ssm_bwd`` do, so a test can put them in their place;
+the backward rebuilds the whole state history at once, where the model's
+rebuilds it two batch rows at a time.
 """
 
 import numpy as np
@@ -69,15 +71,23 @@ def ssm_block(p, decay, h, s0, tape=None):
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
-        tape["ssm"] = (p, (ncache, upre, usig, bm, cm, decay, states, y_skip))
+        tape["ssm"] = (p, (ncache, usig, decay))
     return out.reshape(B, T, d), states
 
 
 def ssm_bwd(p, dout, cache, grads, prefix):
-    """The recurrent branch's backward over a tape of :func:`ssm_block`."""
-    ncache, upre, usig, bm, cm, decay, states, y_skip = cache
-    B, T, d = upre.shape
+    """The recurrent branch's backward over a tape of :func:`ssm_block`,
+    which rebuilds the gate input, the projections and the whole state
+    history at once."""
+    ncache, usig, decay = cache
+    B, T, d = usig.shape
+    x2 = _flat(rmsnorm_output(ncache))
+    upre = (x2 @ p.w_in).reshape(B, T, d)
     u = upre * usig
+    bm = (x2 @ p.w_b).reshape(B, T, -1)
+    cm = (x2 @ p.w_c).reshape(B, T, -1)
+    states = linear_scan(decay, u[..., None] * bm[:, :, None, :], 0.0)
+    y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     do2 = _flat(dout)
     grads[prefix + "w_out"] += _flat(y_skip).T @ do2
     dy = np.ascontiguousarray((do2 @ p.w_out.T).reshape(B, T, d))
@@ -91,7 +101,6 @@ def ssm_bwd(p, dout, cache, grads, prefix):
     dbm = (u[:, :, None, :] @ d_states)[:, :, 0, :]
     grads[prefix + "decay_raw"] += da * decay * (1.0 - decay)
     dupre = _silu_bwd(du, upre, usig)
-    x2 = _flat(rmsnorm_output(ncache))
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)
     grads[prefix + "w_in"] += x2.T @ du2
     grads[prefix + "w_b"] += x2.T @ dbm2

@@ -27,8 +27,19 @@ def env(tmp_path_factory):
     return {"root": root, "corpus": str(corpus), "ckpt": str(ckpt)}
 
 
+@pytest.fixture(autouse=True)
+def allocator_calls(monkeypatch):
+    """The ``train`` command sets the allocator for its whole process; here
+    the setting is only recorded, so the test session keeps glibc's
+    defaults."""
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_pages", lambda: calls.append(None))
+    return calls
+
+
 class TestTrainCommand:
-    def test_trains_and_writes_artifacts(self, env, tmp_path):
+    def test_trains_and_writes_artifacts(self, env, tmp_path,
+                                         allocator_calls):
         out = tmp_path / "model.ckpt"
         rc = main([
             "train", "--arch", "parallel_hybrid", "--corpus", env["corpus"],
@@ -37,6 +48,7 @@ class TestTrainCommand:
             "--n-heads", "2", "--d-state", "4", "--context-limit", "48",
         ])
         assert rc == 0
+        assert len(allocator_calls) == 1
         weights = load_checkpoint(out)
         assert weights.cfg.n_layers == 2
         assert manifest_path(out).exists()
@@ -221,6 +233,27 @@ class TestDiagnosticsCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("match rate 1.000") == 4
+
+    @pytest.mark.parametrize("arch,kinds", [
+        ("parallel_hybrid", ("component_only", "layer_skip", "early_exit",
+                             "identity")),
+        ("sequential_hybrid", ("component_only", "layer_skip", "early_exit",
+                               "identity")),
+        ("transformer", ("layer_skip", "early_exit", "identity"))])
+    def test_verify_lossless_defaults_to_the_kinds_with_a_mask(
+            self, env, tmp_path, monkeypatch, arch, kinds):
+        # every strategy kind build_mask realises for the checkpoint's config
+        cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
+                          vocab_size=256, context_limit=64)
+        ckpt = tmp_path / f"{arch}.ckpt"
+        save_checkpoint(ckpt, init_weights(cfg, 6))
+        seen = _capture(monkeypatch, "match_rate")
+        with pytest.raises(_Stop):
+            main(["verify-lossless", "--checkpoint", str(ckpt), "--corpus",
+                  env["corpus"], "--n-prompts", "1", "--prompt-len", "6",
+                  "--max-new-tokens", "4"])
+        (_, strategies, _, _), = seen
+        assert tuple(s.kind for s in strategies) == kinds
 
     def test_verify_lossless_rejects_unknown_strategy_names(self, env,
                                                             capsys):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import sys
 import tracemalloc
@@ -274,19 +275,30 @@ def profiled(hook, fn, *args):
 
 
 # the arrays each forward stage leaves off the tape for the backward to
-# rebuild, by their names in its frame
-REBUILT = {"ssm_block": ("xs", "u"), "attn_block": ("xs", "w"),
-           "ffn_block": ("xs", "act"), "head": ("hn",)}
+# rebuild, by their names in its frame and in its backward's
+REBUILT = {"ssm_block": ("xs", "u", "upre", "bm", "cm", "states", "y_skip"),
+           "attn_block": ("xs", "w", "q", "k", "v", "ctx"),
+           "ffn_block": ("xs", "act", "pre"), "head": ("hn",)}
 BLOCKS = (model_module.ssm_block, model_module.attn_block,
           model_module.ffn_block, model_module.head)
+BACKWARDS = {"_ssm_bwd": "ssm_block", "_attn_bwd": "attn_block",
+             "_ffn_bwd": "ffn_block", "backward_train": "head"}
+
+
+def owners(a):
+    """``a`` and every array whose memory it views."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
 
 
 class TestTapeContract:
-    """The tape holds no (T, T) term and nothing its backward can rebuild
-    with one elementwise product: the attention probabilities are rebuilt
-    from ``q``, ``k`` and their row max and denominator, the normalised
-    inputs and gate products by the forward's own expressions. The backward
-    rebuilds those arrays bit for bit."""
+    """The tape holds what a sigmoid or the softmax statistics produce, and
+    the rmsnorm caches: no (T, T) term, no state history and no product with
+    a weight. The backward rebuilds the normalised inputs, the weight
+    products, the gate products, the attention probabilities and context,
+    and the state history two batch rows at a time, by the forward's own
+    expressions, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
@@ -296,8 +308,8 @@ class TestTapeContract:
         refs = []
 
         def record(name, caller, local, value):
-            refs.extend((name, key, weakref.ref(local[key]))
-                        for key in REBUILT[name])
+            refs.extend((name, key, weakref.ref(a)) for key in REBUILT[name]
+                        for a in owners(local[key]))
 
         x, _ = small_batch(cfg, t=20)
         logits, tape = profiled(on_returns(BLOCKS, record), forward_train,
@@ -315,35 +327,48 @@ class TestTapeContract:
                              ids=lambda c: c.arch)
     def test_backward_rebuilds_the_forward_bits(self, cfg, T, dtype):
         wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
-        x, y = small_batch(cfg, seed=T, b=2, t=T)
+        x, y = small_batch(cfg, seed=T, b=3, t=T)
         computed = {}   # (forward function, name) -> arrays, in call order
         rebuilt = {}
+        scans = []      # the current SSM backward's scans
 
         def forward_record(name, caller, local, value):
             for key in REBUILT[name]:
                 computed.setdefault((name, key), []).append(local[key].copy())
 
-        # the backward names the gate products as the forward does; the
-        # normalised inputs are what rmsnorm_output returns to each backward
-        owner = {"_ssm_bwd": "ssm_block", "_attn_bwd": "attn_block",
-                 "_ffn_bwd": "ffn_block", "backward_train": "head"}
-
+        # the backwards name what they rebuild as the forward does; the
+        # normalised inputs are what rmsnorm_output returns to each backward,
+        # and the SSM backward's scans, one per group of batch rows, each
+        # rebuild that group's states in their first half
         def backward_record(name, caller, local, value):
             if name == "rmsnorm_output":
-                key = (owner[caller], "hn" if caller == "backward_train"
+                key = (BACKWARDS[caller], "hn" if caller == "backward_train"
                        else "xs")
                 rebuilt.setdefault(key, []).append(value.copy())
+            elif name == "_linear_scan":
+                scans.append(value[:len(value) // 2, :T].copy())
             else:
-                key = (owner[name], {"_ssm_bwd": "u", "_attn_bwd": "w",
-                                     "_ffn_bwd": "act"}[name])
-                rebuilt.setdefault(key, []).append(local[key[1]].copy())
+                for key in REBUILT[BACKWARDS[name]]:
+                    if key == "states":
+                        array = np.concatenate(scans)
+                        scans.clear()
+                    elif key != "xs":
+                        array = local[key].copy()
+                    else:
+                        continue
+                    rebuilt.setdefault((BACKWARDS[name], key), []).append(array)
 
         logits, tape = profiled(on_returns(BLOCKS, forward_record),
                                 forward_train, cfg, wc, None, x)
-        # nothing on the tape grows with the square of the window
-        assert not [a.shape for a in tape_arrays(tape) if a.shape[-2:] == (T, T)]
+        taped = [a for arr in tape_arrays(tape) for a in owners(arr)]
+        # nothing on the tape grows with the square of the window, and no
+        # (B, T, d_model, d_state) state history is on it
+        assert not [a.shape for a in taped if a.shape[-2:] == (T, T)]
+        assert not [a.shape for a in taped
+                    if a.ndim == 4 and a.shape[-2:] == (cfg.d_model, cfg.d_state)]
         _, dlogits = cross_entropy(logits, y)
-        profiled(on_returns((model_module.rmsnorm_output, training._ssm_bwd,
+        profiled(on_returns((model_module.rmsnorm_output,
+                             model_module._linear_scan, training._ssm_bwd,
                              training._attn_bwd, training._ffn_bwd),
                             backward_record),
                  backward_train, cfg, wc, tape, dlogits)
@@ -357,16 +382,18 @@ class TestTapeContract:
 
 class TestSsmBackwardPeak:
     def test_peak_stays_under_two_histories(self):
-        # the flipped scan's buffer is the one history-sized array the
-        # backward makes: the decay gradient takes one batch row's product
-        # at a time, and the buffer goes once the last gradient has read it
+        # per recurrent layer, what the tape holds for the backward plus the
+        # backward's peak: the tape holds no state history, and the backward
+        # rebuilds it, and scans the reverse-time recurrence, two batch rows
+        # at a time
         cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
         wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
         x, _ = small_batch(cfg, b=8, t=96)
         _, tape = forward_train(cfg, wc, None, x)
         p, cache = tape["layers"][0]["ssm"]
-        states = cache[6]
-        dout = np.random.default_rng(0).normal(0, 1, states.shape[:3])
+        history = x.size * cfg.d_model * cfg.d_state * 4
+        taped = sum({id(a): a.nbytes for a in tape_arrays(cache)}.values())
+        dout = np.random.default_rng(0).normal(0, 1, (*x.shape, cfg.d_model))
         dout = dout.astype(np.float32)
         grads = {n: np.zeros_like(a) for n, a in wc.items()}
         tracemalloc.start()
@@ -376,7 +403,7 @@ class TestSsmBackwardPeak:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * states.nbytes
+        assert taped + peak < 2 * history
 
 
 class TestTrainLoop:
@@ -470,7 +497,7 @@ class TestTrainLoop:
             logits, tape = original(*args)
             owned.extend(weakref.ref(a) for a in
                          (logits, tape["final_norm"][0],
-                          tape["layers"][0]["ssm"][1][6]))
+                          tape["layers"][0]["ssm"][1][1]))
             return logits, tape
 
         monkeypatch.setattr(training, "forward_train", watched)
@@ -478,6 +505,23 @@ class TestTrainLoop:
                                     batch_size=2, seq_len=16, seed=0,
                                     compute_dtype=dtype))
         assert alive_at_entry == [0, 0, 0]
+
+    def test_keep_freed_pages_without_libc_does_nothing(self, monkeypatch):
+        # where ctypes cannot load libc there is no allocator to set
+        def no_libc(*args, **kwargs):
+            raise OSError("no libc here")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert training.keep_freed_pages() is None
+
+    def test_train_leaves_the_allocator_alone(self, corpus_file, monkeypatch):
+        # the allocator setting lasts for the whole process, so only the
+        # entry points of processes that do nothing but train make it
+        loads = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: loads.append(a))
+        train(BYTE_PAR, TrainConfig(corpus_path=corpus_file, steps=1,
+                                    batch_size=2, seq_len=16, seed=5))
+        assert loads == []
 
     def test_evaluate_loss_records_no_tape(self, monkeypatch):
         tapes = []
