@@ -2,9 +2,9 @@
 """The full desk protocol over the toy-lab design's toys.
 
 Runs the acceptance-rate sweep (three strategies over the design's k,
-temperatures and prompts; ``speclab.experiments.TOY_SWEEP``), emits plot
-data, the ablation verdicts, and the speedup-model report for each
-checkpoint's component draft. Resumable: finished cells are skipped. Trains
+temperatures and prompts; ``speclab.experiments.TOY_SWEEP``), then the
+ablation verdicts and the speedup-model report for each checkpoint's
+component draft. Resumable: finished cells are skipped. Trains
 the toys first where --toys-dir lacks them (see scripts/train_toy_models.py).
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from speclab.cli import main as cli_main
 from speclab.experiments import (TOY_ARCHS, TOY_SWEEP, ExperimentSpec,
-                                 build_toys, emit_plot_data, run_experiments)
+                                 build_toys, run_experiments)
 
 
 def main():
@@ -34,7 +34,6 @@ def main():
         print(f"error in {cell}: {err}", file=sys.stderr)
     if result.errors:
         raise SystemExit(1)
-    emit_plot_data(result.report_path, out / "plot_data.csv")
     for ckpt in ckpts:
         cli_main(["ablate", "--checkpoint", str(ckpt), "--corpus",
                   str(toys["eval"]), "--json",

@@ -26,7 +26,7 @@ import numpy as np
 from .ablation import ablate_and_score
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .engine import STRATEGY_KINDS, DecodeSettings, DraftStrategy, build_mask
-from .experiments import ExperimentSpec, emit_plot_data, run_experiments
+from .experiments import ExperimentSpec, run_experiments
 from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
@@ -201,12 +201,6 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def cmd_plot_data(args) -> int:
-    n = emit_plot_data(args.report, args.out)
-    print(f"wrote {n} rows to {args.out}")
-    return 0
-
-
 def _mask_kinds(cfg: ModelConfig) -> tuple[str, ...]:
     """The strategy kinds :func:`build_mask` realises for ``cfg``."""
     kinds = []
@@ -322,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="external estimate to report deviations against")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_theory)
-
-    p = sub.add_parser("plot-data", help="tidy CSV for acceptance-vs-k plots")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plot_data)
 
     p = sub.add_parser("verify-lossless",
                        help="check speculative output equals autoregressive")

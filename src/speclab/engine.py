@@ -25,6 +25,10 @@ the accepted prefix: the emitted token becomes the next pending input, and
 after full acceptance the draft side's pending input is ``[d_k, bonus]``
 because it never fed ``d_k``.
 
+Autoregressive decoding is the same round with k = 0: no draft side, and a
+one-row verify forward over the pending token whose empty draft is fully
+accepted, so the rule draws no acceptance uniform and emits the bonus token.
+
 A draft strategy is its kind, and each kind is one fixed mask over the L
 layers: component_only drops the attention pathway (hybrids only),
 layer_skip skips ceil(L/3) evenly spaced interior layers, early_exit keeps
@@ -82,15 +86,16 @@ class DecodeSettings:
 
 @dataclass
 class DraftSequence:
-    """k drafted tokens with the full distribution each was sampled from."""
+    """k drafted tokens with the full distribution each was sampled from
+    (none for an autoregressive round)."""
 
     tokens: list[int]
     dists: list[np.ndarray]
     base_pos: int
 
     def __post_init__(self):
-        if len(self.tokens) < 1 or len(self.tokens) != len(self.dists):
-            raise ValueError("draft needs >= 1 token, one distribution per token")
+        if len(self.tokens) != len(self.dists):
+            raise ValueError("draft needs one distribution per token")
 
     @property
     def k(self) -> int:
@@ -219,8 +224,8 @@ def accept_draft(target_dists: list[np.ndarray] | np.ndarray,
     k = draft.k
     if len(target_dists) != k + 1:
         raise ValueError(f"need {k + 1} target distributions, got {len(target_dists)}")
-    matches = (np.argmax(draft.dists, axis=-1)
-               == np.argmax(target_dists[:k], axis=-1)).tolist()
+    matches = [int(np.argmax(d)) == int(np.argmax(t))
+               for d, t in zip(draft.dists, target_dists)]
     accepted = 0
     while accepted < k:
         tok = draft.tokens[accepted]
@@ -274,6 +279,39 @@ def _check_generation_budget(cfg: ModelConfig, prompt, settings: DecodeSettings,
             f"context_limit is {cfg.context_limit}")
 
 
+def _generate(model: HybridModel, prompt, settings: DecodeSettings,
+              draft_mask: ComponentMask | None):
+    """The round loop; returns (generated tokens, per-round results).
+
+    Rounds draft ``settings.k`` tokens under ``draft_mask``, or none without
+    one (k = 0: no draft state, each round one one-row verify forward).
+    """
+    rng = RngState(settings.seed)
+    _, vstate = model.forward_prefix(prompt[:-1])
+    if draft_mask is not None:
+        _, dstate = model.forward_prefix(prompt[:-1], draft_mask)
+    pending = int(prompt[-1])
+    draft_pending = [pending]
+    out: list[int] = []
+    rounds: list[SpecRoundResult] = []
+    while len(out) < settings.max_new_tokens:
+        if draft_mask is None:
+            draft = DraftSequence([], [], vstate.pos + 1)
+        else:
+            draft, snaps = draft_k(model, draft_mask, dstate, draft_pending,
+                                   settings, rng)
+        result = verify_and_accept(model, vstate, pending, draft, settings, rng)
+        pending = result.emitted_tokens[-1]
+        if result.all_accepted:
+            draft_pending = draft.tokens[-1:] + [pending]
+        else:
+            dstate.restore(snaps[result.accepted_count])
+            draft_pending = [pending]
+        out.extend(result.emitted_tokens)
+        rounds.append(result)
+    return out[:settings.max_new_tokens], rounds
+
+
 def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
                          settings: DecodeSettings):
     """Draft-verify loop; returns (generated tokens, per-round results).
@@ -285,45 +323,17 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
     which case the output is truncated but the round result is kept whole
     for statistics.
     """
-    cfg = model.cfg
-    _check_generation_budget(cfg, prompt, settings, settings.k + 1)
-    draft_mask = build_mask(cfg, strategy)
-    rng = RngState(settings.seed)
-    _, vstate = model.forward_prefix(prompt[:-1])
-    _, dstate = model.forward_prefix(prompt[:-1], draft_mask)
-    pending = int(prompt[-1])
-    draft_pending = [pending]
-    out: list[int] = []
-    rounds: list[SpecRoundResult] = []
-    while len(out) < settings.max_new_tokens:
-        draft, snaps = draft_k(model, draft_mask, dstate, draft_pending,
-                               settings, rng)
-        result = verify_and_accept(model, vstate, pending, draft, settings, rng)
-        pending = result.emitted_tokens[-1]
-        if result.all_accepted:
-            draft_pending = [draft.tokens[-1], pending]
-        else:
-            dstate.restore(snaps[result.accepted_count])
-            draft_pending = [pending]
-        out.extend(result.emitted_tokens)
-        rounds.append(result)
-    return out[:settings.max_new_tokens], rounds
+    _check_generation_budget(model.cfg, prompt, settings, settings.k + 1)
+    return _generate(model, prompt, settings, build_mask(model.cfg, strategy))
 
 
 def autoregressive_generate(model: HybridModel, prompt,
                             settings: DecodeSettings) -> list[int]:
     """Plain one-token-at-a-time decoding; the speculative baseline.
 
-    One ``decode_step`` per emitted token: each feeds the pending token (the
-    prompt's last, then the last emitted) and samples the next.
+    The round loop with k = 0, whatever ``settings.k``: each round feeds the
+    pending token (the prompt's last, then the last emitted) through a
+    one-row verify forward and samples the next from the target.
     """
     _check_generation_budget(model.cfg, prompt, settings, 0)
-    rng = RngState(settings.seed)
-    _, state = model.forward_prefix(prompt[:-1])
-    pending = int(prompt[-1])
-    out: list[int] = []
-    for _ in range(settings.max_new_tokens):
-        dist = softmax(model.decode_step(state, pending), settings.temperature)
-        pending = sample_categorical(dist, rng)
-        out.append(pending)
-    return out
+    return _generate(model, prompt, settings, None)[0]

@@ -50,7 +50,6 @@ from .theory import expected_tokens, flop_ratio, speedup
 from .training import TrainConfig, load_corpus, train
 
 REPORT_SCHEMA = "speclab-report v2"
-PLOT_SCHEMA = "speclab-plot-data v1"
 TIMING_SCHEMA = "speclab-timings v1"
 TIMING_COLUMNS = ["model", "strategy", "k", "temperature",
                   "spec_seconds_per_token", "ar_seconds_per_token"]
@@ -160,7 +159,7 @@ def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
 
 
 def read_report(path) -> list[dict]:
-    """Rows of a report/plot CSV, skipping the schema comment line."""
+    """Rows of a report or timings CSV, skipping the schema comment line."""
     with open(path) as f:
         lines = [ln for ln in f if not ln.startswith("#")]
     return list(csv.DictReader(lines))
@@ -323,38 +322,6 @@ def _position_match_totals(rounds, k: int) -> list[int]:
         for i, flag in enumerate(r.per_position_match):
             totals[i] += bool(flag)
     return totals
-
-
-def emit_plot_data(report_path, out_path) -> int:
-    """Tidy long-format CSV for acceptance-vs-k plots.
-
-    One row per (model, strategy, temperature, k) over the full grid spanned
-    by the report; absent cells are emitted with NA markers.
-    """
-    rows = read_report(report_path)
-    if not rows:
-        raise ValueError(f"report {report_path} has no data rows")
-    series = sorted({(r["model"], r["strategy"], r["temperature"])
-                     for r in rows})
-    ks = sorted({int(r["k"]) for r in rows})
-    indexed = {(r["model"], r["strategy"], r["temperature"], int(r["k"])): r
-               for r in rows}
-    out_rows = []
-    for model, strategy, temp in series:
-        for k in ks:
-            r = indexed.get((model, strategy, temp, k))
-            out_rows.append({
-                "model": model, "strategy": strategy, "temperature": temp,
-                "k": k,
-                "alpha": r["alpha"] if r else "NA",
-                "ci_low": r["alpha_ci_low"] if r else "NA",
-                "ci_high": r["alpha_ci_high"] if r else "NA",
-                "mean_accepted": r["mean_accepted_per_round"] if r else "NA",
-            })
-    _write_csv(Path(out_path), PLOT_SCHEMA,
-               ["model", "strategy", "temperature", "k", "alpha", "ci_low",
-                "ci_high", "mean_accepted"], out_rows)
-    return len(out_rows)
 
 
 # The toy-lab design of the acceptance gate and the desk-protocol scripts:

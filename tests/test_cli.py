@@ -124,18 +124,6 @@ class TestRunCommand:
         assert len(rows) == 2
         assert all(float(r["alpha"]) == 1.0 for r in rows)
 
-    def test_plot_data_from_report(self, env, tmp_path):
-        out_dir = tmp_path / "runs2"
-        main(["run", "--checkpoint", env["ckpt"], "--corpus", env["corpus"],
-              "--out-dir", str(out_dir), "--strategies", "identity",
-              "--k", "1", "--temperatures", "0", "--n-prompts", "3",
-              "--prompt-len", "6", "--max-new-tokens", "6"])
-        plot = tmp_path / "plot.csv"
-        rc = main(["plot-data", "--report", str(out_dir / "report.csv"),
-                   "--out", str(plot)])
-        assert rc == 0
-        assert len(read_report(plot)) == 1
-
 
 class TestDiagnosticsCommands:
     def test_divergence_json(self, env, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,18 @@ class TestAcceptCore:
         with pytest.raises(ValueError):
             residual_distribution(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("u", [0.05, 0.37, 0.93])
+    def test_empty_draft_is_one_autoregressive_step(self, u):
+        # the one uniform goes to the bonus sample: an acceptance draw would
+        # take it first and leave sample_categorical an empty feed
+        target = softmax(np.random.default_rng(4).normal(0, 2, 8), 0.6)
+        rng = FakeRng([u])
+        res = accept_draft(target[None], DraftSequence([], [], base_pos=5), rng)
+        assert rng.values == []
+        assert res.emitted_tokens == [sample_categorical(target, FakeRng([u]))]
+        assert res.accepted_count == 0 and res.all_accepted
+        assert res.per_position_match == []
+
 
 class TestVerifySoftmax:
     @pytest.mark.parametrize("temp", [0.0, 0.6, 1.0])
@@ -415,7 +428,71 @@ class TestSpeculativeGenerate:
             speculative_generate(m, DraftStrategy("identity"), prompt, settings)
 
 
+class TestGenerationBudget:
+    MICRO = ModelConfig("parallel_hybrid", n_layers=2, d_model=16, n_heads=2,
+                        d_state=4, vocab_size=8, context_limit=32)
+
+    def test_autoregressive_fills_the_context_and_no_more(self):
+        m = HybridModel.from_seed(self.MICRO, 0)
+        prompt = prompt_for(self.MICRO, n=5)
+        fits = DecodeSettings(k=4, max_new_tokens=self.MICRO.context_limit - 5)
+        assert len(autoregressive_generate(m, prompt, fits)) == fits.max_new_tokens
+        with pytest.raises(ValueError, match="context_limit"):
+            autoregressive_generate(
+                m, prompt, replace(fits, max_new_tokens=fits.max_new_tokens + 1))
+
+    def test_speculative_keeps_k_plus_one_positions_spare(self):
+        m = HybridModel.from_seed(self.MICRO, 0)
+        prompt = prompt_for(self.MICRO, n=5)
+        k = 3
+        fits = DecodeSettings(
+            k=k, max_new_tokens=self.MICRO.context_limit - 5 - k - 1)
+        out, _ = speculative_generate(m, DraftStrategy("identity"), prompt, fits)
+        assert len(out) == fits.max_new_tokens
+        with pytest.raises(ValueError, match="context_limit"):
+            speculative_generate(
+                m, DraftStrategy("identity"), prompt,
+                replace(fits, max_new_tokens=fits.max_new_tokens + 1))
+
+
 class TestAutoregressive:
+    """Autoregressive decoding runs the round loop with k = 0, so it is
+    checked here against references that do not use that loop."""
+
+    @pytest.mark.parametrize("cfg", [PAR8, SEQ8], ids=lambda c: c.arch)
+    def test_greedy_is_the_argmax_of_one_prefix_forward(self, cfg):
+        m = HybridModel.from_seed(cfg, 6)
+        prompt = prompt_for(cfg)
+        settings = DecodeSettings(k=2, temperature=0.0, max_new_tokens=24, seed=0)
+        out = autoregressive_generate(m, prompt, settings)
+        logits, _ = m.forward_prefix(prompt + out[:-1])
+        assert out == np.argmax(logits[len(prompt) - 1:], axis=-1).tolist()
+
+    @pytest.mark.parametrize("temp", [0.6, 1.0])
+    @pytest.mark.parametrize("cfg", [PAR8, SEQ8], ids=lambda c: c.arch)
+    def test_sampled_equals_an_inline_decode_step_loop(self, cfg, temp):
+        m = HybridModel.from_seed(cfg, 6)
+        prompt = prompt_for(cfg)
+        settings = DecodeSettings(k=2, temperature=temp, max_new_tokens=24, seed=9)
+        rng = RngState(settings.seed)
+        _, state = m.forward_prefix(prompt[:-1])
+        pending, expected = prompt[-1], []
+        for _ in range(settings.max_new_tokens):
+            dist = softmax(m.decode_step(state, pending), temp)
+            pending = sample_categorical(dist, rng)
+            expected.append(pending)
+        assert autoregressive_generate(m, prompt, settings) == expected
+
+    @pytest.mark.parametrize("temp", [0.0, 0.6])
+    def test_output_ignores_k(self, temp):
+        m = HybridModel.from_seed(SEQ8, 6)
+        outs = [autoregressive_generate(
+                    m, prompt_for(SEQ8),
+                    DecodeSettings(k=k, temperature=temp, max_new_tokens=24,
+                                   seed=3))
+                for k in (1, 4)]
+        assert outs[0] == outs[1]
+
     def test_greedy_is_run_to_run_deterministic(self):
         m = HybridModel.from_seed(TRA6, 8)
         settings = DecodeSettings(k=1, temperature=0.0, max_new_tokens=12, seed=0)
@@ -451,19 +528,23 @@ class TestAutoregressive:
 
 
 class TestRoundStructure:
-    @pytest.mark.parametrize("kind,temp", [("component_only", 0.0),
-                                           ("layer_skip", 0.7),
-                                           ("identity", 0.0)])
-    def test_round_is_k_draft_forwards_and_one_verify_forward(
-            self, monkeypatch, kind, temp):
-        m = HybridModel.from_seed(SEQ8, 2)
-        k = 3
-        events = []  # rows per forward_chunk call, and a marker per phase
+    @staticmethod
+    def trace(monkeypatch):
+        """Log rows per forward_chunk call, ("prefix", tokens, mask) after
+        each forward_prefix, and a marker per draft and verify phase; fail
+        on any decode_step call."""
+        events = []
         real_forward = HybridModel.forward_chunk
+        real_prefix = HybridModel.forward_prefix
 
         def counted_forward(self, state, tokens, *args, **kwargs):
             events.append(len(tokens))
             return real_forward(self, state, tokens, *args, **kwargs)
+
+        def recorded_prefix(self, tokens, mask=None):
+            logits, state = real_prefix(self, tokens, mask)
+            events.append(("prefix", list(tokens), state.mask))
+            return logits, state
 
         def marked(name, fn):
             def run(*args, **kwargs):
@@ -472,20 +553,35 @@ class TestRoundStructure:
             return run
 
         def no_decode_step(*args, **kwargs):
-            raise AssertionError("decode_step called in the speculative path")
+            raise AssertionError("decode_step called in the round loop")
 
         monkeypatch.setattr(HybridModel, "forward_chunk", counted_forward)
+        monkeypatch.setattr(HybridModel, "forward_prefix", recorded_prefix)
         monkeypatch.setattr(HybridModel, "decode_step", no_decode_step)
         monkeypatch.setattr(engine, "draft_k", marked("draft", engine.draft_k))
         monkeypatch.setattr(engine, "verify_and_accept",
                             marked("verify", engine.verify_and_accept))
+        return events
+
+    @pytest.mark.parametrize("kind,temp", [("component_only", 0.0),
+                                           ("layer_skip", 0.7),
+                                           ("identity", 0.0)])
+    def test_round_is_k_draft_forwards_and_one_verify_forward(
+            self, monkeypatch, kind, temp):
+        m = HybridModel.from_seed(SEQ8, 2)
+        k = 3
+        events = self.trace(monkeypatch)
         prompt = prompt_for(SEQ8)
         settings = DecodeSettings(k=k, temperature=temp, max_new_tokens=30, seed=1)
         _, rounds = speculative_generate(m, DraftStrategy(kind), prompt, settings)
-        # two prefix forwards over prompt[:-1], then the rounds
-        assert events[:2] == [len(prompt) - 1] * 2
+        # prefix forwards over prompt[:-1], full mask then the draft's
+        assert events[:4] == [len(prompt) - 1,
+                              ("prefix", prompt[:-1], ComponentMask.full(8)),
+                              len(prompt) - 1,
+                              ("prefix", prompt[:-1],
+                               build_mask(SEQ8, DraftStrategy(kind)))]
         phases = []
-        for e in events[2:]:
+        for e in events[4:]:
             if isinstance(e, str):
                 phases.append((e, []))
             else:
@@ -495,6 +591,20 @@ class TestRoundStructure:
             assert len(draft_rows) == k
             assert draft_rows[0] in (1, 2) and draft_rows[1:] == [1] * (k - 1)
             assert verify_rows == [k + 1]
+
+    @pytest.mark.parametrize("temp", [0.0, 0.7])
+    def test_autoregressive_round_is_a_one_row_verify_forward(
+            self, monkeypatch, temp):
+        m = HybridModel.from_seed(SEQ8, 2)
+        events = self.trace(monkeypatch)
+        prompt = prompt_for(SEQ8)
+        settings = DecodeSettings(k=3, temperature=temp, max_new_tokens=30, seed=1)
+        out = autoregressive_generate(m, prompt, settings)
+        assert len(out) == settings.max_new_tokens
+        # one prefix forward, on the full mask only; no draft phase
+        assert events[:2] == [len(prompt) - 1,
+                              ("prefix", prompt[:-1], ComponentMask.full(8))]
+        assert events[2:] == ["verify", 1] * settings.max_new_tokens
 
 
 @st.composite

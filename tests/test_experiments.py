@@ -10,7 +10,6 @@ from speclab.corpus import make_corpus
 from speclab.engine import STRATEGY_KINDS, DraftStrategy
 from speclab.experiments import (
     ExperimentSpec,
-    emit_plot_data,
     read_report,
     run_experiments,
 )
@@ -287,46 +286,15 @@ class TestRunExperiments:
             with pytest.raises(ValueError, match=field):
                 tiny_spec(workspace, tmp_path / "x", **{field: value})
 
-
-class TestPlotData:
-    def test_long_format_with_na_markers(self, tmp_path):
-        report = tmp_path / "report.csv"
-        report.write_text(
-            "# speclab-report v1\n"
-            + ",".join(["model", "arch", "strategy", "k", "temperature",
-                        "n_prompts", "n_rounds", "alpha", "alpha_ci_low",
-                        "alpha_ci_high", "per_token_alpha",
-                        "mean_accepted_per_round", "tv_mean", "top1_agreement",
-                        "divergence_positions", "match_rate", "cost_ratio",
-                        "expected_tokens_theory", "speedup_theory"]) + "\n"
-            + "m1,parallel_hybrid,component_only,2,0,4,10,0.5,0.4,0.6,0.7,1.5,"
-              "0.2,0.8,24,1,0.75,1.7,0.68\n"
-            + "m2,sequential_hybrid,component_only,4,0,4,10,0.1,0.05,0.2,0.3,"
-              "1.1,0.6,0.3,24,1,0.8,1.1,0.27\n")
-        out = tmp_path / "plot.csv"
-        n = emit_plot_data(report, out)
-        assert n == 4  # 2 series x union of k {2, 4}
-        rows = read_report(out)
-        na = [r for r in rows if r["alpha"] == "NA"]
-        assert len(na) == 2
-
     def test_single_cell_report(self, workspace, tmp_path):
         out = tmp_path / "runH"
         spec = tiny_spec(workspace, out, strategies=("identity",),
                          k_values=(2,), temperatures=(0.0,))
         run_experiments(spec, log=lambda m: None)
-        plot = tmp_path / "plot.csv"
-        assert emit_plot_data(out / "report.csv", plot) == 1
-        rows = read_report(plot)
+        rows = read_report(out / "report.csv")
         assert len(rows) == 1
-        assert float(rows[0]["ci_low"]) <= float(rows[0]["alpha"]) \
-            <= float(rows[0]["ci_high"])
-
-    def test_empty_report_rejected(self, tmp_path):
-        report = tmp_path / "empty.csv"
-        report.write_text("# speclab-report v1\nmodel,k\n")
-        with pytest.raises(ValueError):
-            emit_plot_data(report, tmp_path / "plot.csv")
+        assert float(rows[0]["alpha_ci_low"]) <= float(rows[0]["alpha"]) \
+            <= float(rows[0]["alpha_ci_high"])
 
 
 class TestToyCache:
