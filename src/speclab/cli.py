@@ -25,7 +25,8 @@ import numpy as np
 
 from .ablation import ablate_and_score
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .engine import STRATEGY_KINDS, DecodeSettings, DraftStrategy, build_mask
+from .engine import (STRATEGY_KINDS, DecodeSettings, DraftStrategy, build_mask,
+                     decode_prompts)
 from .experiments import ExperimentSpec, run_experiments
 from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
@@ -221,11 +222,12 @@ def cmd_verify_lossless(args) -> int:
     settings = DecodeSettings(k=args.k, temperature=0.0,
                               max_new_tokens=args.max_new_tokens,
                               seed=args.seed)
-    rates, continuations = match_rate(
-        model, [DraftStrategy(kind) for kind in kinds], prompts, settings)
+    ar = decode_prompts(model, None, prompts, settings)[0]
+    rates = [match_rate(decode_prompts(model, DraftStrategy(kind), prompts,
+                                       settings)[0], ar) for kind in kinds]
     for kind, rate in zip(kinds, rates):
         print(f"{kind}: match rate {rate:.3f} over {len(prompts)} prompts")
-    margin, i, j = greedy_margin(model, prompts, continuations)
+    margin, i, j = greedy_margin(model, prompts, ar)
     print(f"smallest greedy margin {margin:.6e} (top-1 minus top-2 logit) "
           f"at prompt {i}, new token {j}")
     if margin < NEAR_TIE:

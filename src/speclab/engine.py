@@ -20,14 +20,15 @@ input, then k-1 drafted tokens, one row each except a two-token pending
 input) and one (k+1)-row verify forward over the pending token plus the
 draft; the logits of each forward are those the next sampling step needs,
 so no extra forward resynchronises either side. Recurrent states cannot be
-rewound, so both sides record a snapshot per fed position and roll back to
-the accepted prefix: the emitted token becomes the next pending input, and
-after full acceptance the draft side's pending input is ``[d_k, bonus]``
-because it never fed ``d_k``.
+rewound, so both sides of a round with a draft record a snapshot per fed
+position and roll back to the accepted prefix: the emitted token becomes
+the next pending input, and after full acceptance the draft side's pending
+input is ``[d_k, bonus]`` because it never fed ``d_k``.
 
 Autoregressive decoding is the same round with k = 0: no draft side, and a
 one-row verify forward over the pending token whose empty draft is fully
-accepted, so the rule draws no acceptance uniform and emits the bonus token.
+accepted, so the rule draws no acceptance uniform, emits the bonus token and
+records no snapshots. ``decode_prompts`` is the one loop over a prompt set.
 
 A draft strategy is its kind, and each kind is one fixed mask over the L
 layers: component_only drops the attention pathway (hybrids only),
@@ -38,7 +39,8 @@ the first ceil(L/2) layers, and identity is the full model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,7 +263,7 @@ def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
             f"draft was produced at position {draft.base_pos}, "
             f"verify state expects {state.pos + 1}")
     logits, hist = model.forward_chunk(state, [pending] + draft.tokens,
-                                       record_states=True)
+                                       record_states=draft.k > 0)
     result = accept_draft(softmax(logits, settings.temperature), draft, rng)
     if not result.all_accepted:
         state.restore(hist[result.accepted_count])
@@ -337,3 +339,33 @@ def autoregressive_generate(model: HybridModel, prompt,
     """
     _check_generation_budget(model.cfg, prompt, settings, 0)
     return _generate(model, prompt, settings, None)[0]
+
+
+def decode_prompts(model: HybridModel, strategy: DraftStrategy | None,
+                   prompts, settings: DecodeSettings):
+    """Decode every prompt; returns outputs, pooled rounds and timed
+    seconds per token.
+
+    ``strategy=None`` decodes autoregressively, with no rounds returned.
+    Each prompt gets its own seed, derived from the settings seed and the
+    prompt index, never from execution order. With two or more prompts the
+    first is a warm-up: it contributes rounds and outputs like any other,
+    but its wall time is discarded. A lone prompt is timed, warm-up
+    included, so that a one-prompt set still has a timing.
+    """
+    outputs, rounds, times = [], [], []
+    for i, prompt in enumerate(prompts):
+        per_prompt = replace(settings,
+                             seed=(settings.seed * 1_000_003 + i) % (2 ** 63))
+        t0 = time.perf_counter()
+        if strategy is None:
+            out, rs = autoregressive_generate(model, prompt, per_prompt), []
+        else:
+            out, rs = speculative_generate(model, strategy, prompt, per_prompt)
+        times.append(time.perf_counter() - t0)
+        outputs.append(out)
+        rounds.extend(rs)
+    timed = slice(1 if len(prompts) > 1 else 0, None)
+    timed_tokens = sum(len(o) for o in outputs[timed])
+    seconds_per_token = sum(times[timed]) / timed_tokens if timed_tokens else None
+    return outputs, rounds, seconds_per_token

@@ -17,9 +17,10 @@ kept out of the deterministic report: each cell file stores its timing row
 beside the report row, and ``timings.csv`` is regenerated from the cell
 files like the report.
 
-Per-cell randomness is derived from (seed, prompt index), never from
-execution order, so cells can in principle run concurrently over the shared
-immutable checkpoints without changing any number.
+Cells decode their prompts through ``engine.decode_prompts``, whose
+randomness is derived from (seed, prompt index), never from execution
+order, so cells can in principle run concurrently over the shared immutable
+checkpoints without changing any number.
 """
 
 from __future__ import annotations
@@ -31,20 +32,16 @@ import io
 import json
 import re
 import sys
-import time
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import sample_prompts, write_corpus
 from .engine import (EARLY_EXIT_FRACTION, LAYER_SKIP_FRACTION, DecodeSettings,
-                     DraftStrategy, autoregressive_generate, build_mask,
-                     speculative_generate)
+                     DraftStrategy, build_mask, decode_prompts)
 from .metrics import (BOOTSTRAP_RESAMPLES, DivergenceStats, all_token_alpha,
-                      divergence_stats)
+                      divergence_stats, match_rate)
 from .model import HybridModel, ModelConfig
 from .theory import expected_tokens, flop_ratio, speedup
 from .training import TrainConfig, load_corpus, train
@@ -165,33 +162,6 @@ def read_report(path) -> list[dict]:
     return list(csv.DictReader(lines))
 
 
-def _prompt_seed(seed: int, index: int) -> int:
-    return (seed * 1_000_003 + index) % (2 ** 63)
-
-
-def _run_prompts(generate, prompts, settings: DecodeSettings):
-    """``generate(prompt, settings)`` over all prompts: outputs, pooled
-    rounds and timed seconds per token.
-
-    Each prompt gets its own seed, derived from the settings seed and the
-    prompt index. With two or more prompts the first is a warm-up: it
-    contributes rounds and outputs like any other, but its wall time is
-    discarded. A lone prompt is timed, warm-up included, so that a
-    one-prompt cell still has a timing."""
-    outputs, rounds, times = [], [], []
-    for i, prompt in enumerate(prompts):
-        per_prompt = replace(settings, seed=_prompt_seed(settings.seed, i))
-        t0 = time.perf_counter()
-        out, rs = generate(prompt, per_prompt)
-        times.append(time.perf_counter() - t0)
-        outputs.append(out)
-        rounds.extend(rs)
-    timed = slice(1 if len(prompts) > 1 else 0, None)
-    timed_tokens = sum(len(o) for o in outputs[timed])
-    seconds_per_token = sum(times[timed]) / timed_tokens if timed_tokens else None
-    return outputs, rounds, seconds_per_token
-
-
 def _grid_order(row: dict):
     return (row["model"], row["strategy"], float(row["temperature"]),
             int(row["k"]))
@@ -222,8 +192,7 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                 result.errors.append((f"{model_name}/{kind}", str(exc)))
             log(f"[skip] {model_name}: {exc}")
             continue
-        ar_cache: dict[float, list] = {}
-        ar_seconds: dict[float, float | None] = {}
+        ar: dict = {}  # the greedy AR run, made by the first T = 0 cell
         div_cache: dict[DraftStrategy, DivergenceStats] = {}
         for kind in spec.strategies:
             strategy = DraftStrategy(kind)
@@ -244,7 +213,7 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                         try:
                             payload = _compute_cell(
                                 spec, model, model_name, strategy, k, temp,
-                                prompts, ar_cache, ar_seconds, div_cache)
+                                prompts, ar, div_cache)
                         except Exception as exc:  # recorded; the sweep goes on
                             result.errors.append(
                                 (cell, f"{type(exc).__name__}: {exc}"))
@@ -266,27 +235,24 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
     return result
 
 
-def _compute_cell(spec, model, model_name, strategy, k, temp, prompts,
-                  ar_cache, ar_seconds, div_cache):
+def _compute_cell(spec, model, model_name, strategy, k, temp, prompts, ar,
+                  div_cache):
     settings = DecodeSettings(k=k, temperature=temp,
                               max_new_tokens=spec.max_new_tokens,
                               seed=spec.seed)
-    outputs, rounds, spec_spt = _run_prompts(
-        lambda p, s: speculative_generate(model, strategy, p, s),
-        prompts, settings)
+    outputs, rounds, spec_spt = decode_prompts(model, strategy, prompts,
+                                               settings)
     stats = all_token_alpha(rounds, k, seed=spec.seed)
     if strategy not in div_cache:
         div_cache[strategy] = divergence_stats(
             model, build_mask(model.cfg, strategy), prompts)
     div = div_cache[strategy]
-    rate = None
+    rate = ar_spt = None
     if temp == 0.0:
-        if temp not in ar_cache:
-            ar_cache[temp], _, ar_seconds[temp] = _run_prompts(
-                lambda p, s: (autoregressive_generate(model, p, s), []),
-                prompts, settings)
-        ar_out = ar_cache[temp]
-        rate = float(np.mean([a == b for a, b in zip(outputs, ar_out)]))
+        if not ar:
+            ar["outputs"], _, ar["seconds"] = decode_prompts(
+                model, None, prompts, settings)
+        rate, ar_spt = match_rate(outputs, ar["outputs"]), ar["seconds"]
     cost = flop_ratio(model.cfg, strategy)
     alpha_pt = min(stats.per_token_alpha, 1.0 - 1e-9)
     row = {
@@ -304,7 +270,7 @@ def _compute_cell(spec, model, model_name, strategy, k, temp, prompts,
     }
     timing = {"model": model_name, "strategy": strategy.label(), "k": k,
               "temperature": temp, "spec_seconds_per_token": spec_spt,
-              "ar_seconds_per_token": ar_seconds.get(temp)}
+              "ar_seconds_per_token": ar_spt}
     return {
         "row": row,
         "timing": timing,

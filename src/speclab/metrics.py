@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    DecodeSettings,
-    DraftStrategy,
-    SpecRoundResult,
-    autoregressive_generate,
-    speculative_generate,
-)
+from .engine import SpecRoundResult
 from .model import ComponentMask, HybridModel
 from .numerics import RngState, log_softmax, softmax
 
@@ -70,7 +64,7 @@ def bootstrap_ci(samples, resamples: int = BOOTSTRAP_RESAMPLES,
     done = 0
     while done < resamples:
         take = min(block, resamples - done)
-        idx = rng.resample_indices(n, (take, n))
+        idx = rng.integers(0, n, (take, n))
         means[done:done + take] = arr[idx].mean(axis=1)
         done += take
     lo, hi = np.quantile(means, [(1.0 - 0.95) / 2.0, 1.0 - (1.0 - 0.95) / 2.0])
@@ -143,40 +137,29 @@ def divergence_stats(model: HybridModel, draft_mask: ComponentMask,
                            n_positions=tvs.size)
 
 
-def match_rate(model: HybridModel, strategies, prompts,
-               settings: DecodeSettings) -> tuple[list[float], list[list[int]]]:
-    """Per strategy, the fraction of prompts whose speculative and
-    autoregressive outputs are token-identical; also returns the
-    autoregressive output of each prompt, decoded once for all strategies.
-    Greedy decoding only; sampled runs consume randomness differently and are
-    compared distributionally instead."""
-    if settings.temperature != 0.0:
-        raise ValueError("match_rate is defined for temperature 0")
-    prompts = list(prompts)
-    if not prompts:
-        raise ValueError("no prompts")
-    ar = [autoregressive_generate(model, prompt, settings) for prompt in prompts]
-    rates = []
-    for strategy in strategies:
-        hits = sum(speculative_generate(model, strategy, prompt, settings)[0] == out
-                   for prompt, out in zip(prompts, ar))
-        rates.append(hits / len(prompts))
-    return rates, ar
+def match_rate(outputs, reference) -> float:
+    """Fraction of prompts whose output is token-identical to the
+    reference output of the same prompt (speculative against
+    autoregressive decoding, both from :func:`engine.decode_prompts`)."""
+    if not outputs or len(outputs) != len(reference):
+        raise ValueError("need one reference per output, and at least one")
+    return float(np.mean([a == b for a, b in zip(outputs, reference)]))
 
 
 def greedy_margin(model: HybridModel, prompts,
                   continuations) -> tuple[float, int, int]:
     """Smallest top-1/top-2 logit gap along the target's greedy
-    ``continuations`` of the prompts (as :func:`match_rate` returns them), as
-    (gap, prompt index, continuation position).
+    ``continuations`` of the prompts, as (gap, prompt index, continuation
+    position).
 
-    The gaps come from one forward over prompt + continuation per prompt.
+    The gaps come from one stateless forward over prompt + continuation per
+    prompt, which equals ``forward_prefix`` bit for bit.
     Chunk and one-row step logits differ by about 1e-14, so only a gap that
     small could let speculative and autoregressive greedy outputs part.
     """
     best = (float("inf"), -1, -1)
     for i, (prompt, out) in enumerate(zip(prompts, continuations)):
-        logits, _ = model.forward_prefix(list(prompt) + out[:-1])
+        logits = model.forward_masks(list(prompt) + out[:-1], [None])[0]
         top2 = np.sort(logits[len(prompt) - 1:], axis=1)[:, -2:]
         gaps = top2[:, 1] - top2[:, 0]
         j = int(np.argmin(gaps))

@@ -48,10 +48,6 @@ class RngState:
     def uniform_range(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def resample_indices(self, n: int, shape) -> np.ndarray:
-        """Bootstrap index draws in [0, n), shaped ``shape``."""
-        return self._gen.integers(0, n, size=shape)
-
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis.

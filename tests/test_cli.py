@@ -85,6 +85,20 @@ def _capture(monkeypatch, name: str) -> list:
     return seen
 
 
+def _record_decodes(monkeypatch) -> list:
+    """Wrap ``cli.decode_prompts`` to record the strategy kind of each call
+    (``None`` for autoregressive decoding)."""
+    seen = []
+    real = cli.decode_prompts
+
+    def recorded(model, strategy, prompts, settings):
+        seen.append(strategy.kind if strategy else None)
+        return real(model, strategy, prompts, settings)
+
+    monkeypatch.setattr(cli, "decode_prompts", recorded)
+    return seen
+
+
 class TestDefaultsWrittenOnce:
     """The CLI reads its defaults from the dataclasses it fills."""
 
@@ -235,13 +249,21 @@ class TestDiagnosticsCommands:
                           vocab_size=256, context_limit=64)
         ckpt = tmp_path / f"{arch}.ckpt"
         save_checkpoint(ckpt, init_weights(cfg, 6))
-        seen = _capture(monkeypatch, "match_rate")
-        with pytest.raises(_Stop):
-            main(["verify-lossless", "--checkpoint", str(ckpt), "--corpus",
-                  env["corpus"], "--n-prompts", "1", "--prompt-len", "6",
-                  "--max-new-tokens", "4"])
-        (_, strategies, _, _), = seen
-        assert tuple(s.kind for s in strategies) == kinds
+        seen = _record_decodes(monkeypatch)
+        main(["verify-lossless", "--checkpoint", str(ckpt), "--corpus",
+              env["corpus"], "--n-prompts", "1", "--prompt-len", "6",
+              "--max-new-tokens", "4"])
+        assert tuple(kind for kind in seen if kind) == kinds
+
+    def test_verify_lossless_decodes_autoregressively_once_first(
+            self, env, monkeypatch):
+        seen = _record_decodes(monkeypatch)
+        rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
+                   env["corpus"], "--n-prompts", "3", "--prompt-len", "6",
+                   "--max-new-tokens", "6", "--strategies",
+                   "identity,layer_skip,component_only"])
+        assert rc == 0
+        assert seen == [None, "identity", "layer_skip", "component_only"]
 
     def test_verify_lossless_rejects_unknown_strategy_names(self, env,
                                                             capsys):

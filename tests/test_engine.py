@@ -16,6 +16,7 @@ from speclab.engine import (
     accept_draft,
     autoregressive_generate,
     build_mask,
+    decode_prompts,
     draft_k,
     residual_distribution,
     speculative_generate,
@@ -428,6 +429,41 @@ class TestSpeculativeGenerate:
             speculative_generate(m, DraftStrategy("identity"), prompt, settings)
 
 
+class TestDecodePrompts:
+    PROMPTS = [prompt_for(PAR8, n=n, seed=seed)
+               for n, seed in ((5, 1), (8, 2), (3, 3))]
+
+    @pytest.mark.parametrize("kind", [None, "layer_skip"])
+    def test_greedy_outputs_ignore_the_settings_seed(self, kind):
+        m = HybridModel.from_seed(PAR8, 2)
+        strategy = DraftStrategy(kind) if kind else None
+        runs = [decode_prompts(m, strategy, self.PROMPTS,
+                               DecodeSettings(k=3, max_new_tokens=12, seed=seed))
+                for seed in (0, 777)]
+        assert runs[0][:2] == runs[1][:2]
+        assert [len(out) for out in runs[0][0]] == [12] * 3
+
+    @pytest.mark.parametrize("kind", [None, "component_only"])
+    def test_each_prompt_decodes_under_its_index_seed(self, kind):
+        m = HybridModel.from_seed(PAR8, 2)
+        settings = DecodeSettings(k=2, temperature=0.7, max_new_tokens=10,
+                                  seed=4)
+        strategy = DraftStrategy(kind) if kind else None
+        outputs, rounds, seconds = decode_prompts(m, strategy, self.PROMPTS,
+                                                  settings)
+        assert seconds > 0
+        pooled = []
+        for i, prompt in enumerate(self.PROMPTS):
+            own = replace(settings, seed=4 * 1_000_003 + i)
+            if strategy is None:
+                assert outputs[i] == autoregressive_generate(m, prompt, own)
+            else:
+                out, rs = speculative_generate(m, strategy, prompt, own)
+                assert outputs[i] == out
+                pooled += rs
+        assert rounds == pooled
+
+
 class TestGenerationBudget:
     MICRO = ModelConfig("parallel_hybrid", n_layers=2, d_model=16, n_heads=2,
                         d_state=4, vocab_size=8, context_limit=32)
@@ -605,6 +641,25 @@ class TestRoundStructure:
         assert events[:2] == [len(prompt) - 1,
                               ("prefix", prompt[:-1], ComponentMask.full(8))]
         assert events[2:] == ["verify", 1] * settings.max_new_tokens
+
+    def test_only_rounds_with_a_draft_record_states(self, monkeypatch):
+        m = HybridModel.from_seed(SEQ8, 2)
+        recorded = []
+        real_forward = HybridModel.forward_chunk
+
+        def forward(self, state, tokens, record_states=False):
+            recorded.append(record_states)
+            return real_forward(self, state, tokens, record_states)
+
+        monkeypatch.setattr(HybridModel, "forward_chunk", forward)
+        settings = DecodeSettings(k=2, temperature=0.7, max_new_tokens=12, seed=1)
+        autoregressive_generate(m, prompt_for(SEQ8), settings)
+        assert recorded == [False] * 13   # the prefix, then one per token
+        recorded.clear()
+        speculative_generate(m, DraftStrategy("layer_skip"), prompt_for(SEQ8),
+                             settings)
+        # the two prefix forwards, then every draft and verify forward
+        assert recorded[:2] == [False, False] and all(recorded[2:])
 
 
 @st.composite

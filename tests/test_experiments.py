@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from speclab import experiments, training
+from speclab import engine, experiments, training
 from speclab.checkpoint import save_checkpoint
 from speclab.corpus import make_corpus
 from speclab.engine import STRATEGY_KINDS, DraftStrategy
@@ -147,14 +147,14 @@ class TestRunExperiments:
 
     def test_failing_cell_is_recorded_and_the_sweep_goes_on(
             self, workspace, tmp_path, monkeypatch):
-        real = experiments.speculative_generate
+        real = engine.speculative_generate
 
         def failing(model, strategy, prompt, settings):
             if strategy.kind == "component_only":
                 raise RuntimeError("injected failure")
             return real(model, strategy, prompt, settings)
 
-        monkeypatch.setattr(experiments, "speculative_generate", failing)
+        monkeypatch.setattr(engine, "speculative_generate", failing)
         spec = tiny_spec(workspace, tmp_path / "runI", k_values=(1,),
                          temperatures=(0.0,))
         result = run_experiments(spec, log=lambda m: None)
@@ -164,6 +164,29 @@ class TestRunExperiments:
         assert "component_only" in cell and "injected failure" in message
         rows = read_report(result.report_path)
         assert [r["strategy"] for r in rows] == ["identity"]
+
+    def test_greedy_cells_share_one_autoregressive_run_per_model(
+            self, workspace, tmp_path, monkeypatch):
+        calls = []
+        real = engine.decode_prompts
+
+        def recorded(model, strategy, prompts, settings):
+            calls.append((model.cfg.arch, strategy and strategy.kind))
+            return real(model, strategy, prompts, settings)
+
+        monkeypatch.setattr(experiments, "decode_prompts", recorded)
+        spec = tiny_spec(workspace, tmp_path / "runH",
+                         checkpoints=(str(workspace["par"]),
+                                      str(workspace["tra"])),
+                         strategies=("identity", "layer_skip"), k_values=(2, 4))
+        result = run_experiments(spec, log=lambda m: None)
+        assert result.n_computed == 16 and not result.errors
+        assert sorted(a for a, kind in calls if kind is None) == [
+            "parallel_hybrid", "transformer"]
+        assert len(calls) == 16 + 2   # one per cell, one AR run per model
+        timings = read_report(result.timing_path)
+        assert all((row["ar_seconds_per_token"] != "")
+                   == (float(row["temperature"]) == 0.0) for row in timings)
 
     def test_changed_spec_recomputes_instead_of_reusing_cells(self, workspace,
                                                               tmp_path):
