@@ -10,10 +10,10 @@ Usage, from the repository root (point PYTHONPATH at the checkout to digest):
 One line per item, then an ``all`` line over every item; equal lines mean
 bit-identical numbers. The items are:
 
-* ``train.<arch>.<dtype>``: weights and loss history after 8 training steps
-  from seeded init, float32 and float64 compute, on the acceptance toy
-  configuration (12 layers, d_model 64, d_state 8, batch 8, windows of 96,
-  seed 7);
+* ``train.<arch>.float32``: weights and loss history after 8 training steps
+  from seeded init (training computes in float32 only), on the acceptance
+  toy configuration (12 layers, d_model 64, d_state 8, batch 8, windows of
+  96, seed 7);
 * ``decode.<arch>``: decode-path logits of seeded-init models, the prefix
   forward and one-token steps, under the full mask and every draft mask;
 * ``generate.<arch>.<strategy>.T<temperature>``: greedy and T = 0.6
@@ -88,16 +88,15 @@ class Digest:
 
 def train_items(corpus_path: str):
     for name, arch in ARCHS.items():
-        for dtype in ("float32", "float64"):
-            tcfg = TrainConfig(corpus_path=corpus_path, steps=TRAIN_STEPS,
-                               batch_size=8, seq_len=96, learning_rate=3e-3,
-                               seed=SEED, compute_dtype=dtype)
-            weights, history = train(toy_config(arch), tcfg)
-            d = Digest()
-            for block_name, arr in weights.items():
-                d.add(np.frombuffer(block_name.encode(), np.uint8), arr)
-            d.add(np.array([loss for _, loss in history]))
-            yield f"train.{name}.{dtype}", d.hex()
+        tcfg = TrainConfig(corpus_path=corpus_path, steps=TRAIN_STEPS,
+                           batch_size=8, seq_len=96, learning_rate=3e-3,
+                           seed=SEED)
+        weights, history = train(toy_config(arch), tcfg)
+        d = Digest()
+        for block_name, arr in weights.items():
+            d.add(np.frombuffer(block_name.encode(), np.uint8), arr)
+        d.add(np.array([loss for _, loss in history]))
+        yield f"train.{name}.float32", d.hex()
 
 
 def draft_masks(cfg: ModelConfig) -> dict[str, ComponentMask]:

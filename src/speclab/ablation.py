@@ -80,13 +80,6 @@ class CorrelationReport:
     rows: tuple[tuple[float, float], ...]
     inverse_ordering_holds: bool
     degenerate: bool
-    kendall_tau: float | None = None
-
-    def table(self) -> str:
-        lines = ["ppl_ratio  all_token_alpha"]
-        for ratio, alpha in self.rows:
-            lines.append(f"{ratio:9.3f}  {alpha:.4f}")
-        return "\n".join(lines)
 
 
 def correlation_report(cells) -> CorrelationReport:
@@ -108,16 +101,5 @@ def correlation_report(cells) -> CorrelationReport:
             comparable += 1
             if dr * da > 0.0:
                 inverse = False
-    degenerate = comparable == 0
-    tau = None
-    if not degenerate:
-        # scipy.stats is heavy to load and this is its only use, so
-        # importing speclab does not load it
-        from scipy import stats
-
-        ratios = [r for r, _ in rows]
-        alphas = [a for _, a in rows]
-        tau_val = stats.kendalltau(ratios, alphas).statistic
-        tau = None if tau_val != tau_val else float(tau_val)  # NaN guard
     return CorrelationReport(rows=rows, inverse_ordering_holds=inverse,
-                             degenerate=degenerate, kendall_tau=tau)
+                             degenerate=comparable == 0)

@@ -98,8 +98,7 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(
         corpus_path=args.corpus, steps=args.steps, batch_size=args.batch_size,
         seq_len=args.seq_len, learning_rate=args.lr, seed=args.seed,
-        warmup_steps=args.warmup_steps, log_path=log_path,
-        compute_dtype=args.compute_dtype)
+        warmup_steps=args.warmup_steps, log_path=log_path)
     keep_freed_pages()    # this process only trains
     weights, history = train(cfg, tcfg)
     save_checkpoint(args.out, weights)
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--warmup-steps", type=_at_least_zero,
                    default=TrainConfig.warmup_steps)
-    p.add_argument("--compute-dtype", choices=("float32", "float64"),
-                   default=TrainConfig.compute_dtype)
     for name in _MODEL_SIZES:
         p.add_argument("--" + name.replace("_", "-"), type=_at_least_one,
                        default=getattr(ModelConfig, name))
@@ -337,12 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. A ``ValueError`` from it, such as settings that do
-    not fit a checkpoint's context, is bad input: reported on stderr as
-    argparse reports its own, with exit code 2."""
+    not fit a checkpoint's context, or a ``FileNotFoundError`` for a missing
+    checkpoint or corpus, is bad input: reported on stderr as argparse
+    reports its own, with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
         print(f"speclab {args.command}: error: {err}", file=sys.stderr)
         return 2
 

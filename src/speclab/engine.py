@@ -136,8 +136,6 @@ class SpecRoundResult:
 
 def _skip_indices(n_layers: int, n_skip: int) -> list[int]:
     """Evenly spaced interior layers (the first and last are never skipped)."""
-    if n_skip == 0:
-        return []
     if n_layers < 3 or n_skip > n_layers - 2:
         raise ValueError(
             f"cannot skip {n_skip} of {n_layers} layers while keeping both ends")

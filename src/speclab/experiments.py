@@ -80,6 +80,9 @@ class ExperimentSpec:
         if not (self.checkpoints and self.strategies and self.k_values
                 and self.temperatures):
             raise ValueError("sweep dimensions must be non-empty")
+        stems = [Path(c).stem for c in self.checkpoints]
+        if len(set(stems)) < len(stems):  # a stem names its model's cells
+            raise ValueError(f"checkpoint file stems must differ: {stems}")
         for kind in self.strategies:
             DraftStrategy(kind)  # an unknown kind raises here, before any work
         if self.n_prompts < 1 or self.prompt_len < 1:
@@ -170,12 +173,12 @@ def _grid_order(row: dict):
 def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
     """Execute (or resume) the sweep; returns rows plus computed/skipped
     counts. Per-cell failures are recorded and the run continues."""
+    corpus = load_corpus(spec.prompt_corpus)
+    corpus_sha256 = _sha256(spec.prompt_corpus)
     out_dir = Path(spec.out_dir)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     log = log or (lambda msg: print(msg, file=sys.stderr))
-    corpus = load_corpus(spec.prompt_corpus)
-    corpus_sha256 = _sha256(spec.prompt_corpus)
     prompts = sample_prompts(corpus, spec.n_prompts, spec.prompt_len,
                              seed=spec.seed + 101)
     result = RunResult(report_path=out_dir / "report.csv",

@@ -25,7 +25,6 @@ from .model import ComponentMask, ModelConfig, mask_blocks, param_spec
 class CostModel:
     cost_ratio: float
     draft_param_fraction: float
-    notes: str
 
     def __post_init__(self):
         if not 0.0 < self.cost_ratio <= 1.0:
@@ -38,8 +37,6 @@ def expected_tokens(alpha: float, k: int) -> float:
         raise ValueError("alpha must be in [0, 1); the limit at 1 is k+1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if alpha == 0.0:
-        return 1.0
     return (1.0 - alpha ** (k + 1)) / (1.0 - alpha)
 
 
@@ -88,13 +85,11 @@ def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
 
 
 def flop_ratio(cfg: ModelConfig, strategy: DraftStrategy) -> CostModel:
-    """Draft-to-verify cost ratio for a strategy on a model: the
-    parameter-count proxy."""
+    """Draft-to-verify cost ratio for a strategy on a model, by the
+    parameter-count proxy: at most 1, as a draft runs a subset of the blocks."""
     fraction = params_per_token(cfg, build_mask(cfg, strategy)) / \
         params_per_token(cfg, None)
-    notes = ("parameter-count proxy; excludes sequence-length-dependent "
-             "attention-score compute")
-    return CostModel(min(1.0, fraction), fraction, notes)
+    return CostModel(fraction, fraction)
 
 
 def optimal_k(alpha_per_token: float, cost_ratio: float, k_max: int) -> int:

@@ -2,10 +2,10 @@
 own forward.
 
 The forward is :func:`speclab.model.forward`, the same block math that
-scoring and decoding run, here over B windows from position 0 in float32 or
-float64, with a tape of what the backward needs. This module keeps what is
-training's own: the backward, the optimizer, the loop and the
-finite-difference gradient check that pins the backward to the forward.
+scoring and decoding run, here over B windows from position 0, with a tape
+of what the backward needs. This module keeps what is training's own: the
+backward, the optimizer, the loop and the finite-difference gradient check
+that pins the backward to the forward.
 
 The tape keeps what a sigmoid or the softmax statistics produce, beside
 each block's rmsnorm cache: the SSM gate sigmoid ``usig`` and the decay,
@@ -29,12 +29,11 @@ T = 96, float32) the tape is 17.2 MB, where it was 60.3 MB with the weight
 products and the history on it, and a traced step peaks at 27.1 MB instead
 of 69.2 MB.
 
-With ``compute_dtype="float32"`` (the default) the forward, the tape, the
-backward and the gradients stay float32 end to end, against float64 master
-weights and a float64 Adam; the blocks scale by python floats, which never
-promote a float32 array under NumPy 2's scalar rules. A float32 step takes
-about half the time of a float64 step. ``compute_dtype="float64"`` remains
-available.
+Training computes in float32: the forward, the tape, the backward and the
+gradients stay float32 end to end, against float64 master weights and a
+float64 Adam; the blocks scale by python floats, which never promote a
+float32 array under NumPy 2's scalar rules. The blocks are dtype-generic,
+so :func:`grad_check` runs the same forward and backward in float64.
 
 A training step holds one tape: each step's casts, tape, logits and
 gradients are freed before the next step's forward starts, and the logits
@@ -99,18 +98,12 @@ class TrainConfig:
     seed: int = 0
     warmup_steps: int = 50
     log_path: str | None = None
-    # float32 keeps the whole step in float32, about half a float64 step;
-    # master weights, the optimizer and everything downstream of training
-    # stay float64
-    compute_dtype: str = "float32"
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1 or self.seq_len < 2:
             raise ValueError("batch_size >= 1 and seq_len >= 2 required")
-        if self.compute_dtype not in ("float32", "float64"):
-            raise ValueError("compute_dtype must be float32 or float64")
 
 
 def load_corpus(path) -> np.ndarray:
@@ -400,14 +393,14 @@ class Adam:
             w.blocks[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _train_step(cfg: ModelConfig, w: Weights, opt: Adam,
-                mask: ComponentMask | None, x, y, dt, step: int) -> float:
-    """One forward, backward and Adam step on the batch ``(x, y)``; returns
-    the loss. The casts, tape and gradients are this function's locals, so
-    they are freed when it returns, before the next step's forward builds
-    its own tape; the logits go once ``cross_entropy`` has read them."""
-    wc = w if dt == np.float64 else {n: a.astype(dt) for n, a in w.items()}
-    logits, tape = forward_train(cfg, wc, mask, x)
+def _train_step(cfg: ModelConfig, w: Weights, opt: Adam, x, y,
+                step: int) -> float:
+    """One float32 forward, backward and Adam step of the full model on the
+    batch ``(x, y)``; returns the loss. The casts, tape and gradients are
+    locals, freed when it returns, before the next step's forward builds its
+    own tape; the logits go once ``cross_entropy`` has read them."""
+    wc = {n: a.astype(np.float32) for n, a in w.items()}
+    logits, tape = forward_train(cfg, wc, None, x)
     loss, dlogits = cross_entropy(logits, y)
     del logits
     if not np.isfinite(loss):
@@ -437,8 +430,7 @@ def keep_freed_pages():
     mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, at glibc's maximum
 
 
-def train(cfg: ModelConfig, tcfg: TrainConfig,
-          mask: ComponentMask | None = None):
+def train(cfg: ModelConfig, tcfg: TrainConfig):
     """Train a model from scratch; returns (Weights, loss history).
 
     Fully reproducible from ``tcfg.seed``: the seed drives both the weight
@@ -452,11 +444,10 @@ def train(cfg: ModelConfig, tcfg: TrainConfig,
     w = init_weights(cfg, tcfg.seed)
     data_rng = RngState(tcfg.seed).spawn(1)[0]
     opt = Adam(w, tcfg)
-    dt = np.dtype(tcfg.compute_dtype)
     history: list[tuple[int, float]] = []
     for step in range(tcfg.steps):
         x, y = sample_batch(corpus, tcfg.batch_size, tcfg.seq_len, data_rng)
-        history.append((step, _train_step(cfg, w, opt, mask, x, y, dt, step)))
+        history.append((step, _train_step(cfg, w, opt, x, y, step)))
     w.validate_finite()
     if tcfg.log_path is not None:
         write_training_log(tcfg.log_path, history)
@@ -475,7 +466,7 @@ def write_training_log(path, history):
 
 def grad_check(cfg: ModelConfig, w: Weights, x: np.ndarray, y: np.ndarray,
                mask: ComponentMask | None = None, n_samples: int = 120,
-               step: float = 1e-5, seed: int = 0) -> float:
+               step: float = 1e-5) -> float:
     """Max relative deviation between analytic and central-FD gradients.
 
     Samples parameter entries across every block (proportionally more from
@@ -486,7 +477,7 @@ def grad_check(cfg: ModelConfig, w: Weights, x: np.ndarray, y: np.ndarray,
     logits, tape = forward_train(cfg, w, mask, x)
     _, dlogits = cross_entropy(logits, y)
     grads = backward_train(cfg, w, tape, dlogits)
-    rng = RngState(seed)
+    rng = RngState(0)
     names = list(w.names)
     sizes = np.array([w[n].size for n in names], dtype=np.float64)
     per_block = np.maximum(1, (n_samples * sizes / sizes.sum()).astype(int))

@@ -296,6 +296,33 @@ class TestDiagnosticsCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments: --skip-fraction" in capsys.readouterr().err
 
+    def test_training_compute_dtype_is_not_an_option(self, capsys):
+        # training computes in float32 only
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--arch", "parallel_hybrid", "--corpus", "x.bin",
+                  "--out", "x.ckpt", "--compute-dtype", "float64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --compute-dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,missing", [
+        ("ablate", "checkpoint"), ("ablate", "corpus"),
+        ("divergence", "corpus"), ("verify-lossless", "checkpoint"),
+        ("run", "corpus")])
+    def test_missing_input_file_is_bad_input(self, env, tmp_path, capsys,
+                                             command, missing):
+        files = {"checkpoint": env["ckpt"], "corpus": env["corpus"],
+                 missing: str(tmp_path / "nope.bin")}
+        argv = [command, "--checkpoint", files["checkpoint"], "--corpus",
+                files["corpus"]]
+        if command == "run":
+            argv += ["--out-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"speclab {command}: error: {missing} not found: "
+            f"{tmp_path / 'nope.bin'}\n")
+        # the sweep checks its corpus before it makes any directory
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("command,argv,message", [
         ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],
          "prompt + max_new_tokens needs 76 positions, context_limit is 64"),

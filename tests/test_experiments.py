@@ -277,6 +277,18 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             tiny_spec(workspace, tmp_path / "x", k_values=())
 
+    def test_checkpoints_sharing_a_file_stem_rejected(self, workspace,
+                                                      tmp_path):
+        # the stem names a checkpoint's cells and rows, so two such
+        # checkpoints would overwrite each other's cells on every run
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "toy.ckpt"))
+            save_checkpoint(paths[-1], init_weights(PAR, len(paths)))
+        with pytest.raises(ValueError, match="stems must differ"):
+            tiny_spec(workspace, tmp_path / "x", checkpoints=tuple(paths))
+
     def test_unknown_strategy_rejected_when_the_spec_is_built(self, workspace,
                                                              tmp_path):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):

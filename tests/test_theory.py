@@ -142,7 +142,7 @@ class TestFlopRatio:
 
     def test_cost_model_validation(self):
         with pytest.raises(ValueError):
-            CostModel(cost_ratio=0.0, draft_param_fraction=0.5, notes="")
+            CostModel(cost_ratio=0.0, draft_param_fraction=0.5)
 
 
 class TestOptimalK:
