@@ -29,10 +29,12 @@ reports its array buffers to ``tracemalloc``). The entry points are:
   one (B, T, d_model, d_state) float32 state history, which the tape no
   longer holds.
 
-The toys are seeded inits of the acceptance configuration (12 layers,
-d_model 64, d_state 8), saved to a temporary directory. The eval text is
-generated. Peaks count what Python and NumPy allocate, not the process's
-resident set, so they are the same from run to run on any machine.
+The toys are seeded inits of the toy-lab design's model
+(``speclab.experiments.TOY_MODEL``), saved to a temporary directory, and the
+training batch has the design's shape (``TOY_TRAINING``). The training and
+eval texts are generated with the seeds of its corpora (``TOY_CORPORA``).
+Peaks count what Python and NumPy allocate, not the process's resident set,
+so they are the same from run to run on any machine.
 
 The last lines are not peaks: ``train_faults`` is the minor page faults
 (``ru_minflt``) per step of ``train`` from a seeded init on the training
@@ -62,7 +64,8 @@ from speclab.ablation import ablate_and_score  # noqa: E402
 from speclab.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from speclab.corpus import make_corpus  # noqa: E402
 from speclab.engine import DraftStrategy, build_mask  # noqa: E402
-from speclab.experiments import _sha256  # noqa: E402
+from speclab.experiments import (  # noqa: E402
+    TOY_CORPORA, TOY_MODEL, TOY_TRAINING, _sha256)
 from speclab.metrics import divergence_stats  # noqa: E402
 from speclab.model import (  # noqa: E402
     ComponentMask, HybridModel, ModelConfig, init_weights, layer_plan,
@@ -74,8 +77,9 @@ from speclab.training import (  # noqa: E402
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
 SEED = 7
+TRAIN_SEED, EVAL_SEED = TOY_CORPORA["train"][1], TOY_CORPORA["eval"][1]
 WINDOWS = 2
-TRAIN_BATCH, TRAIN_LEN = 8, 96
+TRAIN_BATCH, TRAIN_LEN = TOY_TRAINING["batch_size"], TOY_TRAINING["seq_len"]
 SCAN_SHAPES = ((1, 256), (2, 255))
 FAULT_STEPS = 6
 
@@ -181,17 +185,18 @@ def main() -> int:
     tracemalloc.start()
     with tempfile.TemporaryDirectory() as tmp:
         train_path = Path(tmp) / "train.bin"
-        train_path.write_bytes(make_corpus(TRAIN_BATCH * (TRAIN_LEN + 1), 1234))
+        train_path.write_bytes(make_corpus(TRAIN_BATCH * (TRAIN_LEN + 1),
+                                           TRAIN_SEED))
         train_corpus = np.frombuffer(train_path.read_bytes(),
                                      np.uint8).astype(np.int64)
         train_windows = train_corpus.reshape(TRAIN_BATCH, TRAIN_LEN + 1)
         configs = {}
         for name, arch in ARCHS.items():
-            cfg = configs[name] = ModelConfig(arch, n_layers=12, d_model=64,
-                                              d_state=8)
+            cfg = configs[name] = ModelConfig(arch, **TOY_MODEL)
             path = Path(tmp) / f"{name}.ckpt"
             save_checkpoint(path, init_weights(cfg, SEED))
-            corpus = np.frombuffer(make_corpus(WINDOWS * cfg.context_limit, 777),
+            corpus = np.frombuffer(make_corpus(WINDOWS * cfg.context_limit,
+                                               EVAL_SEED),
                                    np.uint8).astype(np.int64)
             windows = corpus.reshape(WINDOWS, cfg.context_limit)
             print(f"{name}: checkpoint {path.stat().st_size / 1e6:.1f} MB")

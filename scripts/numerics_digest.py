@@ -11,9 +11,9 @@ One line per item, then an ``all`` line over every item; equal lines mean
 bit-identical numbers. The items are:
 
 * ``train.<arch>.float32``: weights and loss history after 8 training steps
-  from seeded init (training computes in float32 only), on the acceptance
-  toy configuration (12 layers, d_model 64, d_state 8, batch 8, windows of
-  96, seed 7);
+  from seeded init (training computes in float32 only), on the toy-lab
+  design's model, training settings and training corpus
+  (``speclab.experiments.TOY_MODEL``, ``TOY_TRAINING`` and ``TOY_CORPORA``);
 * ``decode.<arch>``: decode-path logits of seeded-init models, the prefix
   forward and one-token steps, under the full mask and every draft mask;
 * ``generate.<arch>.<strategy>.T<temperature>``: greedy and T = 0.6
@@ -22,8 +22,7 @@ bit-identical numbers. The items are:
   window;
 * ``divergence.<arch>``: every strategy's ``divergence_stats`` on the same
   window;
-* ``cost.<arch>``: every strategy's ``flop_ratio`` (cost ratio and draft
-  parameter fraction);
+* ``cost.<arch>``: every strategy's ``flop_ratio`` cost ratio;
 * ``ablation.<arch>``: ``ablate_and_score`` on the same window: both
   perplexities, their ratio and the verdict;
 * ``cost.tra``: the transformer control's ``flop_ratio`` for every strategy
@@ -55,6 +54,8 @@ from speclab.corpus import make_corpus, sample_prompts  # noqa: E402
 from speclab.engine import (  # noqa: E402
     STRATEGY_KINDS, DecodeSettings, DraftStrategy, autoregressive_generate,
     build_mask, speculative_generate)
+from speclab.experiments import (  # noqa: E402
+    TOY_CORPORA, TOY_MODEL, TOY_TRAINING)
 from speclab.metrics import divergence_stats, perplexity  # noqa: E402
 from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
 from speclab.theory import flop_ratio, params_per_token  # noqa: E402
@@ -67,7 +68,7 @@ TEMPERATURES = (0.0, 0.6)
 
 
 def toy_config(arch: str) -> ModelConfig:
-    return ModelConfig(arch, n_layers=12, d_model=64, d_state=8)
+    return ModelConfig(arch, **TOY_MODEL)
 
 
 class Digest:
@@ -88,9 +89,8 @@ class Digest:
 
 def train_items(corpus_path: str):
     for name, arch in ARCHS.items():
-        tcfg = TrainConfig(corpus_path=corpus_path, steps=TRAIN_STEPS,
-                           batch_size=8, seq_len=96, learning_rate=3e-3,
-                           seed=SEED)
+        tcfg = TrainConfig(corpus_path=corpus_path,
+                           **{**TOY_TRAINING, "steps": TRAIN_STEPS})
         weights, history = train(toy_config(arch), tcfg)
         d = Digest()
         for block_name, arr in weights.items():
@@ -162,7 +162,7 @@ def score_items(models, window):
 
 def add_cost(d: Digest, cfg: ModelConfig, kind: str):
     cost = flop_ratio(cfg, DraftStrategy(kind))
-    d.add(np.float64(cost.cost_ratio), np.float64(cost.draft_param_fraction))
+    d.add(np.float64(cost.cost_ratio))
 
 
 def hand_masks(n: int, hybrid: bool) -> list[ComponentMask]:
@@ -192,9 +192,10 @@ def param_items():
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "train_corpus.bin"
-        corpus_path.write_bytes(make_corpus(220_000, 1234))
+        corpus_path.write_bytes(make_corpus(*TOY_CORPORA["train"]))
         items = list(train_items(str(corpus_path)))
-    eval_tokens = np.frombuffer(make_corpus(4096, 777), np.uint8).astype(np.int64)
+    eval_tokens = np.frombuffer(make_corpus(4096, TOY_CORPORA["eval"][1]),
+                                np.uint8).astype(np.int64)
     prompts = sample_prompts(eval_tokens, 3, 16, seed=0)
     models = {name: HybridModel.from_seed(toy_config(arch), SEED)
               for name, arch in ARCHS.items()}

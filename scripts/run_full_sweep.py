@@ -2,10 +2,12 @@
 """The full desk protocol over the toy-lab design's toys.
 
 Runs the acceptance-rate sweep (three strategies over the design's k,
-temperatures and prompts; ``speclab.experiments.TOY_SWEEP``), then the
-ablation verdicts and the speedup-model report for each checkpoint's
-component draft. Resumable: finished cells are skipped. Trains
-the toys first where --toys-dir lacks them (see scripts/train_toy_models.py).
+temperatures and prompts; ``speclab.experiments.TOY_SWEEP``) into
+--out-dir: ``report.csv`` (with each cell's modelled speedup at its measured
+alpha), ``timings.csv`` and ``cells/``. Then writes each checkpoint's
+ablation verdict to ``<checkpoint stem>.ablation.json`` and
+``ablation_ledger.csv``. Resumable: finished cells are skipped. Trains the
+toys first where --toys-dir lacks them (see scripts/train_toy_models.py).
 """
 
 import argparse
@@ -39,8 +41,6 @@ def main():
                   str(toys["eval"]), "--json",
                   str(out / f"{ckpt.stem}.ablation.json"),
                   "--ledger", str(out / "ablation_ledger.csv")])
-        cli_main(["theory", "--alpha", "0.5", "--k", "2", "--checkpoint",
-                  str(ckpt), "--json", str(out / f"{ckpt.stem}.theory.json")])
 
 
 if __name__ == "__main__":

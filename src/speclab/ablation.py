@@ -70,36 +70,3 @@ def ablate_and_score(model: HybridModel, corpus_tokens) -> AblationReport:
         ppl_ratio=ratio,
         verdict=classify_viability(ratio),
     )
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Rank check across (ablation, acceptance) cells: does a larger
-    perplexity ratio always come with a smaller acceptance rate?"""
-
-    rows: tuple[tuple[float, float], ...]
-    inverse_ordering_holds: bool
-    degenerate: bool
-
-
-def correlation_report(cells) -> CorrelationReport:
-    """Check the inverse ordering over ≥2 (AblationReport, AcceptanceStats)
-    cells. Tied pairs are skipped; if every pair is tied the ordering is
-    vacuous and flagged degenerate."""
-    cells = list(cells)
-    if len(cells) < 2:
-        raise ValueError("need at least two cells to check an ordering")
-    rows = tuple((rep.ppl_ratio, acc.all_token_alpha) for rep, acc in cells)
-    comparable = 0
-    inverse = True
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            dr = rows[i][0] - rows[j][0]
-            da = rows[i][1] - rows[j][1]
-            if dr == 0.0 or da == 0.0:
-                continue
-            comparable += 1
-            if dr * da > 0.0:
-                inverse = False
-    return CorrelationReport(rows=rows, inverse_ordering_holds=inverse,
-                             degenerate=comparable == 0)

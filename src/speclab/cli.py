@@ -31,8 +31,7 @@ from .experiments import ExperimentSpec, run_experiments
 from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
-from .theory import (flop_ratio, optimal_k, per_token_from_all_token,
-                     speedup_readings)
+from .theory import flop_ratio, optimal_k, speedup_readings
 from .training import TrainConfig, keep_freed_pages, load_corpus, train
 
 
@@ -95,6 +94,9 @@ def cmd_train(args) -> int:
     cfg = ModelConfig(arch=args.arch, layer_pattern=pattern,
                       **{name: getattr(args, name) for name in _MODEL_SIZES})
     log_path = args.log or str(args.out) + ".train_log.csv"
+    for flag, path in (("--out", args.out), ("--log", log_path)):
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} directory not found: {Path(path).parent}")
     tcfg = TrainConfig(
         corpus_path=args.corpus, steps=args.steps, batch_size=args.batch_size,
         seq_len=args.seq_len, learning_rate=args.lr, seed=args.seed,
@@ -167,30 +169,22 @@ def append_ledger(path, checkpoint, report) -> None:
 
 def cmd_theory(args) -> int:
     if args.cost_ratio is not None:
-        ratio, fraction = args.cost_ratio, None
+        ratio = args.cost_ratio
     elif args.checkpoint:
         model = _load_model(args.checkpoint)
-        cost = flop_ratio(model.cfg, DraftStrategy(args.strategy))
-        ratio, fraction = cost.cost_ratio, cost.draft_param_fraction
+        ratio = flop_ratio(model.cfg, DraftStrategy(args.strategy)).cost_ratio
     else:
         print("need --cost-ratio or --checkpoint", file=sys.stderr)
         return 2
-    alpha = args.alpha
-    readings = speedup_readings(alpha, args.k, ratio)
-    reading = "all_token_converted" if args.alpha_is_all_token else "direct"
-    alpha_pt = (per_token_from_all_token(alpha, args.k)
-                if args.alpha_is_all_token else alpha)
+    readings = speedup_readings(args.alpha, args.k, ratio)
     payload = {
-        "alpha": alpha,
-        "alpha_is_all_token": bool(args.alpha_is_all_token),
-        "alpha_per_token": alpha_pt,
+        "alpha": args.alpha,
         "k": args.k,
         "cost_ratio": ratio,
-        "draft_param_fraction": fraction,
-        "expected_tokens": readings[f"expected_tokens_{reading}"],
-        "speedup": readings[f"speedup_{reading}"],
+        "expected_tokens": readings["expected_tokens_direct"],
+        "speedup": readings["speedup_direct"],
         "speedup_readings": readings,
-        "optimal_k": optimal_k(alpha_pt, ratio, args.k_max),
+        "optimal_k": optimal_k(args.alpha, ratio, args.k_max),
     }
     if args.reference_speedup is not None:
         payload["reference_speedup"] = args.reference_speedup
@@ -301,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("theory", help="speedup model and optimal k")
-    p.add_argument("--alpha", type=_alpha, required=True)
-    p.add_argument("--alpha-is-all-token", action="store_true",
-                   help="convert alpha(k) to per-token by the k-th root")
+    p.add_argument("--alpha", type=_alpha, required=True,
+                   help="per-token acceptance rate; speedup_readings also "
+                        "reads it as alpha(k) by the k-th root")
     p.add_argument("--k", type=_at_least_one, required=True)
     p.add_argument("--cost-ratio", type=_positive, default=None)
     p.add_argument("--checkpoint", default=None,

@@ -182,17 +182,16 @@ def residual_distribution(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarr
     return r / total
 
 
-def draft_k(model: HybridModel, mask: ComponentMask, state: DecodeState,
-            pending: list[int], settings: DecodeSettings, rng: RngState):
-    """Feed ``pending`` and draft ``settings.k`` tokens from the masked model.
+def draft_k(model: HybridModel, state: DecodeState, pending: list[int],
+            settings: DecodeSettings, rng: RngState):
+    """Feed ``pending`` and draft ``settings.k`` tokens from the model under
+    the state's mask.
 
     Makes exactly k forwards: the pending input (one or two tokens), then
     each drafted token but the last. Returns the draft plus rollback
     snapshots: ``snaps[j]`` restores the state to "pending input plus the
     first j drafted tokens consumed".
     """
-    if state.mask != mask:
-        raise ValueError("state was built under a different mask")
     if len(pending) == 0:
         raise ValueError("draft needs a pending input to feed")
     base_pos = state.pos + len(pending)
@@ -298,8 +297,7 @@ def _generate(model: HybridModel, prompt, settings: DecodeSettings,
         if draft_mask is None:
             draft = DraftSequence([], [], vstate.pos + 1)
         else:
-            draft, snaps = draft_k(model, draft_mask, dstate, draft_pending,
-                                   settings, rng)
+            draft, snaps = draft_k(model, dstate, draft_pending, settings, rng)
         result = verify_and_accept(model, vstate, pending, draft, settings, rng)
         pending = result.emitted_tokens[-1]
         if result.all_accepted:

@@ -293,9 +293,6 @@ class Weights:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight block {name} has non-finite entries")
 
-    def copy(self) -> "Weights":
-        return Weights(self.cfg, {n: a.copy() for n, a in self.items()})
-
 
 def init_weights(cfg: ModelConfig, seed: int) -> Weights:
     """Seeded random initialization (platform-stable via Philox).

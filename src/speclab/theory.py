@@ -24,7 +24,6 @@ from .model import ComponentMask, ModelConfig, mask_blocks, param_spec
 @dataclass(frozen=True)
 class CostModel:
     cost_ratio: float
-    draft_param_fraction: float
 
     def __post_init__(self):
         if not 0.0 < self.cost_ratio <= 1.0:
@@ -87,9 +86,8 @@ def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
 def flop_ratio(cfg: ModelConfig, strategy: DraftStrategy) -> CostModel:
     """Draft-to-verify cost ratio for a strategy on a model, by the
     parameter-count proxy: at most 1, as a draft runs a subset of the blocks."""
-    fraction = params_per_token(cfg, build_mask(cfg, strategy)) / \
-        params_per_token(cfg, None)
-    return CostModel(fraction, fraction)
+    return CostModel(params_per_token(cfg, build_mask(cfg, strategy))
+                     / params_per_token(cfg, None))
 
 
 def optimal_k(alpha_per_token: float, cost_ratio: float, k_max: int) -> int:

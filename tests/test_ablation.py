@@ -11,16 +11,8 @@ from speclab.ablation import (
     AblationReport,
     ablate_and_score,
     classify_viability,
-    correlation_report,
 )
-from speclab.metrics import AcceptanceStats
 from speclab.model import HybridModel, ModelConfig
-
-
-def acc(alpha):
-    return AcceptanceStats(all_token_alpha=alpha, per_token_alpha=alpha,
-                           mean_accepted_per_round=1.0 + alpha, n_rounds=100,
-                           ci_low=alpha, ci_high=alpha)
 
 
 def report(base, no_attn):
@@ -81,30 +73,6 @@ class TestAblateAndScore:
         m = HybridModel.from_seed(cfg, 0)
         with pytest.raises(ValueError):
             ablate_and_score(m, np.zeros(100, dtype=int))
-
-
-class TestCorrelationReport:
-    def test_published_pair_is_strictly_inverse(self):
-        cells = [(report(5.621, 17.725), acc(0.370)),
-                 (report(7.624, 624.843), acc(0.019))]
-        rep = correlation_report(cells)
-        assert rep.inverse_ordering_holds
-        assert not rep.degenerate
-
-    def test_identical_cells_are_vacuously_ordered_but_flagged(self):
-        cells = [(report(5.0, 15.0), acc(0.3)), (report(5.0, 15.0), acc(0.3))]
-        rep = correlation_report(cells)
-        assert rep.inverse_ordering_holds
-        assert rep.degenerate
-
-    def test_violated_ordering_detected(self):
-        cells = [(report(5.0, 15.0), acc(0.3)), (report(5.0, 50.0), acc(0.6))]
-        rep = correlation_report(cells)
-        assert not rep.inverse_ordering_holds
-
-    def test_needs_two_cells(self):
-        with pytest.raises(ValueError):
-            correlation_report([(report(5.0, 15.0), acc(0.3))])
 
 
 def test_importing_every_module_leaves_scipy_stats_unloaded():

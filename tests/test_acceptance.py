@@ -11,7 +11,7 @@ import time
 import numpy as np
 from scipy import stats as scipy_stats
 
-from speclab.ablation import ablate_and_score, classify_viability, correlation_report
+from speclab.ablation import ablate_and_score, classify_viability
 from speclab.engine import (
     DecodeSettings,
     DraftSequence,
@@ -24,13 +24,12 @@ from speclab.engine import (
 )
 from speclab.corpus import sample_prompts
 from speclab.metrics import (
-    AcceptanceStats,
     bootstrap_ci,
     divergence_stats,
     match_rate,
     tv_distance,
 )
-from speclab.model import HybridModel, ModelConfig, init_weights
+from speclab.model import HybridModel, ModelConfig, Weights, init_weights
 from speclab.numerics import RngState, sample_categorical, softmax
 from speclab.theory import expected_tokens, speedup, speedup_readings
 from speclab.training import grad_check
@@ -51,6 +50,12 @@ def series(rows, model_substr, strategy, temp):
     return out
 
 
+def holds(a: float, b: float) -> str:
+    """The comparison operator that holds between ``a`` and ``b``, so that
+    a gate line states what was measured."""
+    return "<" if a < b else ">" if a > b else "="
+
+
 class TestCriterion1LosslessnessGreedy:
     def test_every_strategy_matches_autoregressive(self, toy_lab, criterion):
         t0 = time.perf_counter()
@@ -66,11 +71,13 @@ class TestCriterion1LosslessnessGreedy:
                 rates[f"{arch}/{kind}"] = match_rate(outputs, ar)
         elapsed = time.perf_counter() - t0
         all_exact = all(r == 1.0 for r in rates.values())
+        lowest = min(rates.values())
         criterion(
             "C1 losslessness (greedy)",
             all_exact and elapsed < 120.0,
-            f"match rate 1.000 on {len(rates)} (model, strategy) cells, "
-            f"100 prompts x 64 tokens, {elapsed:.0f}s < 120s")
+            f"lowest match rate {lowest:.3f} on {len(rates)} (model, strategy) "
+            f"cells, 100 prompts x 64 tokens, {elapsed:.0f}s "
+            f"{holds(elapsed, 120.0)} 120s")
 
 
 class TestCriterion2LosslessnessSampling:
@@ -165,7 +172,8 @@ class TestCriterion3IdentityBound:
 class TestCriterion4ConstructedEquality:
     def test_zeroed_attention_makes_draft_exact(self, toy_lab, criterion):
         base = toy_lab["models"]["parallel_hybrid"]
-        weights = base.weights.copy()
+        weights = Weights(base.cfg,
+                          {n: a.copy() for n, a in base.weights.items()})
         for i in range(base.cfg.n_layers):
             for p in ("wq", "wk", "wv", "wo"):
                 weights[f"layers.{i}.attn.{p}"][:] = 0.0
@@ -242,33 +250,26 @@ class TestCriterion7ArchitecturalDeterminism:
         rows = acceptance_sweep["rows"]
         par = series(rows, "parallel", "component_only", 0.0)
         seq = series(rows, "sequential", "component_only", 0.0)
-        alpha_par2 = float(par[2]["alpha"])
-        alpha_seq2 = float(seq[2]["alpha"])
-        rep_par = ablate_and_score(toy_lab["models"]["parallel_hybrid"],
-                                   toy_lab["eval_tokens"])
-        rep_seq = ablate_and_score(toy_lab["models"]["sequential_hybrid"],
-                                   toy_lab["eval_tokens"])
-        def acc(row):
-            return AcceptanceStats(
-                all_token_alpha=float(row["alpha"]),
-                per_token_alpha=float(row["per_token_alpha"]),
-                mean_accepted_per_round=float(row["mean_accepted_per_round"]),
-                n_rounds=int(row["n_rounds"]),
-                ci_low=float(row["alpha_ci_low"]),
-                ci_high=float(row["alpha_ci_high"]))
-        corr = correlation_report([(rep_par, acc(par[4])),
-                                   (rep_seq, acc(seq[4]))])
+        alpha_par2, alpha_seq2 = float(par[2]["alpha"]), float(seq[2]["alpha"])
+        alpha_par4, alpha_seq4 = float(par[4]["alpha"]), float(seq[4]["alpha"])
+        ppl_par = ablate_and_score(toy_lab["models"]["parallel_hybrid"],
+                                   toy_lab["eval_tokens"]).ppl_ratio
+        ppl_seq = ablate_and_score(toy_lab["models"]["sequential_hybrid"],
+                                   toy_lab["eval_tokens"]).ppl_ratio
         budget = toy_lab["train_seconds"] + acceptance_sweep["sweep_seconds"]
-        ok = (alpha_par2 > alpha_seq2
-              and rep_par.ppl_ratio < rep_seq.ppl_ratio
-              and corr.inverse_ordering_holds and not corr.degenerate
-              and budget < 2700.0)
+        # with ppl_par < ppl_seq required, the inverse ordering of ppl_ratio
+        # and alpha(4) over the two cells is alpha_par(4) > alpha_seq(4)
+        ok = (alpha_par2 > alpha_seq2 and ppl_par < ppl_seq
+              and alpha_par4 > alpha_seq4 and budget < 2700.0)
         criterion(
             "C7 architectural determinism (directional)",
             ok,
-            f"alpha_par(2)={alpha_par2:.3f} > alpha_seq(2)={alpha_seq2:.3f}; "
-            f"ppl_ratio {rep_par.ppl_ratio:.2f} < {rep_seq.ppl_ratio:.2f}; "
-            f"inverse ordering holds; train+sweep {budget:.0f}s < 2700s")
+            f"alpha_par(2)={alpha_par2:.3f} {holds(alpha_par2, alpha_seq2)} "
+            f"alpha_seq(2)={alpha_seq2:.3f}; ppl_ratio {ppl_par:.2f} "
+            f"{holds(ppl_par, ppl_seq)} {ppl_seq:.2f}; "
+            f"alpha_par(4)={alpha_par4:.3f} {holds(alpha_par4, alpha_seq4)} "
+            f"alpha_seq(4)={alpha_seq4:.3f}; train+sweep {budget:.0f}s "
+            f"{holds(budget, 2700.0)} 2700s")
 
 
 class TestCriterion8StrategyComparison:
@@ -282,7 +283,7 @@ class TestCriterion8StrategyComparison:
         criterion(
             "C8 strategy comparison (sequential)",
             a_skip >= a_comp,
-            f"layer_skip alpha(4)={a_skip:.3f} >= "
+            f"layer_skip alpha(4)={a_skip:.3f} {holds(a_skip, a_comp)} "
             f"component_only alpha(4)={a_comp:.3f}")
 
 

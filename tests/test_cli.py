@@ -67,6 +67,20 @@ class TestTrainCommand:
         assert rc == 0
         assert load_checkpoint(out).cfg.layer_pattern == ("linear", "attention")
 
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_missing_output_directory_stops_before_training(
+            self, tmp_path, capsys, monkeypatch, allocator_calls, flag):
+        seen = _capture(monkeypatch, "train")
+        paths = {"--out": str(tmp_path / "x.ckpt"),
+                 flag: str(tmp_path / "nodir" / "x.out")}
+        rc = main(["train", "--arch", "parallel_hybrid", "--corpus", "x.bin",
+                   *(t for kv in paths.items() for t in kv)])
+        assert rc == 2
+        assert seen == [] and allocator_calls == []
+        assert capsys.readouterr().err == (
+            f"speclab train: error: {flag} directory not found: "
+            f"{tmp_path / 'nodir'}\n")
+
 
 class _Stop(Exception):
     """Raised by a stub to end a command once its inputs are captured."""
@@ -193,6 +207,15 @@ class TestDiagnosticsCommands:
         assert payload["reference_deviation_direct"] < 0
         assert payload["reference_deviation_all_token_converted"] > 0
         assert payload["optimal_k"] <= 2
+        # the top-level fields read alpha directly; both readings sit in
+        # speedup_readings
+        assert payload["speedup"] == readings["speedup_direct"]
+        assert payload["expected_tokens"] == readings["expected_tokens_direct"]
+        assert sorted(payload) == [
+            "alpha", "cost_ratio", "expected_tokens", "k", "optimal_k",
+            "reference_deviation_all_token_converted",
+            "reference_deviation_direct", "reference_speedup", "speedup",
+            "speedup_readings"]
 
     def test_theory_cost_ratio_from_checkpoint(self, env, capsys):
         rc = main(["theory", "--alpha", "0.5", "--k", "2", "--checkpoint",
@@ -200,6 +223,14 @@ class TestDiagnosticsCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["cost_ratio"] < 1.0
+
+    def test_theory_alpha_reading_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--alpha", "0.5", "--k", "2", "--cost-ratio",
+                  "0.5", "--alpha-is-all-token"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --alpha-is-all-token"
+                in capsys.readouterr().err)
 
     def test_theory_needs_a_ratio_source(self, capsys):
         assert main(["theory", "--alpha", "0.5", "--k", "2"]) == 2

@@ -117,7 +117,7 @@ class TestDraftK:
         greedy = autoregressive_generate(m, prompt, settings)
         mask = build_mask(PAR8, DraftStrategy("identity"))
         _, state = m.forward_prefix(prompt[:-1], mask)
-        draft, _ = draft_k(m, mask, state, prompt[-1:], settings, RngState(0))
+        draft, _ = draft_k(m, state, prompt[-1:], settings, RngState(0))
         assert draft.tokens == greedy
 
     def test_same_seed_gives_identical_draft(self):
@@ -128,7 +128,7 @@ class TestDraftK:
         drafts = []
         for _ in range(2):
             _, state = m.forward_prefix(prompt[:-1], mask)
-            d, _ = draft_k(m, mask, state, prompt[-1:], settings, RngState(11))
+            d, _ = draft_k(m, state, prompt[-1:], settings, RngState(11))
             drafts.append(d)
         assert drafts[0].tokens == drafts[1].tokens
         for a, b in zip(drafts[0].dists, drafts[1].dists):
@@ -139,12 +139,24 @@ class TestDraftK:
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         prompt = prompt_for(PAR8)
         _, state = m.forward_prefix(prompt[:-1], mask)
-        draft, snaps = draft_k(m, mask, state, prompt[-1:], DecodeSettings(k=1),
+        draft, snaps = draft_k(m, state, prompt[-1:], DecodeSettings(k=1),
                                RngState(0))
         assert draft.k == 1
         assert len(snaps) == 1
         assert snaps[0].pos == state.pos == len(prompt)
         assert draft.dists[0].shape == (PAR8.vocab_size,)
+
+    @pytest.mark.parametrize("kind", ["identity", "component_only"])
+    def test_drafts_under_the_state_mask(self, kind):
+        m = HybridModel.from_seed(PAR8, 0)
+        mask = build_mask(PAR8, DraftStrategy(kind))
+        prompt = prompt_for(PAR8)
+        logits, _ = m.forward_prefix(prompt, mask)
+        _, state = m.forward_prefix(prompt[:-1], mask)
+        settings = DecodeSettings(k=1, temperature=0.6)
+        draft, _ = draft_k(m, state, prompt[-1:], settings, RngState(0))
+        np.testing.assert_allclose(draft.dists[0], softmax(logits[-1], 0.6),
+                                   atol=1e-12, rtol=0)
 
     def test_context_overflow_raises(self):
         m = HybridModel.from_seed(PAR8, 0)
@@ -152,21 +164,14 @@ class TestDraftK:
         prompt = list(np.zeros(PAR8.context_limit - 1, dtype=int))
         _, state = m.forward_prefix(prompt[:-1], mask)
         with pytest.raises(ValueError):
-            draft_k(m, mask, state, prompt[-1:], DecodeSettings(k=4), RngState(0))
-
-    def test_wrong_mask_rejected(self):
-        m = HybridModel.from_seed(PAR8, 0)
-        _, state = m.forward_prefix(prompt_for(PAR8), None)
-        mask = build_mask(PAR8, DraftStrategy("component_only"))
-        with pytest.raises(ValueError):
-            draft_k(m, mask, state, [1], DecodeSettings(k=2), RngState(0))
+            draft_k(m, state, prompt[-1:], DecodeSettings(k=4), RngState(0))
 
     def test_empty_pending_input_rejected(self):
         m = HybridModel.from_seed(PAR8, 0)
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         _, state = m.forward_prefix(prompt_for(PAR8), mask)
         with pytest.raises(ValueError):
-            draft_k(m, mask, state, [], DecodeSettings(k=2), RngState(0))
+            draft_k(m, state, [], DecodeSettings(k=2), RngState(0))
 
 
 class TestAcceptCore:
@@ -281,7 +286,7 @@ class TestVerifySoftmax:
         settings = DecodeSettings(k=4, temperature=temp, max_new_tokens=8, seed=0)
         _, vstate = m.forward_prefix(prompt[:-1])
         _, dstate = m.forward_prefix(prompt[:-1], mask)
-        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        draft, _ = draft_k(m, dstate, prompt[-1:], settings, RngState(0))
         shapes = []
 
         def counted(logits, temperature=1.0):
@@ -542,7 +547,7 @@ class TestAutoregressive:
         settings = DecodeSettings(k=3, temperature=0.0, max_new_tokens=8, seed=0)
         _, vstate = m.forward_prefix(prompt[:-1])
         _, dstate = m.forward_prefix(prompt[:-1], mask)
-        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        draft, _ = draft_k(m, dstate, prompt[-1:], settings, RngState(0))
         res = verify_and_accept(m, vstate, prompt[-1], draft, settings, RngState(0))
         # consumed: the pending token and the accepted drafts; the last
         # emitted token is the next pending one
@@ -557,7 +562,7 @@ class TestAutoregressive:
         mask = build_mask(PAR8, DraftStrategy("component_only"))
         settings = DecodeSettings(k=2, temperature=0.0, max_new_tokens=8, seed=0)
         _, dstate = m.forward_prefix(prompt[:-1], mask)
-        draft, _ = draft_k(m, mask, dstate, prompt[-1:], settings, RngState(0))
+        draft, _ = draft_k(m, dstate, prompt[-1:], settings, RngState(0))
         _, vstate = m.forward_prefix(prompt)
         with pytest.raises(ValueError):
             verify_and_accept(m, vstate, 0, draft, settings, RngState(0))

@@ -92,7 +92,6 @@ class TestFlopRatio:
     def test_identity_strategy_costs_everything(self, cfg):
         cm = flop_ratio(cfg, DraftStrategy("identity"))
         assert cm.cost_ratio == 1.0
-        assert cm.draft_param_fraction == 1.0
 
     def test_layer_skip_matches_independent_hand_count(self):
         d, v = TRA.d_model, TRA.vocab_size
@@ -142,7 +141,7 @@ class TestFlopRatio:
 
     def test_cost_model_validation(self):
         with pytest.raises(ValueError):
-            CostModel(cost_ratio=0.0, draft_param_fraction=0.5)
+            CostModel(cost_ratio=0.0)
 
 
 class TestOptimalK:
