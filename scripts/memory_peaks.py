@@ -38,12 +38,11 @@ so they are the same from run to run on any machine.
 
 The last lines are not peaks: ``train_faults`` is the minor page faults
 (``ru_minflt``) per step of ``train`` from a seeded init on the training
-bytes of ``train_step``, over the steps after the first, with tracing off,
-first under the C library's default allocator settings and then, as
-``train_faults_kept``, after ``training.keep_freed_pages`` (which lasts for
-the rest of the process, so it comes last). They show how many pages each
-step faults in again after the previous one freed them; they depend on the
-C library's allocator, so they are not the same on every machine.
+bytes of ``train_step``, over the steps after the first, with tracing off.
+It shows how many pages each step faults in again after the previous one
+freed them, under the allocator setting ``train`` makes before its first
+step; it depends on the C library's allocator, so it is not the same on
+every machine.
 """
 
 from __future__ import annotations
@@ -212,12 +211,9 @@ def main() -> int:
                 print(f"{'_ssm_bwd.' + name:24s} {mb:7.1f} MB  "
                       f"{ratio:.2f}x its history")
         tracemalloc.stop()
-        for label in ("train_faults", "train_faults_kept"):
-            if label == "train_faults_kept":
-                training.keep_freed_pages()
-            for name, cfg in configs.items():
-                print(f"{label + '.' + name:24s} "
-                      f"{train_faults(cfg, train_path):7.1f} faults per step")
+        for name, cfg in configs.items():
+            print(f"{'train_faults.' + name:24s} "
+                  f"{train_faults(cfg, train_path):7.1f} faults per step")
     return 0
 
 

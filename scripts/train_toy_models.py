@@ -12,14 +12,12 @@ digest of two training steps by the current code.
 import argparse
 
 from speclab.experiments import build_toys
-from speclab.training import keep_freed_pages
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="runs/toys")
     args = parser.parse_args()
-    keep_freed_pages()    # this process only trains
     for name, path in build_toys(args.out_dir).items():
         print(f"{name}: {path}")
 

@@ -1,18 +1,6 @@
-"""Command-line front-end: train, run sweeps, diagnose, verify.
-
-The only environment variable honoured is SPECLAB_THREADS, which caps the
-BLAS thread pool; it must be applied before numpy loads, which is why this
-module touches os.environ before any numeric import.
-"""
+"""Command-line front-end: train, run sweeps, diagnose, verify."""
 
 from __future__ import annotations
-
-import os
-
-_threads = os.environ.get("SPECLAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import csv
@@ -32,7 +20,7 @@ from .corpus import sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
 from .theory import flop_ratio, optimal_k, speedup_readings
-from .training import TrainConfig, keep_freed_pages, load_corpus, train
+from .training import TrainConfig, load_corpus, train
 
 
 # a greedy margin below this is a near tie that the ~1e-14 difference
@@ -101,7 +89,6 @@ def cmd_train(args) -> int:
         corpus_path=args.corpus, steps=args.steps, batch_size=args.batch_size,
         seq_len=args.seq_len, learning_rate=args.lr, seed=args.seed,
         warmup_steps=args.warmup_steps, log_path=log_path)
-    keep_freed_pages()    # this process only trains
     weights, history = train(cfg, tcfg)
     save_checkpoint(args.out, weights)
     if history:

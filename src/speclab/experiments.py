@@ -9,7 +9,8 @@ the confidence interval (``LAYER_SKIP_FRACTION``, ``EARLY_EXIT_FRACTION`` and
 prompt corpus. Completed cells with a matching id are skipped on re-run, and
 the top-level ``report.csv`` is regenerated from cell files every run, so
 re-running a finished sweep does no model work and reproduces the report
-byte for byte, while a changed spec, checkpoint or corpus recomputes. When
+byte for byte, while a changed spec, checkpoint or corpus recomputes, and
+so does a cell whose file does not parse or holds no report row. When
 a cell with the current id is read or written, the files of earlier ids for
 the same (model, strategy, k, T) are deleted. Every file is written to a
 temporary name and renamed into place. Wall-clock timings are intentionally
@@ -77,12 +78,14 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.checkpoints and self.strategies and self.k_values
-                and self.temperatures):
+        dims = (self.strategies, self.k_values, self.temperatures)
+        if not (self.checkpoints and all(dims)):
             raise ValueError("sweep dimensions must be non-empty")
         stems = [Path(c).stem for c in self.checkpoints]
         if len(set(stems)) < len(stems):  # a stem names its model's cells
             raise ValueError(f"checkpoint file stems must differ: {stems}")
+        if any(len(set(d)) < len(d) for d in dims):  # a repeat shares a cell
+            raise ValueError(f"sweep values must not repeat: {dims}")
         for kind in self.strategies:
             DraftStrategy(kind)  # an unknown kind raises here, before any work
         if self.n_prompts < 1 or self.prompt_len < 1:
@@ -148,6 +151,15 @@ def _remove_superseded(cells_dir: Path, cell: str):
             path.unlink(missing_ok=True)
 
 
+def _read_cell(path: Path) -> dict | None:
+    """A cell file's payload; None if it is missing, unparsable or rowless."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) and "row" in payload else None
+
+
 def _write_csv(path: Path, schema: str, columns: list[str], rows: list[dict]):
     buf = io.StringIO()
     buf.write(f"# {schema}\n")
@@ -209,10 +221,12 @@ def run_experiments(spec: ExperimentSpec, log=None) -> RunResult:
                 for k in spec.k_values:
                     cell = _cell_id(model_name, strategy.label(), k, temp, key)
                     cell_path = cells_dir / f"{cell}.json"
-                    if cell_path.exists():
-                        payload = json.loads(cell_path.read_text())
+                    payload = _read_cell(cell_path)
+                    if payload is not None:
                         result.n_skipped += 1
                     else:
+                        if cell_path.exists():
+                            log(f"[redo] {cell}: unreadable cell file")
                         try:
                             payload = _compute_cell(
                                 spec, model, model_name, strategy, k, temp,

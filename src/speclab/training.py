@@ -35,15 +35,12 @@ so :func:`grad_check` runs the same forward and backward in float64.
 
 A training step holds one tape: each step's casts, tape, logits and
 gradients are freed before the next step's forward starts, and the logits
-as soon as their loss gradient is formed. Under glibc's default settings
-the next step faults much of that memory in again: on the toy above about
-4,650 minor page faults per step after the first. :func:`keep_freed_pages`
-has glibc keep the freed pages instead (0 faults per step); it sets the
-allocator for the whole process, so the training-only entry points
-(``speclab train``, ``scripts/train_toy_models.py``) call it and
-:func:`train` does not. Evaluation
-(:func:`evaluate_loss`, the finite-difference probes of :func:`grad_check`)
-records no tape.
+as soon as their loss gradient is formed. Before its first step
+:func:`train` has glibc keep freed pages for the rest of the process, which
+changes no arithmetic: under glibc's defaults each step of a fresh process
+took about 27,000 minor page faults on the toy above, and a fifth to a
+quarter longer. Evaluation (:func:`evaluate_loss`, the
+finite-difference probes of :func:`grad_check`) records no tape.
 
 Master weights are float64 and everything is deterministic from the seed:
 weight init and batch sampling both run on counter-based Philox streams, and
@@ -408,16 +405,15 @@ def _train_step(cfg: ModelConfig, w: Weights, opt: Adam, x, y,
     return float(loss)
 
 
-def keep_freed_pages():
+def _keep_freed_pages():
     """Have glibc keep the pages a training step frees, so that the next
     step reuses them instead of faulting fresh ones in: no free returns heap
     memory to the kernel below 1 GiB at the heap's top, and blocks under
     32 MiB (every array of a toy step) come from the heap, not from mmap.
 
     The setting is the whole process's and lasts until it exits (it also
-    turns off glibc's adaptive mmap threshold), so only the entry points of
-    processes that do nothing but train call it, never :func:`train`
-    itself. Where libc has no ``mallopt`` it does nothing."""
+    turns off glibc's adaptive mmap threshold). Where libc has no
+    ``mallopt`` it does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
@@ -443,6 +439,7 @@ def train(cfg: ModelConfig, tcfg: TrainConfig):
     data_rng = RngState(tcfg.seed).spawn(1)[0]
     opt = Adam(w, tcfg)
     history: list[tuple[int, float]] = []
+    _keep_freed_pages()
     for step in range(tcfg.steps):
         x, y = sample_batch(corpus, tcfg.batch_size, tcfg.seq_len, data_rng)
         history.append((step, _train_step(cfg, w, opt, x, y, step)))

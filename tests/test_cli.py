@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +30,23 @@ def env(tmp_path_factory):
     return {"root": root, "corpus": str(corpus), "ckpt": str(ckpt)}
 
 
-@pytest.fixture(autouse=True)
-def allocator_calls(monkeypatch):
-    """The ``train`` command sets the allocator for its whole process; here
-    the setting is only recorded, so the test session keeps glibc's
-    defaults."""
-    calls = []
-    monkeypatch.setattr(cli, "keep_freed_pages", lambda: calls.append(None))
-    return calls
+def test_blas_threads_follow_only_the_standard_variables():
+    # importing the CLI sets no thread count of its own
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["SPECLAB_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import os, speclab.cli\n"
+            f"print([os.environ.get(n) for n in {names!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[None, None, None]"
 
 
 class TestTrainCommand:
-    def test_trains_and_writes_artifacts(self, env, tmp_path,
-                                         allocator_calls):
+    def test_trains_and_writes_artifacts(self, env, tmp_path):
         out = tmp_path / "model.ckpt"
         rc = main([
             "train", "--arch", "parallel_hybrid", "--corpus", env["corpus"],
@@ -48,7 +55,6 @@ class TestTrainCommand:
             "--n-heads", "2", "--d-state", "4", "--context-limit", "48",
         ])
         assert rc == 0
-        assert len(allocator_calls) == 1
         weights = load_checkpoint(out)
         assert weights.cfg.n_layers == 2
         assert manifest_path(out).exists()
@@ -69,14 +75,14 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag", ["--out", "--log"])
     def test_missing_output_directory_stops_before_training(
-            self, tmp_path, capsys, monkeypatch, allocator_calls, flag):
+            self, tmp_path, capsys, monkeypatch, flag):
         seen = _capture(monkeypatch, "train")
         paths = {"--out": str(tmp_path / "x.ckpt"),
                  flag: str(tmp_path / "nodir" / "x.out")}
         rc = main(["train", "--arch", "parallel_hybrid", "--corpus", "x.bin",
                    *(t for kv in paths.items() for t in kv)])
         assert rc == 2
-        assert seen == [] and allocator_calls == []
+        assert seen == []
         assert capsys.readouterr().err == (
             f"speclab train: error: {flag} directory not found: "
             f"{tmp_path / 'nodir'}\n")
@@ -312,6 +318,15 @@ class TestDiagnosticsCommands:
                   "--out-dir", str(tmp_path / "runs"), "--strategies", "bogus"])
         assert exc.value.code == 2
         assert "unknown strategy 'bogus'" in capsys.readouterr().err
+        assert seen == []
+
+    def test_run_rejects_repeated_sweep_values_before_any_work(
+            self, env, tmp_path, capsys, monkeypatch):
+        seen = _capture(monkeypatch, "run_experiments")
+        rc = main(["run", "--checkpoint", env["ckpt"], "--corpus", env["corpus"],
+                   "--out-dir", str(tmp_path / "runs"), "--k", "2,2"])
+        assert rc == 2
+        assert "sweep values must not repeat" in capsys.readouterr().err
         assert seen == []
 
     @pytest.mark.parametrize("argv", [

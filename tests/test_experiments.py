@@ -83,6 +83,29 @@ class TestRunExperiments:
         assert second.n_skipped == first.n_computed
         assert second.report_path.read_bytes() == body
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda text: text[:40], id="truncated"),
+        pytest.param(lambda text: json.dumps({"key": json.loads(text)["key"]}),
+                     id="no-row")])
+    def test_unreadable_cell_file_is_computed_again(self, workspace, tmp_path,
+                                                    damage):
+        out = tmp_path / "runR"
+        spec = tiny_spec(workspace, out, strategies=("component_only",),
+                         temperatures=(0.7,))
+        first = run_experiments(spec, log=lambda m: None)
+        body = first.report_path.read_bytes()
+        assert first.n_computed == 2
+        cell = sorted((out / "cells").glob("*.json"))[0]
+        cell.write_text(damage(cell.read_text()))
+        logged = []
+        second = run_experiments(spec, log=logged.append)
+        assert (second.n_computed, second.n_skipped) == (1, 1)
+        assert second.errors == []
+        assert [m.split(":")[0] for m in logged
+                if m.startswith("[redo]")] == [f"[redo] {cell.stem}"]
+        assert second.report_path.read_bytes() == body
+        assert "row" in json.loads(cell.read_text())
+
     def test_identical_specs_give_byte_identical_reports(self, workspace,
                                                          tmp_path):
         r1 = run_experiments(tiny_spec(workspace, tmp_path / "d1"),
@@ -288,6 +311,16 @@ class TestRunExperiments:
             save_checkpoint(paths[-1], init_weights(PAR, len(paths)))
         with pytest.raises(ValueError, match="stems must differ"):
             tiny_spec(workspace, tmp_path / "x", checkpoints=tuple(paths))
+
+    @pytest.mark.parametrize("field, values", [
+        ("strategies", ("identity", "component_only", "identity")),
+        ("k_values", (2, 2)),
+        ("temperatures", (0.0, 0.7, 0.0))])
+    def test_repeated_sweep_values_rejected(self, workspace, tmp_path, field,
+                                            values):
+        # a repeat would reuse its first copy's cell and report its row twice
+        with pytest.raises(ValueError, match="sweep values must not repeat"):
+            tiny_spec(workspace, tmp_path / "x", **{field: values})
 
     def test_unknown_strategy_rejected_when_the_spec_is_built(self, workspace,
                                                              tmp_path):

@@ -2,6 +2,7 @@ import ctypes
 import math
 import sys
 import tracemalloc
+import types
 import weakref
 from dataclasses import replace
 
@@ -495,22 +496,43 @@ class TestTrainLoop:
         # every step runs the full model on float32 casts
         assert inputs == [(np.float32, None)] * 3
 
-    def test_keep_freed_pages_without_libc_does_nothing(self, monkeypatch):
-        # where ctypes cannot load libc there is no allocator to set
-        def no_libc(*args, **kwargs):
-            raise OSError("no libc here")
+    def test_train_keeps_freed_pages_before_its_first_step(self, corpus_file,
+                                                            monkeypatch):
+        # glibc keeps what a step frees, so the next step faults none in
+        events = []
 
-        monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        assert training.keep_freed_pages() is None
+        def mallopt(param, value):
+            events.append((param, value))
+            return 1
 
-    def test_train_leaves_the_allocator_alone(self, corpus_file, monkeypatch):
-        # the allocator setting lasts for the whole process, so only the
-        # entry points of processes that do nothing but train make it
-        loads = []
-        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: loads.append(a))
-        train(BYTE_PAR, TrainConfig(corpus_path=corpus_file, steps=1,
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda *a, **k: types.SimpleNamespace(mallopt=mallopt))
+        step = training._train_step
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *a: events.append("step") or step(*a))
+        train(BYTE_PAR, TrainConfig(corpus_path=corpus_file, steps=2,
                                     batch_size=2, seq_len=16, seed=5))
-        assert loads == []
+        assert events == [(-1, 1 << 30), (-3, 32 << 20), "step", "step"]
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(OSError("no libc here"), id="no-libc"),
+        pytest.param(types.SimpleNamespace(), id="no-mallopt")])
+    def test_train_runs_where_libc_has_no_mallopt(self, corpus_file,
+                                                  monkeypatch, libc):
+        def load(*args, **kwargs):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        config = TrainConfig(corpus_path=corpus_file, steps=2, batch_size=2,
+                             seq_len=16, seed=5)
+        w, history = train(BYTE_PAR, config)
+        monkeypatch.undo()
+        expected, expected_history = train(BYTE_PAR, config)
+        assert history == expected_history
+        for name, arr in w.items():
+            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
 
     def test_evaluate_loss_records_no_tape(self, monkeypatch):
         tapes = []
