@@ -10,6 +10,9 @@ Usage, from the repository root (point PYTHONPATH at the checkout to digest):
 One line per item, then an ``all`` line over every item; equal lines mean
 bit-identical numbers. The items are:
 
+* ``sigmoid.<dtype>``: ``numerics.sigmoid`` over a fixed float32 and float64
+  grid of 200,001 points on [-50, 50], so that a change of NumPy's ``exp``
+  kernel shows on its own line, not only inside the lines below;
 * ``train.<arch>.float32``: weights and loss history after 8 training steps
   from seeded init (training computes in float32 only), on the toy-lab
   design's model, training settings and training corpus
@@ -58,6 +61,7 @@ from speclab.experiments import (  # noqa: E402
     TOY_CORPORA, TOY_MODEL, TOY_TRAINING)
 from speclab.metrics import divergence_stats, perplexity  # noqa: E402
 from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
+from speclab.numerics import sigmoid  # noqa: E402
 from speclab.theory import flop_ratio, params_per_token  # noqa: E402
 from speclab.training import TrainConfig, train  # noqa: E402
 
@@ -85,6 +89,13 @@ class Digest:
 
     def hex(self) -> str:
         return self.h.hexdigest()
+
+
+def sigmoid_items():
+    for dtype in (np.float32, np.float64):
+        d = Digest()
+        d.add(sigmoid(np.linspace(-50.0, 50.0, 200_001, dtype=dtype)))
+        yield f"sigmoid.{np.dtype(dtype).name}", d.hex()
 
 
 def train_items(corpus_path: str):
@@ -190,10 +201,11 @@ def param_items():
 
 
 def main() -> int:
+    items = list(sigmoid_items())
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "train_corpus.bin"
         corpus_path.write_bytes(make_corpus(*TOY_CORPORA["train"]))
-        items = list(train_items(str(corpus_path)))
+        items += train_items(str(corpus_path))
     eval_tokens = np.frombuffer(make_corpus(4096, TOY_CORPORA["eval"][1]),
                                 np.uint8).astype(np.int64)
     prompts = sample_prompts(eval_tokens, 3, 16, seed=0)

@@ -268,10 +268,12 @@ def verify_and_accept(model: HybridModel, state: DecodeState, pending: int,
 
 
 def _check_generation_budget(cfg: ModelConfig, prompt, settings: DecodeSettings,
-                             lookahead: int):
+                             k: int):
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
-    need = len(prompt) + settings.max_new_tokens + lookahead
+    # the last round starts with at most max_new_tokens - 1 tokens emitted,
+    # so its verify forward's k + 1 rows end at this position
+    need = len(prompt) + settings.max_new_tokens - 1 + k
     if need > cfg.context_limit:
         raise ValueError(
             f"prompt + max_new_tokens needs {need} positions, "
@@ -321,7 +323,7 @@ def speculative_generate(model: HybridModel, strategy: DraftStrategy, prompt,
     which case the output is truncated but the round result is kept whole
     for statistics.
     """
-    _check_generation_budget(model.cfg, prompt, settings, settings.k + 1)
+    _check_generation_budget(model.cfg, prompt, settings, settings.k)
     return _generate(model, prompt, settings, build_mask(model.cfg, strategy))
 
 

@@ -2,12 +2,13 @@
 
 A sweep is the cross product (checkpoint, strategy, k, temperature). Each
 cell's results live in ``<out_dir>/cells/<cell_id>.json``. The cell id
-carries a hash of everything else that changes the cell's numbers: the four
-spec fields in ``KEYED_FIELDS``, the three constants that fix the drafts and
-the confidence interval (``LAYER_SKIP_FRACTION``, ``EARLY_EXIT_FRACTION`` and
-``BOOTSTRAP_RESAMPLES``), and the content digests of the checkpoint and the
-prompt corpus. Completed cells with a matching id are skipped on re-run, and
-the top-level ``report.csv`` is regenerated from cell files every run, so
+carries a hash of everything else that changes the cell's numbers or rows:
+the four spec fields in ``KEYED_FIELDS``, the three constants that fix the
+drafts and the confidence interval (``LAYER_SKIP_FRACTION``,
+``EARLY_EXIT_FRACTION`` and ``BOOTSTRAP_RESAMPLES``), the report and timing
+schemas, and the content digests of the checkpoint and the prompt corpus.
+Completed cells with a matching id are skipped on re-run, and the top-level
+``report.csv`` is regenerated from cell files every run, so
 re-running a finished sweep does no model work and reproduces the report
 byte for byte, while a changed spec, checkpoint or corpus recomputes, and
 so does a cell whose file does not parse or holds no report row. When
@@ -78,6 +79,9 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # -0.0 + 0.0 is 0.0: a negative zero names and writes the T = 0 cells
+        object.__setattr__(self, "temperatures",
+                           tuple(t + 0.0 for t in self.temperatures))
         dims = (self.strategies, self.k_values, self.temperatures)
         if not (self.checkpoints and all(dims)):
             raise ValueError("sweep dimensions must be non-empty")
@@ -126,12 +130,13 @@ def _sha256(path) -> str:
 
 def _cell_key(spec: ExperimentSpec, checkpoint_sha256: str,
               corpus_sha256: str) -> dict:
-    # the constants are keyed under the names of the spec fields they were,
-    # so the ids of cells computed before they became constants still match
+    # the constants are keyed under the names of the spec fields they were
     return {"spec": {**{f: getattr(spec, f) for f in KEYED_FIELDS},
                      "skip_fraction": LAYER_SKIP_FRACTION,
                      "exit_fraction": EARLY_EXIT_FRACTION,
                      "bootstrap_resamples": BOOTSTRAP_RESAMPLES},
+            "report_schema": REPORT_SCHEMA,
+            "timing_schema": TIMING_SCHEMA,
             "checkpoint_sha256": checkpoint_sha256,
             "corpus_sha256": corpus_sha256}
 

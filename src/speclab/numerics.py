@@ -1,6 +1,7 @@
 """Probability primitives and deterministic randomness.
 
-Everything here operates on float64 numpy arrays. Distributions are plain
+Everything here operates on float64 numpy arrays, except that
+:func:`sigmoid` keeps its input's dtype. Distributions are plain
 arrays of non-negative entries summing to 1 over the last axis; there is no
 wrapper class and no validator. Randomness goes through :class:`RngState`, a
 counter-based Philox generator, so that identical seeds give identical draw
@@ -11,7 +12,6 @@ spawned for concurrent work.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 class RngState:
@@ -95,8 +95,13 @@ def sample_categorical(p: np.ndarray, rng: RngState) -> int:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (exact 0/1 in the saturated tails)."""
-    return expit(x)
+    """Logistic function ``1 / (1 + exp(-x))`` in ``x``'s dtype, computed in
+    one new array. The saturated tails are exact 0 and 1; where ``exp``
+    overflows NumPy warns, and the result is still 0."""
+    y = np.negative(x)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -371,7 +371,7 @@ class TestDiagnosticsCommands:
 
     @pytest.mark.parametrize("command,argv,message", [
         ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],
-         "prompt + max_new_tokens needs 76 positions, context_limit is 64"),
+         "prompt + max_new_tokens needs 75 positions, context_limit is 64"),
         ("divergence", ["--prompt-len", "100"],
          "context overflow: 0+100 exceeds limit 64")])
     def test_prompt_beyond_the_context_is_bad_input(self, env, capsys, command,

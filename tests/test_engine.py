@@ -473,27 +473,36 @@ class TestGenerationBudget:
     MICRO = ModelConfig("parallel_hybrid", n_layers=2, d_model=16, n_heads=2,
                         d_state=4, vocab_size=8, context_limit=32)
 
-    def test_autoregressive_fills_the_context_and_no_more(self):
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", [None, "identity"])
+    def test_the_exact_need_decodes_and_one_token_more_is_refused(
+            self, kind, temperature):
+        # A decode feeds at most len(prompt) + max_new_tokens - 1 + k
+        # positions, with k = 0 for autoregressive decoding. The identity
+        # draft is accepted whole, so with max_new_tokens - 1 a multiple of
+        # k + 1 the last round starts with max_new_tokens - 1 tokens emitted
+        # and feeds k + 1 rows.
         m = HybridModel.from_seed(self.MICRO, 0)
         prompt = prompt_for(self.MICRO, n=5)
-        fits = DecodeSettings(k=4, max_new_tokens=self.MICRO.context_limit - 5)
-        assert len(autoregressive_generate(m, prompt, fits)) == fits.max_new_tokens
-        with pytest.raises(ValueError, match="context_limit"):
-            autoregressive_generate(
-                m, prompt, replace(fits, max_new_tokens=fits.max_new_tokens + 1))
-
-    def test_speculative_keeps_k_plus_one_positions_spare(self):
-        m = HybridModel.from_seed(self.MICRO, 0)
-        prompt = prompt_for(self.MICRO, n=5)
-        k = 3
+        k = 0 if kind is None else 3
         fits = DecodeSettings(
-            k=k, max_new_tokens=self.MICRO.context_limit - 5 - k - 1)
-        out, _ = speculative_generate(m, DraftStrategy("identity"), prompt, fits)
+            k=3, temperature=temperature, seed=1,
+            max_new_tokens=self.MICRO.context_limit - len(prompt) + 1 - k)
+        assert (fits.max_new_tokens - 1) % (k + 1) == 0
+
+        def decode(settings):
+            if kind is None:
+                return autoregressive_generate(m, prompt, settings), []
+            return speculative_generate(m, DraftStrategy(kind), prompt,
+                                        settings)
+
+        out, rounds = decode(fits)
         assert len(out) == fits.max_new_tokens
-        with pytest.raises(ValueError, match="context_limit"):
-            speculative_generate(
-                m, DraftStrategy("identity"), prompt,
-                replace(fits, max_new_tokens=fits.max_new_tokens + 1))
+        assert all(r.all_accepted for r in rounds)
+        need = self.MICRO.context_limit + 1
+        with pytest.raises(ValueError, match=f"needs {need} positions, "
+                                             f"context_limit is {need - 1}"):
+            decode(replace(fits, max_new_tokens=fits.max_new_tokens + 1))
 
 
 class TestAutoregressive:

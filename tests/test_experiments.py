@@ -253,6 +253,31 @@ class TestRunExperiments:
         assert [r["model"] for r in read_report(result.report_path)] == [
             "toy_parallel"]
 
+    def test_negative_zero_temperature_reuses_the_greedy_cells(self, workspace,
+                                                               tmp_path):
+        out = tmp_path / "runZ"
+        kw = dict(strategies=("identity",), k_values=(1,))
+        first = run_experiments(tiny_spec(workspace, out, temperatures=(0.0,),
+                                          **kw), log=lambda m: None)
+        body = first.report_path.read_bytes()
+        again = run_experiments(tiny_spec(workspace, out, temperatures=(-0.0,),
+                                          **kw), log=lambda m: None)
+        assert (again.n_computed, again.n_skipped) == (0, 1)
+        assert again.report_path.read_bytes() == body
+
+    def test_schema_bump_recomputes_and_deletes_the_old_cell(
+            self, workspace, tmp_path, monkeypatch):
+        out = tmp_path / "runS"
+        spec = tiny_spec(workspace, out, strategies=("identity",),
+                         k_values=(1,), temperatures=(0.0,))
+        run_experiments(spec, log=lambda m: None)
+        (old,) = (out / "cells").glob("*.json")
+        monkeypatch.setattr(experiments, "REPORT_SCHEMA", "speclab-report v99")
+        again = run_experiments(spec, log=lambda m: None)
+        assert (again.n_computed, again.n_skipped) == (1, 0)
+        (new,) = (out / "cells").glob("*.json")
+        assert new != old and not old.exists()
+
     def test_resumed_run_keeps_every_timing_row(self, workspace, tmp_path):
         out = tmp_path / "runM"
         spec = tiny_spec(workspace, out, strategies=("identity",),
@@ -329,7 +354,7 @@ class TestRunExperiments:
 
     def test_cell_id_keys_the_fixed_draft_and_interval_constants(self):
         # the constants sit in the key under the names and values they had
-        # as spec fields, so cells computed before keep their ids
+        # as spec fields, beside the schemas of the rows a cell holds
         spec = ExperimentSpec(checkpoints=("x.ckpt",), strategies=STRATEGY_KINDS,
                               k_values=(2,), temperatures=(0.0,),
                               prompt_corpus="x.bin", out_dir="x")
@@ -340,7 +365,7 @@ class TestRunExperiments:
             "bootstrap_resamples": 10_000}
         label = DraftStrategy("layer_skip").label()
         assert experiments._cell_id("toy", label, 2, 0.0, key) == \
-            "toy__layer_skip_0.33__k2__T0__8cf8aaa52968"
+            "toy__layer_skip_0.33__k2__T0__2d3e4a82867f"
 
     @pytest.mark.parametrize("field, values", [
         ("k_values", ((1, 0), (-1,))),

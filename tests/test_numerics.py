@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 from scipy import stats
+from scipy.special import expit
 
 from speclab.numerics import (
     RngState,
     sample_categorical,
+    sigmoid,
     softmax,
 )
 from speclab.model import NORM_EPS, rmsnorm
@@ -78,6 +80,33 @@ class TestSoftmax:
         assert np.argmax(softmax(logits, 1.0)) == 1
         i = int(np.argmax(softmax(logits, 5.0)))
         assert logits.max() - logits[i] <= np.spacing(1.0)
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_within_four_ulp_of_scipy_expit(self, dtype):
+        # a fixed grid inside the range where neither side is subnormal
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 20_001),
+                            rng.normal(0.0, 8.0, 200_000)]).astype(dtype)
+        np.testing.assert_array_max_ulp(sigmoid(x), expit(x), maxulp=4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_inputs_are_exact(self, dtype):
+        x = np.array([1000.0, np.inf, -np.inf], dtype=dtype)
+        np.testing.assert_array_equal(sigmoid(x), [1.0, 1.0, 0.0])
+        # exp overflows at -1000; NumPy warns and the result is still 0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert sigmoid(np.array([-1000.0], dtype=dtype))[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype_and_leaves_input_alone(self, dtype):
+        x = np.linspace(-3.0, 3.0, 7, dtype=dtype)
+        before = x.copy()
+        y = sigmoid(x)
+        assert y.dtype == dtype and y.shape == x.shape
+        np.testing.assert_array_equal(x, before)
+        assert y[3] == 0.5
 
 
 class TestSampleCategorical:
