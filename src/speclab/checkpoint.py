@@ -83,7 +83,7 @@ def load_checkpoint(path) -> Weights:
     the blocks to tile the payload: each block starts where the one before
     it in the header ends, so no two blocks can alias."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size

@@ -16,11 +16,11 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .engine import (STRATEGY_KINDS, DecodeSettings, DraftStrategy, build_mask,
                      decode_prompts)
 from .experiments import ExperimentSpec, run_experiments
-from .corpus import sample_prompts
+from .corpus import load_corpus, sample_prompts
 from .metrics import divergence_stats, greedy_margin, match_rate
 from .model import HybridModel, ModelConfig, ARCHS
 from .theory import flop_ratio, optimal_k, speedup_readings
-from .training import TrainConfig, load_corpus, train
+from .training import TrainConfig, train
 
 
 # a greedy margin below this is a near tie that the ~1e-14 difference
@@ -315,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command. A ``ValueError`` from it, such as settings that do
-    not fit a checkpoint's context, or a ``FileNotFoundError`` for a missing
-    checkpoint or corpus, is bad input: reported on stderr as argparse
-    reports its own, with exit code 2."""
+    not fit a checkpoint's context, or a ``FileNotFoundError`` for a
+    checkpoint or corpus path that is not a file, is bad input: reported on
+    stderr as argparse reports its own, with exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

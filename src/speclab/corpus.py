@@ -6,9 +6,15 @@ paragraph and occasional verbatim sentence echoes. The repetition gives the
 attention pathway something only it can do well (long-range copying), while
 the word-level statistics keep a recurrent pathway competitive at short
 range. Identical (n_bytes, seed) always produces identical bytes.
+
+A corpus file loads as int64 byte ids (:func:`load_corpus`), and prompts
+and training batches are windows drawn from it by one function,
+:func:`sample_windows`.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -121,13 +127,31 @@ def write_corpus(path, n_bytes: int, seed: int) -> None:
     write_atomic(path, make_corpus(n_bytes, seed))
 
 
+def load_corpus(path) -> np.ndarray:
+    """Raw bytes of a corpus file as int64 token ids in [0, 256)."""
+    p = Path(path)
+    if not p.is_file():
+        raise FileNotFoundError(f"corpus not found: {p}")
+    data = np.frombuffer(p.read_bytes(), dtype=np.uint8).astype(np.int64)
+    if data.size == 0:
+        raise ValueError(f"corpus is empty: {p}")
+    return data
+
+
+def sample_windows(tokens: np.ndarray, n: int, length: int,
+                   rng: RngState) -> np.ndarray:
+    """(n, length) windows of ``tokens`` at starts drawn uniformly by
+    ``rng``; a window never ends on the last token."""
+    if tokens.size < length + 1:
+        raise ValueError(f"corpus shorter than {length + 1} tokens")
+    starts = rng.integers(0, tokens.size - length, size=n)
+    return tokens[starts[:, None] + np.arange(length)]
+
+
 def sample_prompts(corpus_tokens: np.ndarray, n_prompts: int, prompt_len: int,
                    seed: int) -> list[list[int]]:
     """Prompt windows drawn at deterministic positions from a token array."""
-    if corpus_tokens.size < prompt_len + 1:
-        raise ValueError("corpus shorter than one prompt")
     if n_prompts < 1:
         raise ValueError("n_prompts must be positive")
-    rng = RngState(seed)
-    starts = rng.integers(0, corpus_tokens.size - prompt_len, size=n_prompts)
-    return [corpus_tokens[s:s + prompt_len].tolist() for s in starts]
+    return sample_windows(corpus_tokens, n_prompts, prompt_len,
+                          RngState(seed)).tolist()

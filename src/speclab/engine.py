@@ -157,7 +157,7 @@ def build_mask(cfg: ModelConfig, strategy: DraftStrategy) -> ComponentMask:
                 "has no alternative component to isolate")
         if cfg.arch == "parallel_hybrid":
             return ComponentMask((False,) * n, (True,) * n, (False,) * n)
-        skipped = tuple(cfg.layer_kind(i) == "attn" for i in range(n))
+        skipped = tuple(not cfg.has_alt(i) for i in range(n))
         keep = tuple(not s for s in skipped)
         return ComponentMask(keep, keep, skipped)
     if strategy.kind == "layer_skip":

@@ -39,14 +39,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .corpus import sample_prompts, write_corpus
+from .corpus import load_corpus, sample_prompts, write_corpus
 from .engine import (EARLY_EXIT_FRACTION, LAYER_SKIP_FRACTION, DecodeSettings,
                      DraftStrategy, build_mask, decode_prompts)
 from .metrics import (BOOTSTRAP_RESAMPLES, DivergenceStats, all_token_alpha,
                       divergence_stats, match_rate)
 from .model import HybridModel, ModelConfig
 from .theory import expected_tokens, flop_ratio, speedup
-from .training import TrainConfig, load_corpus, train
+from .training import TrainConfig, train
 
 REPORT_SCHEMA = "speclab-report v2"
 TIMING_SCHEMA = "speclab-timings v1"

@@ -10,6 +10,11 @@ Three families share one parameter vocabulary:
   feed-forward block.
 * ``transformer`` — attention layers only (the control).
 
+A layer holds blocks of the kinds in :data:`BLOCK_PARAMS` (``attn``, ``ssm``,
+``ffn``), shaped by :func:`block_shapes`. :func:`mask_blocks` decides which
+blocks a config has and which a mask runs; the weight list, the layer plan
+and the cost proxy read it.
+
 All blocks are pre-norm residual. The recurrent branch is a per-channel
 diagonal gated linear recurrence with input-dependent in/out projections and
 O(1) state per layer; attention is full causal softmax attention over a
@@ -118,19 +123,13 @@ class ModelConfig:
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
-    def layer_kind(self, i: int) -> str:
-        """What layer ``i`` computes: 'parallel', 'attn' or 'lin'."""
-        if self.arch == "parallel_hybrid":
-            return "parallel"
-        if self.arch == "transformer":
-            return "attn"
-        return "attn" if self.layer_pattern[i] == "attention" else "lin"
-
     def has_attn(self, i: int) -> bool:
-        return self.layer_kind(i) in ("parallel", "attn")
+        return (self.arch != "sequential_hybrid"
+                or self.layer_pattern[i] == "attention")
 
     def has_alt(self, i: int) -> bool:
-        return self.layer_kind(i) in ("parallel", "lin")
+        return self.arch == "parallel_hybrid" or (
+            self.arch == "sequential_hybrid" and self.layer_pattern[i] == "linear")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -151,7 +150,8 @@ class ComponentMask:
     feed-forward included); early exit skips every layer past its cutoff.
     For transformers ``alt_enabled`` is meaningless and a layer with
     attention off but the alternative branch on is rejected as a mask/arch
-    mismatch by :func:`mask_blocks`, which decides the blocks a mask runs.
+    mismatch by :func:`mask_blocks`, which decides the blocks a config has
+    and a mask runs.
     """
 
     attn_enabled: tuple[bool, ...]
@@ -215,6 +215,11 @@ class FfnParams(NamedTuple):
     w2: np.ndarray
 
 
+# The block kinds a layer can hold, in weight order, each with its parameter
+# tuple; a layer's weights are named ``layers.{i}.{kind}.{field}``.
+BLOCK_PARAMS = {"attn": AttnParams, "ssm": SsmParams, "ffn": FfnParams}
+
+
 class LayerPlan(NamedTuple):
     """The blocks layer ``index`` runs under a mask (None: branch off), and
     the recurrent branch's decay from :func:`ssm_decay` (None with it)."""
@@ -225,42 +230,27 @@ class LayerPlan(NamedTuple):
     decay: np.ndarray | None
 
 
+def block_shapes(cfg: ModelConfig) -> dict[str, tuple]:
+    """The weight shapes of each block kind of ``cfg``, as that kind's own
+    parameter tuple."""
+    d, s, f = cfg.d_model, cfg.d_state, FFN_MULT * cfg.d_model
+    return {"attn": AttnParams((d,), (d, d), (d, d), (d, d), (d, d)),
+            "ssm": SsmParams((d,), (d, d), (d, s), (d, s), (d,), (d,), (d, d)),
+            "ffn": FfnParams((d,), (d, f), (f, d))}
+
+
 def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list for every weight block of ``cfg``."""
-    d, s, v = cfg.d_model, cfg.d_state, cfg.vocab_size
-    spec: list[tuple[str, tuple[int, ...]]] = [
-        ("embed", (v, d)),
-        ("pos_embed", (cfg.context_limit, d)),
-    ]
-    for i in range(cfg.n_layers):
-        if cfg.has_attn(i):
-            spec += [
-                (f"layers.{i}.attn.norm_g", (d,)),
-                (f"layers.{i}.attn.wq", (d, d)),
-                (f"layers.{i}.attn.wk", (d, d)),
-                (f"layers.{i}.attn.wv", (d, d)),
-                (f"layers.{i}.attn.wo", (d, d)),
-            ]
-        if cfg.has_alt(i):
-            spec += [
-                (f"layers.{i}.ssm.norm_g", (d,)),
-                (f"layers.{i}.ssm.w_in", (d, d)),
-                (f"layers.{i}.ssm.w_b", (d, s)),
-                (f"layers.{i}.ssm.w_c", (d, s)),
-                (f"layers.{i}.ssm.decay_raw", (d,)),
-                (f"layers.{i}.ssm.skip_gain", (d,)),
-                (f"layers.{i}.ssm.w_out", (d, d)),
-            ]
-        spec += [
-            (f"layers.{i}.ffn.norm_g", (d,)),
-            (f"layers.{i}.ffn.w1", (d, FFN_MULT * d)),
-            (f"layers.{i}.ffn.w2", (FFN_MULT * d, d)),
-        ]
-    spec += [
-        ("final_norm_g", (d,)),
-        ("head_w", (d, v)),
-    ]
-    return spec
+    """Canonical (name, shape) list for every weight block of ``cfg``: the
+    embeddings, the blocks :func:`mask_blocks` gives each layer under the
+    full mask, the final norm and the head."""
+    d, v = cfg.d_model, cfg.vocab_size
+    shapes = block_shapes(cfg)
+    spec = [("embed", (v, d)), ("pos_embed", (cfg.context_limit, d))]
+    for i, kinds in mask_blocks(cfg, None):
+        for kind in kinds:
+            spec += [(f"layers.{i}.{kind}.{field}", shape)
+                     for field, shape in shapes[kind]._asdict().items()]
+    return spec + [("final_norm_g", (d,)), ("head_w", (d, v))]
 
 
 class Weights:
@@ -326,11 +316,13 @@ def ssm_decay(p: SsmParams) -> np.ndarray:
 
 
 def mask_blocks(cfg: ModelConfig,
-                mask: ComponentMask | None) -> list[tuple[int, bool, bool]]:
-    """``(layer, runs attention, runs the recurrent branch)`` for every
-    unskipped layer under ``mask`` (``None``: the full mask); each such
-    layer also runs its feed-forward block. The one place a mask is checked
-    against ``cfg``."""
+                mask: ComponentMask | None) -> list[tuple[int, tuple[str, ...]]]:
+    """``(layer, kinds)`` for every unskipped layer under ``mask`` (``None``:
+    the full mask), where ``kinds`` are the :data:`BLOCK_PARAMS` kinds the
+    layer runs, in weight order; every such layer runs its ``"ffn"``. Under
+    the full mask these are exactly the blocks ``cfg`` has. The one place
+    that decides which blocks a config has and a mask runs, and that checks
+    a mask against ``cfg``."""
     if mask is None:
         mask = ComponentMask.full(cfg.n_layers)
     if mask.n_layers != cfg.n_layers:
@@ -345,8 +337,9 @@ def mask_blocks(cfg: ModelConfig,
             raise ValueError(
                 "mask/arch mismatch: transformer layers have no "
                 "alternative component to run on its own")
-        blocks.append((i, cfg.has_attn(i) and mask.attn_enabled[i],
-                       cfg.has_alt(i) and mask.alt_enabled[i]))
+        runs = (cfg.has_attn(i) and mask.attn_enabled[i],
+                cfg.has_alt(i) and mask.alt_enabled[i], True)
+        blocks.append((i, tuple(k for k, r in zip(BLOCK_PARAMS, runs) if r)))
     return blocks
 
 
@@ -363,17 +356,13 @@ def layer_plan(cfg: ModelConfig, w,
     changed in place needs a new plan (as it already needs a new
     :class:`DecodeState`)."""
     plan = []
-    for i, runs_attn, runs_alt in mask_blocks(cfg, mask):
-        attn = ssm = decay = None
-        if runs_attn:
-            attn = AttnParams(*(w[f"layers.{i}.attn.{n}"]
-                                for n in AttnParams._fields))
-        if runs_alt:
-            ssm = SsmParams(*(w[f"layers.{i}.ssm.{n}"]
-                              for n in SsmParams._fields))
-            decay = ssm_decay(ssm)
-        ffn = FfnParams(*(w[f"layers.{i}.ffn.{n}"] for n in FfnParams._fields))
-        plan.append(LayerPlan(i, attn, ssm, ffn, decay))
+    for i, kinds in mask_blocks(cfg, mask):
+        blocks = {kind: BLOCK_PARAMS[kind](*(w[f"layers.{i}.{kind}.{n}"]
+                                             for n in BLOCK_PARAMS[kind]._fields))
+                  for kind in kinds}
+        ssm = blocks.get("ssm")
+        plan.append(LayerPlan(i, *(blocks.get(kind) for kind in BLOCK_PARAMS),
+                              None if ssm is None else ssm_decay(ssm)))
     return plan
 
 
@@ -753,27 +742,25 @@ class HybridModel:
     def forward_masks(self, tokens, masks) -> list[np.ndarray]:
         """Per-position logits of a fresh sequence ``tokens`` under each of
         ``masks``, equal bit for bit to ``forward_prefix(tokens, mask)[0]``
-        but with no :class:`DecodeState`. The leading plan entries every mask
-        runs alike (same layer, same branches) run once, and a mask whose
-        plan equals an earlier one's reuses its logits."""
+        but with no :class:`DecodeState`. The leading layers every mask
+        runs alike (same layer, same blocks, per :func:`mask_blocks`) run
+        once, and a mask that runs the same blocks as an earlier one reuses
+        its logits."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 1 or tokens.size == 0:
             raise ValueError("tokens must be a non-empty 1-D sequence")
         cfg, w = self.cfg, self.weights
-        plans = [layer_plan(cfg, w, mask) for mask in masks]
-        keys = [tuple((lp.index, lp.attn is None, lp.ssm is None) for lp in plan)
-                for plan in plans]
+        keys = [tuple(mask_blocks(cfg, mask)) for mask in masks]
+        plans = {key: layer_plan(cfg, w, mask) for key, mask in zip(keys, masks)}
         shared = 0
         for entries in zip(*keys):
             if len(set(entries)) > 1:
                 break
             shared += 1
         h, bias = embed(cfg, w, tokens[None])
-        h = run_layers(cfg, plans[0][:shared], h, bias)
-        logits: dict[tuple, np.ndarray] = {}
-        for key, plan in zip(keys, plans):
-            if key not in logits:
-                logits[key] = head(w, run_layers(cfg, plan[shared:], h, bias))[0]
+        h = run_layers(cfg, plans[keys[0]][:shared], h, bias)
+        logits = {key: head(w, run_layers(cfg, plan[shared:], h, bias))[0]
+                  for key, plan in plans.items()}
         return [logits[key] for key in keys]
 
     def decode_step(self, state: DecodeState, token: int):

@@ -6,19 +6,19 @@ expectation (the k+1 covers the bonus token on full acceptance), and the
 speedup over autoregressive decoding is that yield divided by the round cost
 ``1 + k * c_draft/c_verify``. The cost ratio is estimated by counting the
 parameters touched per token under the draft mask versus the full mask: the
-sizes of the :func:`~speclab.model.param_spec` blocks the mask runs, as
-:func:`~speclab.model.mask_blocks` lists them. The proxy deliberately
-excludes sequence-length-dependent attention-score work.
+:func:`~speclab.model.block_shapes` sizes of the blocks the mask runs, as
+:func:`~speclab.model.mask_blocks`, which decides the blocks a config has and
+a mask runs, lists them. The proxy deliberately excludes
+sequence-length-dependent attention-score work.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .engine import DraftStrategy, build_mask
-from .model import ComponentMask, ModelConfig, mask_blocks, param_spec
+from .model import ComponentMask, ModelConfig, block_shapes, mask_blocks
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,17 @@ def params_per_token(cfg: ModelConfig, mask: ComponentMask | None) -> int:
     """Parameters touched to produce one token under a mask (``None``: the
     full mask).
 
-    Sums the :func:`param_spec` sizes of the blocks :func:`mask_blocks` says
-    the mask runs, plus one embedding row, one position row, the final norm
-    and the head. KV-cache reads and attention-score work (which grow with
-    sequence length) are deliberately not parameters and not counted.
+    Sums the :func:`block_shapes` sizes of the blocks :func:`mask_blocks`
+    says the mask runs, plus one embedding row, one position row, the final
+    norm and the head. KV-cache reads and attention-score work (which grow
+    with sequence length) are deliberately not parameters and not counted.
     """
-    sizes: Counter[str] = Counter()  # "layers.3.attn", "embed", "head_w", ...
-    for name, shape in param_spec(cfg):
-        sizes[name.rsplit(".", 1)[0]] += math.prod(shape)
-    total = sizes["final_norm_g"] + sizes["head_w"]
-    total += sizes["embed"] // cfg.vocab_size  # one embedding row
-    total += sizes["pos_embed"] // cfg.context_limit  # one position row
-    for i, runs_attn, runs_alt in mask_blocks(cfg, mask):
-        total += sizes[f"layers.{i}.ffn"]
-        if runs_attn:
-            total += sizes[f"layers.{i}.attn"]
-        if runs_alt:
-            total += sizes[f"layers.{i}.ssm"]
+    sizes = {kind: sum(math.prod(shape) for shape in shapes)
+             for kind, shapes in block_shapes(cfg).items()}
+    d = cfg.d_model
+    total = 3 * d + d * cfg.vocab_size
+    for _, kinds in mask_blocks(cfg, mask):
+        total += sum(sizes[kind] for kind in kinds)
     return total
 
 

@@ -52,11 +52,11 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import write_atomic
+from .corpus import load_corpus, sample_windows
 from .model import (
     ComponentMask,
     ModelConfig,
@@ -99,27 +99,17 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1 or self.seq_len < 2:
             raise ValueError("batch_size >= 1 and seq_len >= 2 required")
-
-
-def load_corpus(path) -> np.ndarray:
-    """Raw bytes of a corpus file as int64 token ids in [0, 256)."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus not found: {p}")
-    data = np.frombuffer(p.read_bytes(), dtype=np.uint8).astype(np.int64)
-    if data.size == 0:
-        raise ValueError(f"corpus is empty: {p}")
-    return data
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
 
 
 def sample_batch(corpus: np.ndarray, batch_size: int, seq_len: int,
                  rng: RngState):
     """(inputs, targets) windows drawn uniformly from the corpus."""
-    if corpus.size < seq_len + 2:
-        raise ValueError("corpus shorter than one training window")
-    starts = rng.integers(0, corpus.size - seq_len - 1, size=batch_size)
-    idx = starts[:, None] + np.arange(seq_len + 1)[None, :]
-    window = corpus[idx]
+    window = sample_windows(corpus, batch_size, seq_len + 1, rng)
     return window[:, :-1], window[:, 1:]
 
 

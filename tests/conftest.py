@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from speclab.checkpoint import load_checkpoint
+from speclab.corpus import load_corpus
 from speclab.experiments import (TOY_ARCHS, TOY_SWEEP, ExperimentSpec,
                                  build_toys, run_experiments)
 from speclab.model import HybridModel
-from speclab.training import load_corpus
 
 _acceptance_lines: dict[str, tuple[bool, str]] = {}
 

@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_a_directory_is_not_found_by_name(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as exc:
+            load_checkpoint(tmp_path)
+        assert str(exc.value) == f"checkpoint not found: {tmp_path}"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)

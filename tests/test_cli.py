@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import speclab.cli as cli
+import speclab.training as training
 from speclab.checkpoint import load_checkpoint, manifest_path, save_checkpoint
 from speclab.cli import main
-from speclab.corpus import make_corpus, sample_prompts
+from speclab.corpus import load_corpus, make_corpus, sample_prompts
 from speclab.experiments import ExperimentSpec, read_report
 from speclab.model import HybridModel, ModelConfig, init_weights
-from speclab.training import TrainConfig, load_corpus
+from speclab.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,25 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             f"speclab train: error: {flag} directory not found: "
             f"{tmp_path / 'nodir'}\n")
+
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_learning_rate_that_is_not_finite_and_positive_is_bad_input(
+            self, env, tmp_path, capsys, monkeypatch, lr):
+        steps = []
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *a: steps.append(a) or 0.0)
+        rc = main(["train", "--arch", "parallel_hybrid", "--corpus",
+                   env["corpus"], "--out", str(tmp_path / "m.ckpt"),
+                   "--steps", "3", f"--lr={lr}", "--n-layers", "2",
+                   "--d-model", "16", "--n-heads", "2", "--d-state", "4",
+                   "--context-limit", "48", "--seq-len", "24"])
+        assert rc == 2
+        assert steps == []
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err == ("speclab train: error: learning_rate must be finite "
+                       f"and positive, got {float(lr)}\n")
 
 
 class _Stop(Exception):
@@ -368,6 +388,27 @@ class TestDiagnosticsCommands:
             f"{tmp_path / 'nope.bin'}\n")
         # the sweep checks its corpus before it makes any directory
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ("--corpus",)), ("run", ("--checkpoint", "--corpus")),
+        ("ablate", ("--checkpoint",))])
+    def test_directory_input_path_is_bad_input(self, env, tmp_path, capsys,
+                                               command, flags):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        files = {"--checkpoint": env["ckpt"], "--corpus": env["corpus"],
+                 **{flag: str(folder) for flag in flags}}
+        argv = {"train": ["--arch", "parallel_hybrid", "--corpus",
+                          files["--corpus"], "--out", str(tmp_path / "m.ckpt")],
+                "run": ["--checkpoint", files["--checkpoint"], "--corpus",
+                        files["--corpus"], "--out-dir", str(tmp_path / "runs")],
+                "ablate": ["--checkpoint", files["--checkpoint"], "--corpus",
+                           files["--corpus"]]}[command]
+        assert main([command, *argv]) == 2
+        name = flags[-1].lstrip("-")
+        assert capsys.readouterr().err == (
+            f"speclab {command}: error: {name} not found: {folder}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
 
     @pytest.mark.parametrize("command,argv,message", [
         ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from speclab.corpus import make_corpus, sample_prompts, write_corpus
+from speclab.corpus import (load_corpus, make_corpus, sample_prompts,
+                            sample_windows, write_corpus)
+from speclab.numerics import RngState
 
 
 class TestMakeCorpus:
@@ -45,7 +47,28 @@ class TestSamplePrompts:
     def test_too_short_corpus_rejected(self):
         with pytest.raises(ValueError):
             sample_prompts(np.arange(4), 1, 8, seed=0)
+        with pytest.raises(ValueError, match="shorter than 9 tokens"):
+            sample_prompts(np.arange(8), 1, 8, seed=0)
+        # the shortest corpus that holds a prompt and the token after it
+        sample_prompts(np.arange(9), 1, 8, seed=0)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample_prompts(np.arange(100), 0, 8, seed=0)
+
+    def test_prompts_are_the_seeded_windows(self):
+        toks = np.arange(500) % 256
+        prompts = sample_prompts(toks, 6, 9, seed=5)
+        starts = RngState(5).integers(0, toks.size - 9, size=6)
+        assert prompts == [toks[s:s + 9].tolist() for s in starts]
+        assert prompts == sample_windows(toks, 6, 9, RngState(5)).tolist()
+        assert all(type(t) is int for p in prompts for t in p)
+
+
+class TestLoadCorpus:
+    @pytest.mark.parametrize("name", ["absent.bin", "."])
+    def test_a_path_that_is_not_a_file_is_not_found(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(FileNotFoundError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"corpus not found: {path}"

@@ -57,7 +57,7 @@ class TestBuildMask:
 
     def test_component_only_sequential_skips_exactly_attention_layers(self):
         mask = build_mask(SEQ8, DraftStrategy("component_only"))
-        attn_layers = tuple(SEQ8.layer_kind(i) == "attn" for i in range(8))
+        attn_layers = tuple(SEQ8.has_attn(i) for i in range(8))
         assert mask.layer_skipped == attn_layers
         assert attn_layers == (False, False, False, True, False, False, False, True)
 

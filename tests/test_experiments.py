@@ -137,6 +137,21 @@ class TestRunExperiments:
         assert result.errors
         assert len(result.rows) == 1
 
+    def test_directory_checkpoint_is_skipped_like_a_missing_one(
+            self, workspace, tmp_path):
+        folder = tmp_path / "toy_folder.ckpt"
+        folder.mkdir()
+        spec = tiny_spec(
+            workspace, tmp_path / "runE2",
+            checkpoints=(str(folder), str(workspace["par"])),
+            strategies=("identity",), k_values=(1,), temperatures=(0.0,))
+        logged = []
+        result = run_experiments(spec, log=logged.append)
+        assert result.errors == [
+            ("toy_folder/identity", f"checkpoint not found: {folder}")]
+        assert logged[0] == f"[skip] toy_folder: checkpoint not found: {folder}"
+        assert {r["model"] for r in result.rows} == {"toy_parallel"}
+
     def test_cell_files_carry_round_diagnostics(self, workspace, tmp_path):
         out = tmp_path / "runF"
         spec = tiny_spec(workspace, out, strategies=("identity",),

@@ -9,6 +9,7 @@ from speclab import model as model_module
 from speclab.model import (
     ComponentMask,
     HybridModel,
+    BLOCK_PARAMS,
     ModelConfig,
     SsmParams,
     Weights,
@@ -16,6 +17,7 @@ from speclab.model import (
     _linear_scan,
     _scan_inputs,
     attn_block,
+    block_shapes,
     default_layer_pattern,
     ffn_block,
     forward,
@@ -53,7 +55,7 @@ def ssm_only_mask(cfg):
     n = cfg.n_layers
     if cfg.arch == "parallel_hybrid":
         return ComponentMask((False,) * n, (True,) * n, (False,) * n)
-    skipped = tuple(cfg.layer_kind(i) == "attn" for i in range(n))
+    skipped = tuple(not cfg.has_alt(i) for i in range(n))
     return ComponentMask(
         tuple(not s for s in skipped), tuple(not s for s in skipped), skipped)
 
@@ -120,6 +122,32 @@ class TestWeights:
         # attention-only layers carry no recurrence blocks
         assert "layers.3.ssm.w_in" not in w.names
         assert "layers.3.attn.wq" in w.names
+
+    @pytest.mark.parametrize("cfg", ALL_CFGS, ids=lambda c: c.arch)
+    def test_spec_lists_the_fields_of_each_kind_mask_blocks_gives(self, cfg):
+        kinds_of = {"parallel_hybrid": lambda i: ("attn", "ssm", "ffn"),
+                    "transformer": lambda i: ("attn", "ffn"),
+                    "sequential_hybrid": lambda i: (
+                        ("attn", "ffn") if cfg.layer_pattern[i] == "attention"
+                        else ("ssm", "ffn"))}[cfg.arch]
+        layers = mask_blocks(cfg, None)
+        assert layers == [(i, kinds_of(i)) for i in range(cfg.n_layers)]
+        shapes = block_shapes(cfg)
+        expected = [(f"layers.{i}.{kind}.{field}", shape)
+                    for i, kinds in layers for kind in kinds
+                    for field, shape in zip(BLOCK_PARAMS[kind]._fields,
+                                            shapes[kind])]
+        spec = param_spec(cfg)
+        assert [n for n, _ in spec[:2]] == ["embed", "pos_embed"]
+        assert [n for n, _ in spec[-2:]] == ["final_norm_g", "head_w"]
+        assert spec[2:-2] == expected
+
+    def test_a_parallel_layer_names_its_weights_in_checkpoint_order(self):
+        names = [n for n, _ in param_spec(PARALLEL) if n.startswith("layers.0.")]
+        assert names == [f"layers.0.{n}" for n in (
+            "attn.norm_g", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+            "ssm.norm_g", "ssm.w_in", "ssm.w_b", "ssm.w_c", "ssm.decay_raw",
+            "ssm.skip_gain", "ssm.w_out", "ffn.norm_g", "ffn.w1", "ffn.w2")]
 
     def test_shape_mismatch_rejected(self):
         blocks = {n: np.zeros(s) for n, s in param_spec(TRANSFORMER)}
@@ -421,7 +449,7 @@ class TestStructuralProbes:
         # reaches the next linear layer (or the final norm) unchanged
         assert [e["layer"] for e in entries] == [
             i for i in range(SEQUENTIAL.n_layers)
-            if SEQUENTIAL.layer_kind(i) == "lin"]
+            if SEQUENTIAL.has_alt(i)]
         for lp, entry, h_out in zip(plan, entries, outs):
             h = entry["h_in"]
             mixed = h + ssm_block(lp.ssm, lp.decay, h, 0.0)[0]

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from speclab.engine import DraftStrategy
-from speclab.model import ComponentMask, ModelConfig, FFN_MULT
+from speclab.model import ComponentMask, ModelConfig, FFN_MULT, param_spec
 from speclab.theory import (
     CostModel,
     expected_tokens,
@@ -122,11 +124,17 @@ class TestFlopRatio:
         attn = d + 4 * d * d
         ssm = d + d * d + 2 * d * s + 2 * d + d * d
         ffn = d + 2 * FFN_MULT * d * d
-        n_attn = sum(1 for i in range(SEQ.n_layers) if SEQ.layer_kind(i) == "attn")
+        n_attn = sum(SEQ.has_attn(i) for i in range(SEQ.n_layers))
         n_lin = SEQ.n_layers - n_attn
         full = 2 * d + n_attn * (attn + ffn) + n_lin * (ssm + ffn) + d + d * v
         draft = full - n_attn * (attn + ffn)
         assert abs(cm.cost_ratio - draft / full) < 1e-12
+
+    @pytest.mark.parametrize("cfg", [PAR, SEQ, TRA], ids=lambda c: c.arch)
+    def test_full_mask_counts_every_weight_but_one_row_per_embedding(self, cfg):
+        total = sum(math.prod(shape) for _, shape in param_spec(cfg))
+        unread = (cfg.vocab_size - 1 + cfg.context_limit - 1) * cfg.d_model
+        assert params_per_token(cfg, None) == total - unread
 
     def test_invalid_strategy_for_architecture_propagates(self):
         with pytest.raises(ValueError):

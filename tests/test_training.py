@@ -12,7 +12,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 import speclab.model as model_module
 import speclab.training as training
-from speclab.corpus import make_corpus
+from speclab.corpus import load_corpus, make_corpus
 from speclab.engine import DraftStrategy, build_mask
 from speclab.model import (
     ARCHS,
@@ -30,7 +30,6 @@ from speclab.training import (
     forward_train,
     backward_train,
     grad_check,
-    load_corpus,
     sample_batch,
     train,
 )
@@ -579,3 +578,21 @@ class TestSampleBatch:
         from speclab.numerics import RngState
         with pytest.raises(ValueError):
             sample_batch(np.arange(5), 1, 10, RngState(0))
+        # the shortest corpus that holds one window and its shifted target
+        sample_batch(np.arange(12), 1, 10, RngState(0))
+
+    def test_windows_start_where_the_seeded_draw_says(self):
+        from speclab.numerics import RngState
+        corpus = np.arange(300) * 7 % 256
+        x, y = sample_batch(corpus, 5, 12, RngState(4))
+        starts = RngState(4).integers(0, corpus.size - 13, size=5)
+        idx = starts[:, None] + np.arange(13)
+        np.testing.assert_array_equal(x, corpus[idx[:, :-1]])
+        np.testing.assert_array_equal(y, corpus[idx[:, 1:]])
+
+
+class TestTrainConfig:
+    def test_warmup_steps_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="warmup_steps"):
+            TrainConfig(corpus_path="x.bin", steps=1, warmup_steps=-1)
+        TrainConfig(corpus_path="x.bin", steps=1, warmup_steps=0)
