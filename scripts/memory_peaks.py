@@ -21,13 +21,17 @@ reports its array buffers to ``tracemalloc``). The entry points are:
 * ``train_step``: one float32 ``forward_train``, ``cross_entropy`` and
   ``backward_train`` over 8 windows of 96 bytes (the optimizer aside), and
   ``tape``: what that step's forward leaves alive besides its logits;
+* ``train_step.par.T256``: the same step of the parallel toy over 8
+  windows of its full context, 256 bytes;
 * ``ssm_block`` (parallel toy only): the first recurrent layer over float64
   rows at (B, T) = (1, 256) and (2, 255), with the peak's multiple of the
   (B, T, d_model, d_state) history the call returns;
-* ``_ssm_bwd`` (parallel toy only): the last recurrent layer's backward over
-  the float32 tape of ``train_step``'s batch, with the peak's multiple of
-  one (B, T, d_model, d_state) float32 state history, which the tape no
-  longer holds.
+* ``_ssm_bwd``, ``_attn_bwd`` and ``_ffn_bwd`` (parallel toy only): the last
+  layer's backward of that block over the float32 tape of ``train_step``'s
+  batch, with the peak's multiple of, in turn, one (B, T, d_model, d_state)
+  float32 state history, which the tape does not hold; one layer's
+  (B, heads, T, T) float32 attention probabilities, which it does not hold
+  either; and one (B, T, 4 * d_model) float32 activation of the FFN.
 
 The toys are seeded inits of the toy-lab design's model
 (``speclab.experiments.TOY_MODEL``), saved to a temporary directory, and the
@@ -67,12 +71,12 @@ from speclab.experiments import (  # noqa: E402
     TOY_CORPORA, TOY_MODEL, TOY_TRAINING, _sha256)
 from speclab.metrics import divergence_stats  # noqa: E402
 from speclab.model import (  # noqa: E402
-    ComponentMask, HybridModel, ModelConfig, init_weights, layer_plan,
-    ssm_block)
+    FFN_MULT, ComponentMask, HybridModel, ModelConfig, init_weights,
+    layer_plan, ssm_block)
 import speclab.training as training  # noqa: E402
 from speclab.training import (  # noqa: E402
-    TrainConfig, _ssm_bwd, backward_train, cross_entropy, evaluate_loss,
-    forward_train, train)
+    TrainConfig, _attn_bwd, _ffn_bwd, _ssm_bwd, backward_train,
+    cross_entropy, evaluate_loss, forward_train, train)
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
 SEED = 7
@@ -117,20 +121,28 @@ def scan_peaks(weights):
         yield B, T, mb, mb * 1e6 / (B * T * cfg.d_model * cfg.d_state * 8)
 
 
-def ssm_bwd_peak(cfg, w, x):
-    """(peak MB, peak over history) of the last recurrent layer's backward
-    over a training tape of the windows ``x``, against the (B, T, d_model,
-    d_state) history of those windows."""
+def bwd_peaks(cfg, w, x):
+    """(block, peak MB, peak's multiple, of what) of the last layer's backward
+    of each block kind over a training tape of the windows ``x``."""
     _, tape = forward_train(cfg, w, None, x)
-    entry = next(e for e in reversed(tape["layers"]) if "ssm" in e)
-    p, cache = entry["ssm"]
-    usig = cache[1]
-    dout = np.random.default_rng(SEED).normal(0, 1, usig.shape)
-    prefix = f"layers.{entry['layer']}.ssm."
-    grads = {n: np.zeros_like(a) for n, a in w.items() if n.startswith(prefix)}
-    mb = traced_peak_mb(_ssm_bwd, p, dout.astype(usig.dtype), cache, grads,
-                        prefix)
-    return mb, mb * 1e6 / (usig.nbytes * cfg.d_state)
+    for kind, bwd in (("ssm", _ssm_bwd), ("attn", _attn_bwd),
+                      ("ffn", _ffn_bwd)):
+        entry = next(e for e in reversed(tape["layers"]) if kind in e)
+        p, cache = entry[kind]
+        rows = cache[0][0]     # the block's rmsnorm input, (B, T, d_model)
+        B, T, d = rows.shape
+        dout = np.random.default_rng(SEED).normal(0, 1, rows.shape)
+        prefix = f"layers.{entry['layer']}.{kind}."
+        grads = {n: np.zeros_like(a) for n, a in w.items()
+                 if n.startswith(prefix)}
+        heads = (cfg.n_heads,) if kind == "attn" else ()
+        mb = traced_peak_mb(bwd, p, dout.astype(rows.dtype), cache, *heads,
+                            grads, prefix)
+        unit, what = {
+            "ssm": (rows.nbytes * cfg.d_state, "its history"),
+            "attn": (rows.nbytes // d * cfg.n_heads * T, "its probabilities"),
+            "ffn": (rows.nbytes * FFN_MULT, "its activation")}[kind]
+        yield bwd.__name__, mb, mb * 1e6 / unit, what
 
 
 def train_faults(cfg, corpus_path) -> float:
@@ -180,15 +192,19 @@ def peaks(path: Path, windows: np.ndarray, train_windows: np.ndarray):
     yield "tape", tape_mb(model.cfg, w32, x)
 
 
+def train_windows(length: int) -> np.ndarray:
+    """``TRAIN_BATCH`` windows of ``length`` bytes of the training text."""
+    text = make_corpus(TRAIN_BATCH * length, TRAIN_SEED)
+    return np.frombuffer(text, np.uint8).astype(np.int64).reshape(
+        TRAIN_BATCH, length)
+
+
 def main() -> int:
     tracemalloc.start()
     with tempfile.TemporaryDirectory() as tmp:
+        batch = train_windows(TRAIN_LEN + 1)
         train_path = Path(tmp) / "train.bin"
-        train_path.write_bytes(make_corpus(TRAIN_BATCH * (TRAIN_LEN + 1),
-                                           TRAIN_SEED))
-        train_corpus = np.frombuffer(train_path.read_bytes(),
-                                     np.uint8).astype(np.int64)
-        train_windows = train_corpus.reshape(TRAIN_BATCH, TRAIN_LEN + 1)
+        train_path.write_bytes(batch.astype(np.uint8).tobytes())
         configs = {}
         for name, arch in ARCHS.items():
             cfg = configs[name] = ModelConfig(arch, **TOY_MODEL)
@@ -199,17 +215,22 @@ def main() -> int:
                                    np.uint8).astype(np.int64)
             windows = corpus.reshape(WINDOWS, cfg.context_limit)
             print(f"{name}: checkpoint {path.stat().st_size / 1e6:.1f} MB")
-            for entry, mb in peaks(path, windows, train_windows):
+            for entry, mb in peaks(path, windows, batch):
                 print(f"{entry + '.' + name:24s} {mb:7.1f} MB")
             if name == "par":
+                w32 = {n: a.astype(np.float32)
+                       for n, a in load_checkpoint(path).items()}
+                full = train_windows(cfg.context_limit + 1)
+                mb = traced_peak_mb(train_step, cfg, w32, full[:, :-1],
+                                    full[:, 1:])
+                entry = f"train_step.{name}.T{cfg.context_limit}"
+                print(f"{entry:24s} {mb:7.1f} MB")
                 for B, T, mb, ratio in scan_peaks(load_checkpoint(path)):
                     entry = f"ssm_block.{B}x{T}.{name}"
                     print(f"{entry:24s} {mb:7.1f} MB  {ratio:.2f}x its history")
-                w32 = {n: a.astype(np.float32)
-                       for n, a in load_checkpoint(path).items()}
-                mb, ratio = ssm_bwd_peak(cfg, w32, train_windows[:, :-1])
-                print(f"{'_ssm_bwd.' + name:24s} {mb:7.1f} MB  "
-                      f"{ratio:.2f}x its history")
+                for bwd, mb, ratio, what in bwd_peaks(cfg, w32, batch[:, :-1]):
+                    print(f"{bwd + '.' + name:24s} {mb:7.1f} MB  "
+                          f"{ratio:.2f}x {what}")
         tracemalloc.stop()
         for name, cfg in configs.items():
             print(f"{'train_faults.' + name:24s} "

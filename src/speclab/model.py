@@ -42,16 +42,16 @@ True)``, the draft and verify chunks). The scan writes those states over the
 buffer of input outer products it is given, so the layer holds its history
 about once. A :class:`DecodeState` owns its recurrent states: a forward
 leaves in it a copy of each layer's last-row state, not a view pinning the
-whole history. A training tape keeps what a sigmoid or the softmax
-statistics produce, beside each block's rmsnorm cache: the SSM gate
-sigmoid and decay, attention's row max and softmax denominator, and the
-FFN sigmoid. The backward rebuilds everything else by the forward's own
-expressions: the normalised inputs, every product with a weight, the gate
-products, the attention probabilities (by :func:`attn_scores` and the
-forward's in-place steps) and context, and the state history, two batch
-rows at a time by :func:`_scan_inputs` and :func:`_linear_scan`. So the tape
-holds no (T, T) term and no state history, and every rebuilt array has the
-forward's bits.
+whole history. A training tape keeps each block's rmsnorm cache, the
+recurrent layer's decay from its plan, and attention's row max and softmax
+denominator. The backward rebuilds everything else by the forward's own
+expressions: the normalised inputs, every product with a weight, the
+sigmoids (cheaper to rebuild than to keep) and the gate products, the
+attention probabilities (by :func:`attn_scores` and the forward's in-place
+steps) and context, and the state history, the last two a group of batch
+rows at a time, the history by :func:`_scan_inputs` and
+:func:`_linear_scan`. So the tape holds no (T, T) term, no state history
+and no sigmoid, and every rebuilt array has the forward's bits.
 
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
@@ -416,9 +416,9 @@ class DecodeState:
 # ---------------------------------------------------------------------------
 # Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
 # and, given a tape entry (a dict), records in it what training's backward
-# cannot rebuild without a sigmoid or a softmax reduction: its rmsnorm cache,
-# from which the backward rebuilds the normalised input and every product
-# with a weight, and its sigmoids or softmax row max and denominator.
+# reads: its rmsnorm cache, from which the backward rebuilds the normalised
+# input, every product with a weight and the sigmoids, and the recurrent
+# decay or the softmax row max and denominator.
 # ---------------------------------------------------------------------------
 
 
@@ -515,7 +515,7 @@ def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
     if tape is not None:
-        tape["ssm"] = (p, (ncache, usig, decay))
+        tape["ssm"] = (p, (ncache, decay))
     return out.reshape(B, T, d), states
 
 
@@ -580,7 +580,7 @@ def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
     act = pre * sig
     out = act @ p.w2
     if tape is not None:
-        tape["ffn"] = (p, (ncache, sig))
+        tape["ffn"] = (p, (ncache,))
     return out.reshape(B, T, d)
 
 

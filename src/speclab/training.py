@@ -7,25 +7,29 @@ of what the backward needs. This module keeps what is training's own: the
 backward, the optimizer, the loop and the finite-difference gradient check
 that pins the backward to the forward.
 
-The tape keeps what a sigmoid or the softmax statistics produce, beside
-each block's rmsnorm cache: the SSM gate sigmoid ``usig`` and the decay,
-attention's row max and softmax denominator, and the FFN sigmoid ``sig``.
-Every product with a weight, and the state history, is rebuilt, by the
-forward's own expressions in the forward's order, so every rebuilt array
-has the forward's bits (Chen et al. 2016's rematerialisation, arXiv
+The tape keeps each block's rmsnorm cache, the recurrent decay, and
+attention's row max and softmax denominator. Everything else is rebuilt by
+the forward's own expressions in the forward's order, so every rebuilt
+array has the forward's bits (Chen et al. 2016's rematerialisation, arXiv
 1604.06174): each block's normalised input as ``x * (g * r)``; ``upre``,
 ``bm``, ``cm``, ``q``, ``k``, ``v`` and ``pre`` by their weight products on
-it; the gate products ``upre * usig`` and ``pre * sig``; the attention
-probabilities from ``q``, ``k``, the row max and the denominator (scores,
-minus the max, exp, over the denominator), and the context ``w @ v``. The
-SSM backward rebuilds the state history two batch rows at a time, by the
-forward's chunked scan from zero, and scans in the same call those rows'
-reverse-time recurrence on their time-flipped input, built flipped on
-contiguous (d_model, d_state) rows; the decay gradient sums the state axis
-as whole-column adds in NumPy's own summation order. So the tape holds no
-(T, T) term and no state history, and the backward makes no
-(B, T, d_model, d_state) array: on the parallel acceptance toy (B = 8,
-T = 96, float32) the tape is 17.2 MB and a traced step peaks at 27.1 MB.
+it; the sigmoids ``usig`` and ``sig``, cheaper to rebuild than to keep; the
+gate products; the attention probabilities from ``q``, ``k``, the row max
+and the denominator, and the context ``w @ v``; and the state history. The
+SSM and attention backwards work ``_BWD_ROWS`` batch rows at a time. The
+SSM backward rebuilds the rows' states by the forward's chunked scan from
+zero and scans in the same call their reverse-time recurrence on the
+time-flipped input, on contiguous (d_model, d_state) rows, and sums the
+decay gradient's state axis as whole-column adds in NumPy's own order. The
+attention backward rebuilds the rows' probabilities and forms the
+gradients through them, as FlashAttention recomputes them in blocks (Dao
+et al. 2022, arXiv 2205.14135); each weight gradient stays one product over
+all rows, so its sums keep their order. The FFN backward frees its
+activation, input and sigmoid before it forms the output gradient. So the
+tape holds no (T, T) term, state history or sigmoid, and the backward makes
+no (B, T, d_model, d_state) or (B, heads, T, T) array: on the parallel
+acceptance toy (B = 8, T = 96, float32) the tape is 5.4 MB and a traced
+step peaks at 13.2 MB (33.8 MB at the full context, T = 256).
 
 Training computes in float32: the forward, the tape, the backward and the
 gradients stay float32 end to end, against float64 master weights and a
@@ -70,7 +74,7 @@ from .model import (
     layer_plan,
     rmsnorm_output,
 )
-from .numerics import RngState, log_softmax
+from .numerics import RngState, log_softmax, sigmoid
 
 
 # Adam's first and second moment decays and its denominator guard
@@ -141,42 +145,72 @@ def _rms_bwd(dy, cache):
     return dx, dg
 
 
-def _silu_bwd(dy, pre, sig):
-    return dy * (sig * (1.0 + pre * (1.0 - sig)))
+def _silu_grad(pre, sig):
+    """The SiLU's derivative ``sig * (1 + pre * (1 - sig))`` at ``pre``
+    (``sig = sigmoid(pre)``), formed in place in one new array with the
+    operands in that order. A backward scales it in place by the output
+    gradient, ``np.multiply(dy, grad, out=grad)``, which gives the bits of
+    ``dy * (sig * (1 + pre * (1 - sig)))``; so ``dy`` can be formed after
+    ``pre`` and ``sig`` are freed."""
+    out = np.subtract(1.0, sig)
+    np.multiply(pre, out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(sig, out, out=out)
 
 
 def _flat(x):
     return x.reshape(-1, x.shape[-1])
 
 
+def _heads(x, n_heads):
+    """The (B, heads, T, d_head) view of the (B, T, d) rows ``x``."""
+    B, T, d = x.shape
+    return x.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+# batch rows per group of the SSM and attention backwards. A recurrent
+# group's scan buffer holds its states and adjoint states, 2 * _BWD_ROWS / B
+# of one (B, T, d_model, d_state) history; an attention group's
+# probabilities and their gradient, 2 * _BWD_ROWS / B of one layer's
+# (B, heads, T, T) probabilities. Two rows keep the SSM backward's peak plus
+# the layer's tape under two histories at B = 8 and make half as many scan
+# calls as one row.
+_BWD_ROWS = 2
+
+
 def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     ncache, row_max, denom = cache
     B, T, d = dout.shape
-    dh = d // n_heads
-    # q, k, v, the probabilities and the context by the forward's own
-    # products and steps, bit for bit
+    # q, k and v by the forward's own products, bit for bit
     x2 = _flat(rmsnorm_output(ncache))
-    q, k, v = ((x2 @ wm).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+    q, k, v = (_heads((x2 @ wm).reshape(B, T, d), n_heads)
                for wm in (p.wq, p.wk, p.wv))
-    w = attn_scores(q, k, causal_bias(T, 0, q.dtype))
-    w -= row_max
-    np.exp(w, out=w)
-    w /= denom
-    ctx = (w @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
+    bias = causal_bias(T, 0, q.dtype)
     do2 = _flat(dout)
+    dctx = _heads((do2 @ p.wo.T).reshape(B, T, d), n_heads)
+    ctx, dq, dk, dv = (np.empty((B, T, d), q.dtype) for _ in range(4))
+    for b in range(0, B, _BWD_ROWS):
+        # a group of batch rows at a time: the rows' probabilities by the
+        # forward's steps (scores, minus the max, exp, over the denominator),
+        # their context and the gradients through them; so no (B, heads,
+        # T, T) array is made
+        g = slice(b, b + _BWD_ROWS)
+        w = attn_scores(q[g], k[g], bias)
+        w -= row_max[g]
+        np.exp(w, out=w)
+        w /= denom[g]
+        _heads(ctx[g], n_heads)[...] = w @ v[g]
+        _heads(dv[g], n_heads)[...] = w.transpose(0, 1, 3, 2) @ dctx[g]
+        # d loss / d w, then in place the scores' gradient
+        dscores = dctx[g] @ v[g].transpose(0, 1, 3, 2)
+        dscores -= np.sum(dscores * w, axis=-1, keepdims=True)
+        dscores *= w
+        dscores /= math.sqrt(q.shape[-1])
+        _heads(dq[g], n_heads)[...] = dscores @ k[g]
+        _heads(dk[g], n_heads)[...] = dscores.transpose(0, 1, 3, 2) @ q[g]
+        del w, dscores     # before the next group's are made
     grads[prefix + "wo"] += _flat(ctx).T @ do2
-    dctx = (do2 @ p.wo.T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-    dv = w.transpose(0, 1, 3, 2) @ dctx
-    dscores = dctx @ v.transpose(0, 1, 3, 2)     # d loss / d w, then in place
-    dscores -= np.sum(dscores * w, axis=-1, keepdims=True)
-    dscores *= w
-    dscores /= math.sqrt(dh)
-    dq = dscores @ k
-    dk = dscores.transpose(0, 1, 3, 2) @ q
-    del dscores
-    dq2 = _flat(dq.transpose(0, 2, 1, 3).reshape(B, T, d))
-    dk2 = _flat(dk.transpose(0, 2, 1, 3).reshape(B, T, d))
-    dv2 = _flat(dv.transpose(0, 2, 1, 3).reshape(B, T, d))
+    dq2, dk2, dv2 = _flat(dq), _flat(dk), _flat(dv)
     grads[prefix + "wq"] += x2.T @ dq2
     grads[prefix + "wk"] += x2.T @ dk2
     grads[prefix + "wv"] += x2.T @ dv2
@@ -217,19 +251,13 @@ def _row_sums(x):
     return total
 
 
-# batch rows per scan call of the SSM backward: each group's scan buffer holds
-# its states and adjoint states, 2 * _BWD_SCAN_ROWS / B of one history; two
-# rows keep the backward's peak plus the layer's tape under two histories at
-# B = 8 and make half as many scan calls as one row
-_BWD_SCAN_ROWS = 2
-
-
 def _ssm_bwd(p, dout, cache, grads, prefix):
-    ncache, usig, decay = cache
-    B, T, d = usig.shape
-    # the gate's input and the state projections by the forward's products
+    ncache, decay = cache
+    B, T, d = dout.shape
+    # the gate and the state projections by the forward's expressions
     x2 = _flat(rmsnorm_output(ncache))
     upre = (x2 @ p.w_in).reshape(B, T, d)
+    usig = sigmoid(upre)
     bm = (x2 @ p.w_b).reshape(B, T, -1)
     cm = (x2 @ p.w_c).reshape(B, T, -1)
     u = upre * usig
@@ -241,12 +269,12 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     dbm = np.empty_like(bm)
     dcm = np.empty_like(cm)
     rows = np.empty((B, T - 1, d), dtype=u.dtype)
-    for b in range(0, B, _BWD_SCAN_ROWS):
+    for b in range(0, B, _BWD_ROWS):
         # a group of batch rows at a time, two scans from zero in one call:
         # the rows' states, by the forward's scan, and the reverse-time
         # recurrence dS_t = decay * dS_{t+1} + dy_t (x) C_t on the flipped
         # rows; so no array the size of the history is made
-        g = slice(b, b + _BWD_SCAN_ROWS)
+        g = slice(b, b + _BWD_ROWS)
         n = len(u[g])
         scans = _linear_scan(decay, _scan_inputs(
             np.concatenate([u[g], dy[g, ::-1]]),
@@ -265,7 +293,8 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     da = rows.reshape(-1, d).sum(axis=0)
     a = decay[:, 0]
     grads[prefix + "decay_raw"] += da * a * (1.0 - a)
-    dupre = _silu_bwd(du, upre, usig)
+    dupre = _silu_grad(upre, usig)
+    np.multiply(du, dupre, out=dupre)
     del rows, dy, du     # so the input gradient's peak stays below the loop's
     du2, dbm2, dcm2 = _flat(dupre), _flat(dbm), _flat(dcm)
     grads[prefix + "w_in"] += x2.T @ du2
@@ -278,15 +307,18 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
 
 
 def _ffn_bwd(p, dout, cache, grads, prefix):
-    ncache, sig = cache
+    ncache, = cache
     B, T, d = dout.shape
     x2 = _flat(rmsnorm_output(ncache))
     pre = x2 @ p.w1
+    sig = sigmoid(pre)
     act = pre * sig
     do2 = _flat(dout)
     grads[prefix + "w2"] += act.T @ do2
-    dact = do2 @ p.w2.T
-    dpre = _silu_bwd(dact, pre, sig)
+    del act
+    dpre = _silu_grad(pre, sig)
+    del pre, sig
+    np.multiply(do2 @ p.w2.T, dpre, out=dpre)
     grads[prefix + "w1"] += x2.T @ dpre
     dxs = (dpre @ p.w1.T).reshape(B, T, d)
     dh_, dg = _rms_bwd(dxs, ncache)

@@ -188,8 +188,10 @@ class TestContiguousStateRows:
     def test_step_equals_the_broadcast_form(self, cfg, T, B, dtype,
                                             monkeypatch):
         # the forward, its tape and every gradient of a training step on
-        # contiguous state rows have the bits of the broadcast-form recurrent
-        # branch, whose backward scans a time-flipped view
+        # contiguous state rows, with the SiLU's input gradients formed in
+        # place, have the bits of the broadcast-form recurrent branch, whose
+        # backward scans a time-flipped view, and of an FFN backward that
+        # forms them as one expression
         wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
         x, y = small_batch(cfg, seed=T, b=B, t=T)
 
@@ -201,6 +203,7 @@ class TestContiguousStateRows:
         logits, grads = step()
         monkeypatch.setattr(model_module, "ssm_block", broadcast_form.ssm_block)
         monkeypatch.setattr(training, "_ssm_bwd", broadcast_form.ssm_bwd)
+        monkeypatch.setattr(training, "_ffn_bwd", broadcast_form.ffn_bwd)
         ref_logits, ref_grads = step()
         broadcast_form.assert_same_bits(logits, ref_logits)
         assert grads.keys() == ref_grads.keys()
@@ -274,11 +277,34 @@ def profiled(hook, fn, *args):
         sys.setprofile(None)
 
 
+def on_lines(funcs, record):
+    """A trace hook calling ``record(frame, event, value)`` at each line and
+    at the return of the python functions ``funcs``."""
+    codes = {f.__code__ for f in funcs}
+
+    def local(frame, event, value):
+        record(frame, event, value)
+        return local
+
+    def hook(frame, event, value):
+        return local if frame.f_code in codes else None
+    return hook
+
+
+def traced(hook, fn, *args):
+    sys.settrace(hook)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(None)
+
+
 # the arrays each forward stage leaves off the tape for the backward to
 # rebuild, by their names in its frame and in its backward's
-REBUILT = {"ssm_block": ("xs", "u", "upre", "bm", "cm", "states", "y_skip"),
+REBUILT = {"ssm_block": ("xs", "u", "upre", "usig", "bm", "cm", "states",
+                         "y_skip"),
            "attn_block": ("xs", "w", "q", "k", "v", "ctx"),
-           "ffn_block": ("xs", "act", "pre"), "head": ("hn",)}
+           "ffn_block": ("xs", "act", "pre", "sig"), "head": ("hn",)}
 BLOCKS = (model_module.ssm_block, model_module.attn_block,
           model_module.ffn_block, model_module.head)
 BACKWARDS = {"_ssm_bwd": "ssm_block", "_attn_bwd": "attn_block",
@@ -293,12 +319,13 @@ def owners(a):
 
 
 class TestTapeContract:
-    """The tape holds what a sigmoid or the softmax statistics produce, and
-    the rmsnorm caches: no (T, T) term, no state history and no product with
-    a weight. The backward rebuilds the normalised inputs, the weight
-    products, the gate products, the attention probabilities and context,
-    and the state history two batch rows at a time, by the forward's own
-    expressions, bit for bit."""
+    """The tape holds the rmsnorm caches, the recurrent decay and the
+    softmax statistics: no (T, T) term, no state history, no sigmoid and no
+    product with a weight. The backward rebuilds the normalised inputs, the
+    weight products, the sigmoids and gate products, the attention
+    probabilities and context and the state history, the last two a group
+    of batch rows at a time, by the forward's own expressions, bit for
+    bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
@@ -329,34 +356,55 @@ class TestTapeContract:
         wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
         x, y = small_batch(cfg, seed=T, b=3, t=T)
         computed = {}   # (forward function, name) -> arrays, in call order
-        rebuilt = {}
+        rebuilt = {}    # (forward function, name) -> per call, its groups
+        held = {}       # name -> (array, its copy as it stands)
+        released = {}   # name -> copies of the current backward's arrays
         scans = []      # the current SSM backward's scans
 
         def forward_record(name, caller, local, value):
             for key in REBUILT[name]:
                 computed.setdefault((name, key), []).append(local[key].copy())
 
-        # the backwards name what they rebuild as the forward does; the
-        # normalised inputs are what rmsnorm_output returns to each backward,
-        # and the SSM backward's scans, one per group of batch rows, each
-        # rebuild that group's states in their first half
-        def backward_record(name, caller, local, value):
+        # the backwards name what they rebuild as the forward does, and each
+        # is recorded as it stands when its backward rebinds or deletes the
+        # name or returns: the attention probabilities once per group of
+        # batch rows, the FFN's ``act``, ``pre`` and ``sig`` before they are
+        # freed. The normalised inputs are what rmsnorm_output returns to
+        # each backward, and the SSM backward's scans, one per group of
+        # batch rows, each rebuild that group's states in their first half
+        def backward_record(frame, event, value):
+            name = frame.f_code.co_name
             if name == "rmsnorm_output":
-                key = (BACKWARDS[caller], "hn" if caller == "backward_train"
-                       else "xs")
-                rebuilt.setdefault(key, []).append(value.copy())
-            elif name == "_linear_scan":
-                scans.append(value[:len(value) // 2, :T].copy())
-            else:
-                for key in REBUILT[BACKWARDS[name]]:
-                    if key == "states":
-                        array = np.concatenate(scans)
-                        scans.clear()
-                    elif key != "xs":
-                        array = local[key].copy()
-                    else:
-                        continue
-                    rebuilt.setdefault((BACKWARDS[name], key), []).append(array)
+                if event == "return":
+                    caller = frame.f_back.f_code.co_name
+                    key = (BACKWARDS[caller],
+                           "hn" if caller == "backward_train" else "xs")
+                    rebuilt.setdefault(key, []).append([value.copy()])
+                return
+            if name == "_linear_scan":
+                if event == "return":
+                    scans.append(value[:len(value) // 2, :T].copy())
+                return
+            block = BACKWARDS[name]
+            local = frame.f_locals
+            for key in REBUILT[block]:
+                if key in ("xs", "states", "hn"):
+                    continue
+                now = local.get(key)
+                if key in held and held[key][0] is not now:
+                    released.setdefault(key, []).append(held.pop(key)[1])
+                if isinstance(now, np.ndarray):
+                    held[key] = (now, now.copy())
+            if event == "return":
+                for key, (_, copy) in held.items():
+                    released.setdefault(key, []).append(copy)
+                held.clear()
+                if block == "ssm_block":
+                    released["states"] = scans[:]
+                    scans.clear()
+                for key, groups in released.items():
+                    rebuilt.setdefault((block, key), []).append(groups)
+                released.clear()
 
         logits, tape = profiled(on_returns(BLOCKS, forward_record),
                                 forward_train, cfg, wc, None, x)
@@ -367,25 +415,35 @@ class TestTapeContract:
         assert not [a.shape for a in taped
                     if a.ndim == 4 and a.shape[-2:] == (cfg.d_model, cfg.d_state)]
         _, dlogits = cross_entropy(logits, y)
-        profiled(on_returns((model_module.rmsnorm_output,
-                             model_module._linear_scan, training._ssm_bwd,
-                             training._attn_bwd, training._ffn_bwd),
-                            backward_record),
-                 backward_train, cfg, wc, tape, dlogits)
+        traced(on_lines((model_module.rmsnorm_output,
+                         model_module._linear_scan, training._ssm_bwd,
+                         training._attn_bwd, training._ffn_bwd),
+                        backward_record),
+               backward_train, cfg, wc, tape, dlogits)
         assert rebuilt.keys() == computed.keys()
         for key, arrays in computed.items():
-            # the backward visits the layers last to first
+            # the backward visits the layers last to first, and each group
+            # of a backward is the next batch rows of the forward's array
             assert len(rebuilt[key]) == len(arrays), key
-            for got, want in zip(reversed(rebuilt[key]), arrays):
-                broadcast_form.assert_same_bits(got, want)
+            for groups, want in zip(reversed(rebuilt[key]), arrays):
+                rows = 0
+                for got in groups:
+                    broadcast_form.assert_same_bits(got,
+                                                    want[rows:rows + len(got)])
+                    rows += len(got)
+                assert rows == len(want), key
+        # the probabilities and the states come in groups of batch rows
+        for key in [("attn_block", "w"), ("ssm_block", "states")]:
+            for groups in rebuilt.get(key, []):
+                assert [len(g) for g in groups] == [2, 1], key
 
 
 class TestSsmBackwardPeak:
     def test_peak_stays_under_two_histories(self):
         # per recurrent layer, what the tape holds for the backward plus the
-        # backward's peak: the tape holds no state history, and the backward
-        # rebuilds it, and scans the reverse-time recurrence, two batch rows
-        # at a time
+        # backward's peak: the tape holds no state history and no sigmoid,
+        # and the backward rebuilds the gate sigmoid and the history, and
+        # scans the reverse-time recurrence, two batch rows at a time
         cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
         wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
         x, _ = small_batch(cfg, b=8, t=96)
@@ -404,6 +462,62 @@ class TestSsmBackwardPeak:
         finally:
             tracemalloc.stop()
         assert taped + peak < 2 * history
+
+
+class TestAttnBackwardPeak:
+    def test_peak_stays_under_three_probabilities(self):
+        # per attention layer, what the tape holds for the backward plus the
+        # backward's peak, in one layer's (B, heads, T, T) probabilities: the
+        # tape holds none of them, and the backward rebuilds them, and forms
+        # the gradients through them, two batch rows at a time. It reads
+        # 2.59 (0.19 taped, 2.40 the backward's peak, 0.75 of it a group's
+        # probabilities, their gradient and its product with them), so the
+        # bound leaves 0.41; over all rows at once it read 4.37
+        cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
+        wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
+        x, _ = small_batch(cfg, b=8, t=96)
+        _, tape = forward_train(cfg, wc, None, x)
+        p, cache = tape["layers"][0]["attn"]
+        probabilities = x.size * cfg.n_heads * x.shape[1] * 4
+        taped = sum({id(a): a.nbytes for a in tape_arrays(cache)}.values())
+        dout = np.random.default_rng(0).normal(0, 1, (*x.shape, cfg.d_model))
+        dout = dout.astype(np.float32)
+        grads = {n: np.zeros_like(a) for n, a in wc.items()}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            training._attn_bwd(p, dout, cache, cfg.n_heads, grads,
+                               "layers.0.attn.")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert taped + peak < 3 * probabilities
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 17, 40])
+    def test_groups_have_the_all_rows_bits(self, T, dtype):
+        # B = 3 is one group of two rows and a remainder of one: the input
+        # gradient and every weight gradient have the bits of the backward
+        # over all rows at once
+        assert training._BWD_ROWS == 2
+        cfg = TINY_PAR
+        wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
+        x, _ = small_batch(cfg, seed=T, b=3, t=T)
+        _, tape = forward_train(cfg, wc, None, x)
+        p, cache = tape["layers"][-1]["attn"]
+        dout = np.random.default_rng(T).normal(0, 1, (*x.shape, cfg.d_model))
+        prefix = "layers.1.attn."
+        results = []
+        for bwd in (training._attn_bwd, broadcast_form.attn_bwd):
+            grads = {n: np.zeros_like(a) for n, a in wc.items()
+                     if n.startswith(prefix)}
+            results.append((bwd(p, dout.astype(dtype), cache, cfg.n_heads,
+                                grads, prefix), grads))
+        (dh, grads), (ref_dh, ref_grads) = results
+        broadcast_form.assert_same_bits(dh, ref_dh)
+        assert grads.keys() == ref_grads.keys() and len(grads) == 5
+        for name in grads:
+            broadcast_form.assert_same_bits(grads[name], ref_grads[name])
 
 
 class TestTrainLoop:
@@ -483,9 +597,11 @@ class TestTrainLoop:
             alive_at_entry.append(sum(ref() is not None for ref in owned))
             inputs.append((args[1]["head_w"].dtype, args[2]))
             logits, tape = original(*args)
+            # the logits, the head's rmsnorm input and the first layer's
+            # softmax denominator
             owned.extend(weakref.ref(a) for a in
                          (logits, tape["final_norm"][0],
-                          tape["layers"][0]["ssm"][1][1]))
+                          tape["layers"][0]["attn"][1][2]))
             return logits, tape
 
         monkeypatch.setattr(training, "forward_train", watched)
