@@ -257,26 +257,6 @@ class TestFloat32Compute:
                 assert arr.dtype == np.float32, mask.describe()
 
 
-def on_returns(funcs, record):
-    """A profile hook calling ``record(name, caller, frame locals, value)``
-    at each return of the python functions ``funcs``."""
-    codes = {f.__code__ for f in funcs}
-
-    def hook(frame, event, value):
-        if event == "return" and frame.f_code in codes:
-            record(frame.f_code.co_name, frame.f_back.f_code.co_name,
-                   frame.f_locals, value)
-    return hook
-
-
-def profiled(hook, fn, *args):
-    sys.setprofile(hook)
-    try:
-        return fn(*args)
-    finally:
-        sys.setprofile(None)
-
-
 def on_lines(funcs, record):
     """A trace hook calling ``record(frame, event, value)`` at each line and
     at the return of the python functions ``funcs``."""
@@ -334,13 +314,16 @@ class TestTapeContract:
         wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
         refs = []
 
-        def record(name, caller, local, value):
-            refs.extend((name, key, weakref.ref(a)) for key in REBUILT[name]
-                        for a in owners(local[key]))
+        def record(frame, event, value):
+            if event == "return":
+                name = frame.f_code.co_name
+                refs.extend((name, key, weakref.ref(a))
+                            for key in REBUILT[name]
+                            for a in owners(frame.f_locals[key]))
 
         x, _ = small_batch(cfg, t=20)
-        logits, tape = profiled(on_returns(BLOCKS, record), forward_train,
-                                cfg, wc, None, x)
+        logits, tape = traced(on_lines(BLOCKS, record), forward_train,
+                              cfg, wc, None, x)
         assert {name for name, _, _ in refs} == (
             {"attn_block", "ffn_block", "head"}
             | ({"ssm_block"} if cfg.arch != "transformer" else set()))
@@ -361,9 +344,12 @@ class TestTapeContract:
         released = {}   # name -> copies of the current backward's arrays
         scans = []      # the current SSM backward's scans
 
-        def forward_record(name, caller, local, value):
-            for key in REBUILT[name]:
-                computed.setdefault((name, key), []).append(local[key].copy())
+        def forward_record(frame, event, value):
+            if event == "return":
+                name = frame.f_code.co_name
+                for key in REBUILT[name]:
+                    computed.setdefault((name, key), []).append(
+                        frame.f_locals[key].copy())
 
         # the backwards name what they rebuild as the forward does, and each
         # is recorded as it stands when its backward rebinds or deletes the
@@ -406,8 +392,8 @@ class TestTapeContract:
                     rebuilt.setdefault((block, key), []).append(groups)
                 released.clear()
 
-        logits, tape = profiled(on_returns(BLOCKS, forward_record),
-                                forward_train, cfg, wc, None, x)
+        logits, tape = traced(on_lines(BLOCKS, forward_record),
+                              forward_train, cfg, wc, None, x)
         taped = [a for arr in tape_arrays(tape) for a in owners(arr)]
         # nothing on the tape grows with the square of the window, and no
         # (B, T, d_model, d_state) state history is on it
