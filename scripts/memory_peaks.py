@@ -127,17 +127,19 @@ def bwd_peaks(cfg, w, x):
     _, tape = forward_train(cfg, w, None, x)
     for kind, bwd in (("ssm", _ssm_bwd), ("attn", _attn_bwd),
                       ("ffn", _ffn_bwd)):
-        entry = next(e for e in reversed(tape["layers"]) if kind in e)
-        p, cache = entry[kind]
-        rows = cache[0][0]     # the block's rmsnorm input, (B, T, d_model)
+        lp, h_in, h_ffn = next(e for e in reversed(tape[1:-1])
+                               if getattr(e[0], kind) is not None)
+        rows = h_ffn if kind == "ffn" else h_in   # (B, T, d_model)
         B, T, d = rows.shape
+        block = {"ssm": (lp.ssm, lp.decay, rows),
+                 "attn": (lp.attn, rows, cfg.n_heads),
+                 "ffn": (lp.ffn, rows)}[kind]
         dout = np.random.default_rng(SEED).normal(0, 1, rows.shape)
-        prefix = f"layers.{entry['layer']}.{kind}."
+        prefix = f"layers.{lp.index}.{kind}."
         grads = {n: np.zeros_like(a) for n, a in w.items()
                  if n.startswith(prefix)}
-        heads = (cfg.n_heads,) if kind == "attn" else ()
-        mb = traced_peak_mb(bwd, p, dout.astype(rows.dtype), cache, *heads,
-                            grads, prefix)
+        mb = traced_peak_mb(bwd, *block, dout.astype(rows.dtype), grads,
+                            prefix)
         unit, what = {
             "ssm": (rows.nbytes * cfg.d_state, "its history"),
             "attn": (rows.nbytes // d * cfg.n_heads * T, "its probabilities"),

@@ -17,6 +17,12 @@ bit-identical numbers. The items are:
   from seeded init (training computes in float32 only), on the toy-lab
   design's model, training settings and training corpus
   (``speclab.experiments.TOY_MODEL``, ``TOY_TRAINING`` and ``TOY_CORPORA``);
+* ``backward.<arch>.<mask>``: the loss and ``backward_train``'s float64
+  gradients of one batch (B = 3 windows of T = 40 tokens, so the SSM and
+  attention backwards run a group of two batch rows and one of one, and the
+  scan runs whole chunks) on a tiny seeded model of each architecture, under
+  the full mask and under component_only (layer_skip for the transformer,
+  which has no component to run on its own);
 * ``decode.<arch>``: decode-path logits of seeded-init models, the prefix
   forward and one-token steps, under the full mask and every draft mask;
 * ``generate.<arch>.<strategy>.T<temperature>``: greedy and T = 0.6
@@ -60,15 +66,18 @@ from speclab.engine import (  # noqa: E402
 from speclab.experiments import (  # noqa: E402
     TOY_CORPORA, TOY_MODEL, TOY_TRAINING)
 from speclab.metrics import divergence_stats, perplexity  # noqa: E402
-from speclab.model import ComponentMask, HybridModel, ModelConfig  # noqa: E402
-from speclab.numerics import sigmoid  # noqa: E402
+from speclab.model import (  # noqa: E402
+    ComponentMask, HybridModel, ModelConfig, init_weights)
+from speclab.numerics import RngState, sigmoid  # noqa: E402
 from speclab.theory import flop_ratio, params_per_token  # noqa: E402
-from speclab.training import TrainConfig, train  # noqa: E402
+from speclab.training import (  # noqa: E402
+    TrainConfig, backward_train, cross_entropy, forward_train, train)
 
 ARCHS = {"par": "parallel_hybrid", "seq": "sequential_hybrid"}
 SEED = 7
 TRAIN_STEPS = 8
 TEMPERATURES = (0.0, 0.6)
+BACKWARD_BATCH = (3, 40)
 
 
 def toy_config(arch: str) -> ModelConfig:
@@ -108,6 +117,25 @@ def train_items(corpus_path: str):
             d.add(np.frombuffer(block_name.encode(), np.uint8), arr)
         d.add(np.array([loss for _, loss in history]))
         yield f"train.{name}.float32", d.hex()
+
+
+def backward_items():
+    for name, arch in {**ARCHS, "tra": "transformer"}.items():
+        cfg = ModelConfig(arch, n_layers=4, d_model=16, n_heads=2, d_state=4,
+                          vocab_size=24, context_limit=48)
+        w = init_weights(cfg, SEED)
+        B, T = BACKWARD_BATCH
+        tokens = RngState(SEED).integers(0, cfg.vocab_size, (B, T + 1))
+        draft = "layer_skip" if arch == "transformer" else "component_only"
+        for label, mask in (("full", None),
+                            (draft, build_mask(cfg, DraftStrategy(draft)))):
+            logits, tape = forward_train(cfg, w, mask, tokens[:, :-1])
+            loss, dlogits = cross_entropy(logits, tokens[:, 1:])
+            d = Digest()
+            d.add(np.float64(loss))
+            for block_name, grad in backward_train(cfg, w, tape, dlogits).items():
+                d.add(np.frombuffer(block_name.encode(), np.uint8), grad)
+            yield f"backward.{name}.{label}", d.hex()
 
 
 def draft_masks(cfg: ModelConfig) -> dict[str, ComponentMask]:
@@ -206,6 +234,7 @@ def main() -> int:
         corpus_path = Path(tmp) / "train_corpus.bin"
         corpus_path.write_bytes(make_corpus(*TOY_CORPORA["train"]))
         items += train_items(str(corpus_path))
+    items += backward_items()
     eval_tokens = np.frombuffer(make_corpus(4096, TOY_CORPORA["eval"][1]),
                                 np.uint8).astype(np.int64)
     prompts = sample_prompts(eval_tokens, 3, 16, seed=0)

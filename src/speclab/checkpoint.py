@@ -103,7 +103,7 @@ def load_checkpoint(path) -> Weights:
         payload_len = size - 12 - header_len
         try:
             cfg = ModelConfig.from_dict(header["config"])
-            layout = []
+            layout, names = [], set()
             end = 0
             for spec in header["blocks"]:
                 name, shape, start, nbytes = (spec[k] for k in
@@ -117,6 +117,9 @@ def load_checkpoint(path) -> Weights:
                 if nbytes != math.prod(shape) * 8:
                     raise ValueError(f"block {name}: {nbytes} bytes do not hold "
                                      f"shape {shape}")
+                if name in names:   # a TypeError if a name is not hashable
+                    raise ValueError(f"block {name} is named twice")
+                names.add(name)
                 if start != end:
                     raise ValueError(f"block {name} starts at byte {start}; blocks "
                                      f"must tile the payload in header order, so "

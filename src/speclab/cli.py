@@ -202,9 +202,12 @@ def cmd_verify_lossless(args) -> int:
     settings = DecodeSettings(k=args.k, temperature=0.0,
                               max_new_tokens=args.max_new_tokens,
                               seed=args.seed)
+    # the strategies first: a k that does not fit the context fails before
+    # any decode, not after the autoregressive reference
+    outputs = [decode_prompts(model, DraftStrategy(kind), prompts, settings)[0]
+               for kind in kinds]
     ar = decode_prompts(model, None, prompts, settings)[0]
-    rates = [match_rate(decode_prompts(model, DraftStrategy(kind), prompts,
-                                       settings)[0], ar) for kind in kinds]
+    rates = [match_rate(out, ar) for out in outputs]
     for kind, rate in zip(kinds, rates):
         print(f"{kind}: match rate {rate:.3f} over {len(prompts)} prompts")
     margin, i, j = greedy_margin(model, prompts, ar)

@@ -94,6 +94,8 @@ class ExperimentSpec:
             DraftStrategy(kind)  # an unknown kind raises here, before any work
         if self.n_prompts < 1 or self.prompt_len < 1:
             raise ValueError("prompt settings must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.k_values) < 1 or self.max_new_tokens < 1:
             raise ValueError("k_values and max_new_tokens must be >= 1")
         if min(self.temperatures) < 0.0:

@@ -42,16 +42,9 @@ True)``, the draft and verify chunks). The scan writes those states over the
 buffer of input outer products it is given, so the layer holds its history
 about once. A :class:`DecodeState` owns its recurrent states: a forward
 leaves in it a copy of each layer's last-row state, not a view pinning the
-whole history. A training tape keeps each block's rmsnorm cache, the
-recurrent layer's decay from its plan, and attention's row max and softmax
-denominator. The backward rebuilds everything else by the forward's own
-expressions: the normalised inputs, every product with a weight, the
-sigmoids (cheaper to rebuild than to keep) and the gate products, the
-attention probabilities (by :func:`attn_scores` and the forward's in-place
-steps) and context, and the state history, the last two a group of batch
-rows at a time, the history by :func:`_scan_inputs` and
-:func:`_linear_scan`. So the tape holds no (T, T) term, no state history
-and no sigmoid, and every rebuilt array has the forward's bits.
+whole history. A training tape holds only each layer's plan entry and
+input rows (:mod:`speclab.training` describes it and the backward that
+rebuilds the rest by these functions).
 
 The recurrent branch's state-sized arithmetic (the scan and the input outer
 products, in training's backward too) runs on contiguous (d_model, d_state)
@@ -100,8 +93,9 @@ class ModelConfig:
             raise ValueError(f"unknown arch {self.arch!r}, expected one of {ARCHS}")
         for name in ("n_layers", "d_model", "n_heads", "d_state", "vocab_size",
                      "context_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.arch == "sequential_hybrid":
@@ -117,7 +111,7 @@ class ModelConfig:
             if not ("linear" in pattern and "attention" in pattern):
                 raise ValueError("sequential_hybrid needs at least one layer of each kind")
         elif self.layer_pattern is not None:
-            raise ValueError(f"layer_pattern is only valid for sequential_hybrid")
+            raise ValueError("layer_pattern is only valid for sequential_hybrid")
 
     @property
     def d_head(self) -> int:
@@ -414,11 +408,9 @@ class DecodeState:
 
 
 # ---------------------------------------------------------------------------
-# Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights
-# and, given a tape entry (a dict), records in it what training's backward
-# reads: its rmsnorm cache, from which the backward rebuilds the normalised
-# input, every product with a weight and the sigmoids, and the recurrent
-# decay or the softmax row max and denominator.
+# Blocks over (B, T, d) rows. Each keeps the dtype of its input and weights;
+# training's backward calls the same rmsnorm and softmax on the input rows
+# the forward tapes.
 # ---------------------------------------------------------------------------
 
 
@@ -426,15 +418,8 @@ def rmsnorm(x, g):
     """RMS normalization over the last axis, scaled elementwise by ``g``.
     Returns the output and the cache ``(x, g, 1/rms)`` for the backward."""
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    cache = (x, g, 1.0 / np.sqrt(ms + NORM_EPS))
-    return rmsnorm_output(cache), cache
-
-
-def rmsnorm_output(cache):
-    """The output of :func:`rmsnorm` from its cache, so that the backward
-    rebuilds it bit for bit."""
-    x, g, r = cache
-    return x * (g * r)
+    r = 1.0 / np.sqrt(ms + NORM_EPS)
+    return x * (g * r), (x, g, r)
 
 
 _SCAN_CHUNK = 16
@@ -498,13 +483,12 @@ def _linear_scan(decay: np.ndarray, inputs: np.ndarray, s0) -> np.ndarray:
     return P.reshape(B, T, d, s)
 
 
-def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
-              tape: dict | None = None):
+def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0):
     """Recurrent branch from state ``s0`` under the (d, s) ``decay`` of
     :func:`ssm_decay`; returns (out, states), where ``states[:, t]`` is the
     recurrent state after row t."""
     B, T, d = h.shape
-    xs, ncache = rmsnorm(h, p.norm_g)
+    xs, _ = rmsnorm(h, p.norm_g)
     x2 = xs.reshape(B * T, d)
     upre = (x2 @ p.w_in).reshape(B, T, d)
     usig = sigmoid(upre)
@@ -514,8 +498,6 @@ def ssm_block(p: SsmParams, decay: np.ndarray, h: np.ndarray, s0,
     states = _linear_scan(decay, _scan_inputs(u, bm), s0)[:, :T]
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
-    if tape is not None:
-        tape["ssm"] = (p, (ncache, decay))
     return out.reshape(B, T, d), states
 
 
@@ -525,26 +507,29 @@ def causal_bias(T: int, pos0: int, dtype) -> np.ndarray:
     return np.triu(np.full((T, pos0 + T), -np.inf, dtype=dtype), pos0 + 1)
 
 
-def attn_scores(q: np.ndarray, keys: np.ndarray, bias: np.ndarray):
-    """The scaled, biased scores ``q keysᵀ / sqrt(d_head) + bias`` of the
-    (B, heads, T, d_head) queries, one new (B, heads, T, keys) array; the
-    scale is a python float so that float32 scores stay float32."""
-    scores = q @ keys.transpose(0, 1, 3, 2)
-    scores /= math.sqrt(q.shape[-1])
-    scores += bias
-    return scores
+def attn_probs(q: np.ndarray, keys: np.ndarray, bias: np.ndarray):
+    """The attention probabilities of the (B, heads, T, d_head) queries: the
+    softmax over the keys of the scores ``q keysᵀ / sqrt(d_head) + bias``,
+    formed in place in one new (B, heads, T, keys) array. The scale is a
+    python float so that float32 scores stay float32."""
+    w = q @ keys.transpose(0, 1, 3, 2)
+    w /= math.sqrt(q.shape[-1])
+    w += bias
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
-               cache: KVCache | None = None, pos0: int = 0,
-               tape: dict | None = None):
+               cache: KVCache | None = None, pos0: int = 0):
     """Causal attention of rows at positions ``pos0..`` under the additive
     ``bias`` (0 or -inf per row and key position). With a ``cache`` (one
     stream) the rows' keys and values are written at ``pos0..`` and every
     cached position is read; otherwise the rows attend among themselves."""
     B, T, d = h.shape
     dh = d // n_heads
-    xs, ncache = rmsnorm(h, p.norm_g)
+    xs, _ = rmsnorm(h, p.norm_g)
     x2 = xs.reshape(B * T, d)
     q = (x2 @ p.wq).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
     k = (x2 @ p.wk).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
@@ -556,31 +541,20 @@ def attn_block(p: AttnParams, h: np.ndarray, n_heads: int, bias: np.ndarray,
         cache.k[:, pos0:n] = k[0]
         cache.v[:, pos0:n] = v[0]
         keys, values = cache.k[None, :, :n], cache.v[None, :, :n]
-    # softmax in place on the scores; the tape keeps its row max and
-    # denominator, from which the backward rebuilds ``w`` by these steps
-    scores = attn_scores(q, keys, bias)
-    row_max = scores.max(axis=-1, keepdims=True)
-    scores -= row_max
-    w = np.exp(scores, out=scores)
-    denom = w.sum(axis=-1, keepdims=True)
-    w /= denom
+    w = attn_probs(q, keys, bias)
     ctx = (w @ values).transpose(0, 2, 1, 3).reshape(B, T, d)
     out = ctx.reshape(B * T, d) @ p.wo
-    if tape is not None:
-        tape["attn"] = (p, (ncache, row_max, denom))
     return out.reshape(B, T, d)
 
 
-def ffn_block(p: FfnParams, h: np.ndarray, tape: dict | None = None):
+def ffn_block(p: FfnParams, h: np.ndarray):
     """Feed-forward block: a SiLU MLP of width ``FFN_MULT * d``."""
     B, T, d = h.shape
-    xs, ncache = rmsnorm(h, p.norm_g)
+    xs, _ = rmsnorm(h, p.norm_g)
     pre = xs.reshape(B * T, d) @ p.w1
     sig = sigmoid(pre)
     act = pre * sig
     out = act @ p.w2
-    if tape is not None:
-        tape["ffn"] = (p, (ncache,))
     return out.reshape(B, T, d)
 
 
@@ -600,12 +574,14 @@ def embed(cfg: ModelConfig, w, x: np.ndarray, pos0: int = 0):
 
 def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
                bias: np.ndarray, state: DecodeState | None = None,
-               tape: dict | None = None, history: list | None = None):
+               tape: list | None = None, history: list | None = None):
     """Second stage of :func:`forward`: the rows ``h`` after every layer of
     ``plan``. A ``state`` supplies the KV caches and recurrent states the
     layers continue: each attention layer writes the rows' keys and values
     into its cache, and each recurrent state is replaced by an owned copy of
     the state after the last row (the position is left to :func:`forward`).
+    A ``tape`` (a list) receives ``(plan entry, input rows, FFN input rows)``
+    per layer.
 
     A recurrent layer's (B, T, d, s) states after every row live only while
     that layer runs, unless ``history`` (one slot per model layer) asks to
@@ -613,12 +589,11 @@ def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
     pos0 = 0 if state is None else state.pos
     for lp in plan:
         i = lp.index
-        entry = None if tape is None else {"layer": i, "h_in": h}
         # both branches read the same layer input; contributions add
         h_in = h
         if lp.ssm is not None:
             s0 = 0.0 if state is None else state.ssm[i]
-            out, states = ssm_block(lp.ssm, lp.decay, h_in, s0, entry)
+            out, states = ssm_block(lp.ssm, lp.decay, h_in, s0)
             if state is not None:
                 state.ssm[i] = states[0, -1].copy()
             if history is not None:
@@ -627,27 +602,24 @@ def run_layers(cfg: ModelConfig, plan: list[LayerPlan], h: np.ndarray,
             h = h + out
         if lp.attn is not None:
             cache = None if state is None else state.kv[i]
-            h = h + attn_block(lp.attn, h_in, cfg.n_heads, bias, cache, pos0,
-                               entry)
-        h = h + ffn_block(lp.ffn, h, entry)
+            h = h + attn_block(lp.attn, h_in, cfg.n_heads, bias, cache, pos0)
         if tape is not None:
-            tape["layers"].append(entry)
+            tape.append((lp, h_in, h))
+        h = h + ffn_block(lp.ffn, h)
     return h
 
 
-def head(w, h: np.ndarray, tape: dict | None = None) -> np.ndarray:
+def head(w, h: np.ndarray) -> np.ndarray:
     """Last stage of :func:`forward`: final norm and head, logits (B, T,
     vocab) of the rows ``h``."""
     B, T, _ = h.shape
-    hn, ncache = rmsnorm(h, w["final_norm_g"])
+    hn, _ = rmsnorm(h, w["final_norm_g"])
     logits = hn.reshape(B * T, -1) @ w["head_w"]
-    if tape is not None:
-        tape["final_norm"] = ncache
     return logits.reshape(B, T, -1)
 
 
 def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
-            state: DecodeState | None = None, tape: dict | None = None,
+            state: DecodeState | None = None, tape: list | None = None,
             history: list | None = None) -> np.ndarray:
     """Logits (B, T, vocab) for the token rows ``x`` (B, T) under ``plan``:
     :func:`embed`, :func:`run_layers` and :func:`head` in order.
@@ -658,14 +630,19 @@ def forward(cfg: ModelConfig, w, plan: list[LayerPlan], x: np.ndarray,
     starts from its states, and the state ends advanced past the rows,
     owning its recurrent states. A ``history`` list (one slot per layer)
     receives each recurrent layer's states after every row; without one
-    those live only while their layer runs. With a ``tape`` (a dict holding
-    a ``"layers"`` list) one entry per planned layer and the final norm are
-    recorded for :func:`speclab.training.backward_train`.
+    those live only while their layer runs. A ``tape`` (a list) receives
+    what :func:`speclab.training.backward_train` reads: the tokens ``x``,
+    then per planned layer its plan entry, input rows and FFN input rows,
+    then the rows the head reads.
     """
     pos0 = 0 if state is None else state.pos
     h, bias = embed(cfg, w, x, pos0)
+    if tape is not None:
+        tape.append(x)
     h = run_layers(cfg, plan, h, bias, state, tape, history)
-    logits = head(w, h, tape)
+    if tape is not None:
+        tape.append(h)
+    logits = head(w, h)
     if state is not None:
         state.pos = pos0 + x.shape[1]
     return logits

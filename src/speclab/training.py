@@ -7,29 +7,38 @@ of what the backward needs. This module keeps what is training's own: the
 backward, the optimizer, the loop and the finite-difference gradient check
 that pins the backward to the forward.
 
-The tape keeps each block's rmsnorm cache, the recurrent decay, and
-attention's row max and softmax denominator. Everything else is rebuilt by
-the forward's own expressions in the forward's order, so every rebuilt
-array has the forward's bits (Chen et al. 2016's rematerialisation, arXiv
-1604.06174): each block's normalised input as ``x * (g * r)``; ``upre``,
-``bm``, ``cm``, ``q``, ``k``, ``v`` and ``pre`` by their weight products on
-it; the sigmoids ``usig`` and ``sig``, cheaper to rebuild than to keep; the
-gate products; the attention probabilities from ``q``, ``k``, the row max
-and the denominator, and the context ``w @ v``; and the state history. The
-SSM and attention backwards work ``_BWD_ROWS`` batch rows at a time. The
-SSM backward rebuilds the rows' states by the forward's chunked scan from
-zero and scans in the same call their reverse-time recurrence on the
-time-flipped input, on contiguous (d_model, d_state) rows, and sums the
-decay gradient's state axis as whole-column adds in NumPy's own order. The
-attention backward rebuilds the rows' probabilities and forms the
-gradients through them, as FlashAttention recomputes them in blocks (Dao
-et al. 2022, arXiv 2205.14135); each weight gradient stays one product over
-all rows, so its sums keep their order. The FFN backward frees its
-activation, input and sigmoid before it forms the output gradient. So the
-tape holds no (T, T) term, state history or sigmoid, and the backward makes
-no (B, T, d_model, d_state) or (B, heads, T, T) array: on the parallel
-acceptance toy (B = 8, T = 96, float32) the tape is 5.4 MB and a traced
-step peaks at 13.2 MB (33.8 MB at the full context, T = 256).
+The tape is a list: the tokens, then for each planned layer its
+:class:`~speclab.model.LayerPlan` entry, input rows and FFN input rows, then
+the rows the head reads. These are the arrays every rmsnorm reads, and all
+the tape keeps: no rmsnorm scale, no softmax statistic, no (T, T) term, no
+state history and no sigmoid. Each backward takes its block's plan entry
+and input rows and rebuilds everything else by the forward's own functions
+and expressions in the forward's order, so every rebuilt array has the
+forward's bits (Chen et al. 2016's rematerialisation, arXiv 1604.06174):
+the normalised input and the scale by :func:`~speclab.model.rmsnorm`;
+``upre``, ``bm``, ``cm``, ``q``, ``k``, ``v`` and ``pre`` by their weight
+products on it; the sigmoids ``usig`` and ``sig``, cheaper to rebuild than
+to keep; the gate products; the attention probabilities by
+:func:`~speclab.model.attn_probs`, the forward's softmax, and the context
+``w @ v``; and the state history. The SSM and attention backwards work
+``_BWD_ROWS`` batch rows at a time. The SSM backward rebuilds the rows'
+states by the forward's chunked scan from zero and scans in the same call
+their reverse-time recurrence on the time-flipped input, on contiguous
+(d_model, d_state) rows, and sums the decay gradient's state axis as
+whole-column adds in NumPy's own order. The attention backward rebuilds the
+rows' probabilities and forms the gradients through them, as
+FlashAttention recomputes them in blocks (Dao et al. 2022, arXiv
+2205.14135); each weight gradient stays one product over all rows, so its
+sums keep their order. The FFN backward frees its activation, input and
+sigmoid before it forms the output gradient, and forms the SiLU's input
+gradient in place. So the backward makes no (B, T, d_model, d_state) or
+(B, heads, T, T) array either. On the parallel acceptance toy (B = 8,
+T = 96, float32; ``scripts/memory_peaks.py``) the tape is 5.0 MB and a
+traced step peaks at 12.8 MB (32.7 MB at the full context, T = 256); the
+last layer's SSM backward peaks at 1.75 times one layer's state history,
+its attention backward at 2.40 times one layer's (B, heads, T, T)
+probabilities, and its FFN backward at 3.34 times one (B, T, 4 d_model)
+activation.
 
 Training computes in float32: the forward, the tape, the backward and the
 gradients stay float32 end to end, against float64 master weights and a
@@ -67,12 +76,12 @@ from .model import (
     Weights,
     _linear_scan,
     _scan_inputs,
-    attn_scores,
+    attn_probs,
     causal_bias,
     forward,
     init_weights,
     layer_plan,
-    rmsnorm_output,
+    rmsnorm,
 )
 from .numerics import RngState, log_softmax, sigmoid
 
@@ -125,9 +134,9 @@ def forward_train(cfg: ModelConfig, w, mask: ComponentMask | None,
     ``w`` is a Weights object or any name-to-array mapping with ``items()``
     (training passes float32 casts of the float64 master weights).
     """
-    x = np.asarray(x, dtype=np.int64)
-    tape = {"x": x, "layers": []}
-    logits = forward(cfg, w, layer_plan(cfg, w, mask), x, tape=tape)
+    tape = []
+    logits = forward(cfg, w, layer_plan(cfg, w, mask),
+                     np.asarray(x, dtype=np.int64), tape=tape)
     return logits, tape
 
 
@@ -178,11 +187,11 @@ def _heads(x, n_heads):
 _BWD_ROWS = 2
 
 
-def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
-    ncache, row_max, denom = cache
+def _attn_bwd(p, h, n_heads, dout, grads, prefix):
     B, T, d = dout.shape
     # q, k and v by the forward's own products, bit for bit
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     q, k, v = (_heads((x2 @ wm).reshape(B, T, d), n_heads)
                for wm in (p.wq, p.wk, p.wv))
     bias = causal_bias(T, 0, q.dtype)
@@ -191,14 +200,10 @@ def _attn_bwd(p, dout, cache, n_heads, grads, prefix):
     ctx, dq, dk, dv = (np.empty((B, T, d), q.dtype) for _ in range(4))
     for b in range(0, B, _BWD_ROWS):
         # a group of batch rows at a time: the rows' probabilities by the
-        # forward's steps (scores, minus the max, exp, over the denominator),
-        # their context and the gradients through them; so no (B, heads,
-        # T, T) array is made
+        # forward's softmax, their context and the gradients through them;
+        # so no (B, heads, T, T) array is made
         g = slice(b, b + _BWD_ROWS)
-        w = attn_scores(q[g], k[g], bias)
-        w -= row_max[g]
-        np.exp(w, out=w)
-        w /= denom[g]
+        w = attn_probs(q[g], k[g], bias)
         _heads(ctx[g], n_heads)[...] = w @ v[g]
         _heads(dv[g], n_heads)[...] = w.transpose(0, 1, 3, 2) @ dctx[g]
         # d loss / d w, then in place the scores' gradient
@@ -251,11 +256,11 @@ def _row_sums(x):
     return total
 
 
-def _ssm_bwd(p, dout, cache, grads, prefix):
-    ncache, decay = cache
+def _ssm_bwd(p, decay, h, dout, grads, prefix):
     B, T, d = dout.shape
     # the gate and the state projections by the forward's expressions
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     upre = (x2 @ p.w_in).reshape(B, T, d)
     usig = sigmoid(upre)
     bm = (x2 @ p.w_b).reshape(B, T, -1)
@@ -306,10 +311,10 @@ def _ssm_bwd(p, dout, cache, grads, prefix):
     return dh_
 
 
-def _ffn_bwd(p, dout, cache, grads, prefix):
-    ncache, = cache
+def _ffn_bwd(p, h, dout, grads, prefix):
     B, T, d = dout.shape
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     pre = x2 @ p.w1
     sig = sigmoid(pre)
     act = pre * sig
@@ -339,27 +344,29 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits.reshape(B, T, V)
 
 
-def backward_train(cfg: ModelConfig, w, tape: dict,
+def backward_train(cfg: ModelConfig, w, tape: list,
                    dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for every weight block (zeros where masked off)."""
+    """Gradients for every weight block (zeros where masked off) over the
+    tape of :func:`forward_train`."""
     grads = {name: np.zeros_like(arr) for name, arr in w.items()}
-    x = tape["x"]
+    x, *layers, h = tape
     B, T = x.shape
     d2 = _flat(dlogits)
-    grads["head_w"] += _flat(rmsnorm_output(tape["final_norm"])).T @ d2
-    dh, dg = _rms_bwd((d2 @ w["head_w"].T).reshape(B, T, -1), tape["final_norm"])
+    hn, ncache = rmsnorm(h, w["final_norm_g"])
+    grads["head_w"] += _flat(hn).T @ d2
+    del hn
+    dh, dg = _rms_bwd((d2 @ w["head_w"].T).reshape(B, T, -1), ncache)
     grads["final_norm_g"] += dg
-    for entry in reversed(tape["layers"]):
-        prefix = f"layers.{entry['layer']}."
-        p, cache = entry["ffn"]
-        dh = dh + _ffn_bwd(p, dh, cache, grads, prefix + "ffn.")
+    for lp, h_in, h_ffn in reversed(layers):
+        prefix = f"layers.{lp.index}."
+        dh = dh + _ffn_bwd(lp.ffn, h_ffn, dh, grads, prefix + "ffn.")
         d_hin = np.zeros_like(dh)
-        if "attn" in entry:
-            p, cache = entry["attn"]
-            d_hin += _attn_bwd(p, dh, cache, cfg.n_heads, grads, prefix + "attn.")
-        if "ssm" in entry:
-            p, cache = entry["ssm"]
-            d_hin += _ssm_bwd(p, dh, cache, grads, prefix + "ssm.")
+        if lp.attn is not None:
+            d_hin += _attn_bwd(lp.attn, h_in, cfg.n_heads, dh, grads,
+                               prefix + "attn.")
+        if lp.ssm is not None:
+            d_hin += _ssm_bwd(lp.ssm, lp.decay, h_in, dh, grads,
+                              prefix + "ssm.")
         dh = dh + d_hin
     np.add.at(grads["embed"], x.reshape(-1), _flat(dh))
     grads["pos_embed"][:T] += dh.sum(axis=0)

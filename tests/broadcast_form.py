@@ -10,9 +10,10 @@ The model holds the decay spread over (d_model, d_state) in its layer plan,
 writes the outer products on contiguous state rows and sums the decay
 gradient's state axis as column adds; each element's arithmetic is the same.
 
-``ssm_block`` and ``ssm_bwd`` take and record what ``speclab.model.ssm_block``
-and ``speclab.training._ssm_bwd`` do, so a test can put them in their place;
-the backward rebuilds the whole state history at once, where the model's
+``ssm_block`` and ``ssm_bwd`` take what ``speclab.model.ssm_block`` and
+``speclab.training._ssm_bwd`` do, so a test can put them in their place;
+both ignore the plan's decay and derive the (d,) one themselves. The
+backward rebuilds the whole state history at once, where the model's
 rebuilds it two batch rows at a time, and forms the SiLU's input gradient as
 one expression, where the model's forms it in place.
 
@@ -27,8 +28,7 @@ import math
 
 import numpy as np
 
-from speclab.model import (
-    _SCAN_CHUNK, attn_scores, causal_bias, rmsnorm, rmsnorm_output)
+from speclab.model import _SCAN_CHUNK, attn_probs, causal_bias, rmsnorm
 from speclab.numerics import sigmoid
 from speclab.training import _flat, _rms_bwd
 
@@ -64,11 +64,11 @@ def linear_scan(decay, inputs, s0):
     return states.reshape(B, Tp, d, s)[:, :T]
 
 
-def ssm_block(p, decay, h, s0, tape=None):
+def ssm_block(p, decay, h, s0):
     """The recurrent branch; ignores the plan's ``decay`` and derives the
-    (d,) one from ``p.decay_raw``, which its tape records."""
+    (d,) one from ``p.decay_raw``."""
     B, T, d = h.shape
-    xs, ncache = rmsnorm(h, p.norm_g)
+    xs, _ = rmsnorm(h, p.norm_g)
     x2 = xs.reshape(B * T, d)
     upre = (x2 @ p.w_in).reshape(B, T, d)
     usig = sigmoid(upre)
@@ -79,23 +79,22 @@ def ssm_block(p, decay, h, s0, tape=None):
     states = linear_scan(decay, u[..., None] * bm[:, :, None, :], s0)
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     out = y_skip.reshape(B * T, d) @ p.w_out
-    if tape is not None:
-        tape["ssm"] = (p, (ncache, decay))
     return out.reshape(B, T, d), states
 
 
-def ssm_bwd(p, dout, cache, grads, prefix):
-    """The recurrent branch's backward over a tape of :func:`ssm_block`,
-    which rebuilds the gate, the projections and the whole state history at
-    once."""
-    ncache, decay = cache
+def ssm_bwd(p, decay, h, dout, grads, prefix):
+    """The recurrent branch's backward over its input rows ``h``, which
+    rebuilds the gate, the projections and the whole state history at once;
+    ignores the plan's ``decay`` as :func:`ssm_block` does."""
     B, T, d = dout.shape
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     upre = (x2 @ p.w_in).reshape(B, T, d)
     usig = sigmoid(upre)
     u = upre * usig
     bm = (x2 @ p.w_b).reshape(B, T, -1)
     cm = (x2 @ p.w_c).reshape(B, T, -1)
+    decay = sigmoid(p.decay_raw)
     states = linear_scan(decay, u[..., None] * bm[:, :, None, :], 0.0)
     y_skip = (states @ cm[..., None])[..., 0] + p.skip_gain * u
     do2 = _flat(dout)
@@ -121,19 +120,16 @@ def ssm_bwd(p, dout, cache, grads, prefix):
     return dh_
 
 
-def attn_bwd(p, dout, cache, n_heads, grads, prefix):
-    """The attention backward over a training tape, which rebuilds the
+def attn_bwd(p, h, n_heads, dout, grads, prefix):
+    """The attention backward over its input rows ``h``, which rebuilds the
     probabilities of every batch row at once."""
-    ncache, row_max, denom = cache
     B, T, d = dout.shape
     dh = d // n_heads
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     q, k, v = ((x2 @ wm).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
                for wm in (p.wq, p.wk, p.wv))
-    w = attn_scores(q, k, causal_bias(T, 0, q.dtype))
-    w -= row_max
-    np.exp(w, out=w)
-    w /= denom
+    w = attn_probs(q, k, causal_bias(T, 0, q.dtype))
     ctx = (w @ v).transpose(0, 2, 1, 3).reshape(B, T, d)
     do2 = _flat(dout)
     grads[prefix + "wo"] += _flat(ctx).T @ do2
@@ -156,12 +152,12 @@ def attn_bwd(p, dout, cache, n_heads, grads, prefix):
     return dh_
 
 
-def ffn_bwd(p, dout, cache, grads, prefix):
-    """The feed-forward backward over a training tape, which keeps every
-    rebuilt array to the end."""
-    ncache, = cache
+def ffn_bwd(p, h, dout, grads, prefix):
+    """The feed-forward backward over its input rows ``h``, which keeps
+    every rebuilt array to the end."""
     B, T, d = dout.shape
-    x2 = _flat(rmsnorm_output(ncache))
+    xs, ncache = rmsnorm(h, p.norm_g)
+    x2 = _flat(xs)
     pre = x2 @ p.w1
     sig = sigmoid(pre)
     act = pre * sig

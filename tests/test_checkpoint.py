@@ -179,15 +179,48 @@ class TestValidation:
         lambda h: h["blocks"][0].update(nbytes=h["blocks"][0]["nbytes"] - 8),
         lambda h: h["blocks"][0].update(dtype="<f4"),
         lambda h: h["blocks"][0].update(dtype=">f8"),
+        lambda h: h["blocks"][0].update(name=["embed"]),
     ], ids=["no_config", "no_blocks", "block_without_offset",
             "unknown_config_field", "config_without_arch",
             "offset_past_payload", "negative_offset", "float_offset",
-            "nbytes_not_shape", "dtype_f4", "dtype_big_endian"])
+            "nbytes_not_shape", "dtype_f4", "dtype_big_endian",
+            "unhashable_name"])
     def test_malformed_header_rejected(self, tmp_path, weights, edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, weights)
         rewrite_header(path, edit)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["n_layers", "d_model", "context_limit"])
+    def test_a_float_size_is_rejected_naming_its_field(self, tmp_path,
+                                                       weights, field):
+        # 2.0 is not a layer count: it fails at load, as a ValueError, not
+        # as a TypeError of the load or at the first decode
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+        rewrite_header(path, lambda h: h["config"].update(
+            {field: float(h["config"][field])}))
+        with pytest.raises(ValueError, match=f"{field} must be a positive "
+                                             "integer, got [0-9]+\\.0"):
+            load_checkpoint(path)
+
+    def test_a_block_named_twice_is_rejected(self, tmp_path, weights):
+        # a second "embed" tiling the payload after the last block would
+        # load over the first one
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, weights)
+
+        def edit(h):
+            last = h["blocks"][-1]
+            copy = dict(next(b for b in h["blocks"] if b["name"] == "embed"))
+            copy["offset"] = last["offset"] + last["nbytes"]
+            h["blocks"].append(copy)
+
+        rewrite_header(path, edit)
+        path.write_bytes(path.read_bytes()
+                         + np.zeros_like(weights["embed"]).tobytes())
+        with pytest.raises(ValueError, match="block embed is named twice"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("layout", ["overlapping", "out_of_order", "gapped",

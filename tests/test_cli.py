@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import speclab.cli as cli
+import speclab.engine as engine
 import speclab.training as training
 from speclab.checkpoint import load_checkpoint, manifest_path, save_checkpoint
 from speclab.cli import main
@@ -312,7 +313,7 @@ class TestDiagnosticsCommands:
               "--max-new-tokens", "4"])
         assert tuple(kind for kind in seen if kind) == kinds
 
-    def test_verify_lossless_decodes_autoregressively_once_first(
+    def test_verify_lossless_decodes_autoregressively_once_last(
             self, env, monkeypatch):
         seen = _record_decodes(monkeypatch)
         rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
@@ -320,7 +321,24 @@ class TestDiagnosticsCommands:
                    "--max-new-tokens", "6", "--strategies",
                    "identity,layer_skip,component_only"])
         assert rc == 0
-        assert seen == [None, "identity", "layer_skip", "component_only"]
+        assert seen == ["identity", "layer_skip", "component_only", None]
+
+    def test_verify_lossless_checks_the_draft_budget_before_any_decode(
+            self, env, monkeypatch, capsys):
+        # 6 + 56 - 1 + k = 65 positions at k = 4, one past the context of
+        # 64; the autoregressive reference (61) would fit, so it must not
+        # run first
+        ar_prompts = []
+        ar = engine.autoregressive_generate
+        monkeypatch.setattr(engine, "autoregressive_generate",
+                            lambda *args: ar_prompts.append(args[1]) or ar(*args))
+        seen = _record_decodes(monkeypatch)
+        rc = main(["verify-lossless", "--checkpoint", env["ckpt"], "--corpus",
+                   env["corpus"], "--n-prompts", "3", "--prompt-len", "6",
+                   "--max-new-tokens", "56", "--k", "4"])
+        assert rc == 2
+        assert "needs 65 positions, context_limit is 64" in capsys.readouterr().err
+        assert seen == ["component_only"] and ar_prompts == []
 
     def test_verify_lossless_rejects_unknown_strategy_names(self, env,
                                                             capsys):
@@ -347,6 +365,16 @@ class TestDiagnosticsCommands:
                    "--out-dir", str(tmp_path / "runs"), "--k", "2,2"])
         assert rc == 2
         assert "sweep values must not repeat" in capsys.readouterr().err
+        assert seen == []
+
+    def test_run_rejects_a_negative_seed_before_any_work(
+            self, env, tmp_path, capsys, monkeypatch):
+        # it would fail every cell's interval after decoding it
+        seen = _capture(monkeypatch, "run_experiments")
+        rc = main(["run", "--checkpoint", env["ckpt"], "--corpus", env["corpus"],
+                   "--out-dir", str(tmp_path / "runs"), "--seed", "-1"])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert seen == []
 
     @pytest.mark.parametrize("argv", [
@@ -410,9 +438,11 @@ class TestDiagnosticsCommands:
             f"speclab {command}: error: {name} not found: {folder}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
 
+    # verify-lossless decodes its strategies first, so it reports their need
+    # at its default k = 2, 16 + 60 - 1 + 2, before any decode
     @pytest.mark.parametrize("command,argv,message", [
         ("verify-lossless", ["--prompt-len", "16", "--max-new-tokens", "60"],
-         "prompt + max_new_tokens needs 75 positions, context_limit is 64"),
+         "prompt + max_new_tokens needs 77 positions, context_limit is 64"),
         ("divergence", ["--prompt-len", "100"],
          "context overflow: 0+100 exceeds limit 64")])
     def test_prompt_beyond_the_context_is_bad_input(self, env, capsys, command,

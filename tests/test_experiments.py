@@ -386,6 +386,7 @@ class TestRunExperiments:
         ("k_values", ((1, 0), (-1,))),
         ("temperatures", ((0.0, -0.6), (-1e-9,))),
         ("max_new_tokens", (0, -1)),
+        ("seed", (-1, -101, -102)),
     ])
     def test_counts_below_one_rejected(self, workspace, tmp_path, field,
                                        values):

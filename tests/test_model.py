@@ -70,13 +70,22 @@ class TestModelConfig:
         assert SEQUENTIAL.layer_pattern == ("linear", "linear", "linear", "attention")
 
     def test_pattern_rejected_outside_sequential(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^layer_pattern is only valid "
+                                             "for sequential_hybrid$"):
             ModelConfig("transformer", layer_pattern=("attention",) * 8)
 
     def test_pattern_needs_both_kinds(self):
         with pytest.raises(ValueError):
             ModelConfig("sequential_hybrid", n_layers=2,
                         layer_pattern=("linear", "linear"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", 2.0), ("d_model", 16.0), ("n_heads", True),
+        ("d_state", "4"), ("vocab_size", 0), ("context_limit", -1)])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive "
+                                             f"integer, got {value!r}"):
+            ModelConfig("transformer", **{field: value})
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValueError):
@@ -414,45 +423,47 @@ class TestMemoryContract:
 
 
 def taped_forward(model, mask, toks):
-    """Decode-path forward over ``toks`` on a fresh stream, with a tape."""
+    """Decode-path forward over ``toks`` on a fresh stream, with a tape:
+    its ``(plan entry, input rows, FFN input rows)`` per layer, and the
+    residual stream out of each layer (the next layer's input, and the
+    head's rows after the last)."""
     state = model.new_state(mask)
-    tape = {"layers": []}
+    tape = []
     forward(model.cfg, model.weights, state.plan, toks[None], state, tape)
-    # the residual stream out of each taped layer: the next layer's input,
-    # and the final norm's input after the last
-    outs = [e["h_in"] for e in tape["layers"][1:]] + [tape["final_norm"][0]]
-    return state.plan, tape["layers"], outs
+    tokens, *layers, final = tape
+    np.testing.assert_array_equal(tokens, toks[None])
+    assert [id(lp) for lp, _, _ in layers] == [id(lp) for lp in state.plan]
+    return layers, [h for _, h, _ in layers[1:]] + [final]
 
 
 class TestStructuralProbes:
     def test_parallel_layer_is_sum_of_branches(self):
         # reconstruct each layer output from branch calls on the same input
         m = make_model(PARALLEL)
-        plan, entries, outs = taped_forward(m, None, tokens_for(PARALLEL, 8))
-        assert [e["layer"] for e in entries] == list(range(PARALLEL.n_layers))
+        layers, outs = taped_forward(m, None, tokens_for(PARALLEL, 8))
+        assert [lp.index for lp, _, _ in layers] == list(range(PARALLEL.n_layers))
         bias = np.triu(np.full((8, 8), -np.inf), 1)
-        for lp, entry, h_out in zip(plan, entries, outs):
-            h = entry["h_in"]
+        for (lp, h, h_ffn), h_out in zip(layers, outs):
             probe = m.new_state()
             s_out, _ = ssm_block(lp.ssm, lp.decay, h, probe.ssm[lp.index])
             a_out = attn_block(lp.attn, h, PARALLEL.n_heads, bias,
                                probe.kv[lp.index], 0)
             mixed = h + s_out + a_out
-            expect = mixed + ffn_block(lp.ffn, mixed)
-            np.testing.assert_array_equal(h_out, expect)
+            np.testing.assert_array_equal(h_ffn, mixed)
+            np.testing.assert_array_equal(h_out, mixed + ffn_block(lp.ffn, mixed))
 
     def test_sequential_linear_only_leaves_attn_layers_untouched(self):
         m = make_model(SEQUENTIAL)
-        plan, entries, outs = taped_forward(m, ssm_only_mask(SEQUENTIAL),
-                                            tokens_for(SEQUENTIAL, 8))
+        layers, outs = taped_forward(m, ssm_only_mask(SEQUENTIAL),
+                                     tokens_for(SEQUENTIAL, 8))
         # skipped attention layers are not run; each linear layer's output
         # reaches the next linear layer (or the final norm) unchanged
-        assert [e["layer"] for e in entries] == [
+        assert [lp.index for lp, _, _ in layers] == [
             i for i in range(SEQUENTIAL.n_layers)
             if SEQUENTIAL.has_alt(i)]
-        for lp, entry, h_out in zip(plan, entries, outs):
-            h = entry["h_in"]
+        for (lp, h, h_ffn), h_out in zip(layers, outs):
             mixed = h + ssm_block(lp.ssm, lp.decay, h, 0.0)[0]
+            np.testing.assert_array_equal(h_ffn, mixed)
             np.testing.assert_array_equal(h_out, mixed + ffn_block(lp.ffn, mixed))
             assert not np.array_equal(h_out, h)
 

@@ -21,6 +21,7 @@ from speclab.model import (
     HybridModel,
     ModelConfig,
     init_weights,
+    layer_plan,
 )
 from speclab.training import (
     TrainConfig,
@@ -251,7 +252,7 @@ class TestFloat32Compute:
             logits, tape = forward_train(cfg, wc, mask, x)
             _, dlogits = cross_entropy(logits, y)
             grads = backward_train(cfg, wc, tape, dlogits)
-            taped = list(tape_arrays({k: v for k, v in tape.items() if k != "x"}))
+            taped = list(tape_arrays(tape[1:]))
             assert len(taped) > 2
             for arr in [logits, dlogits, *taped, *grads.values()]:
                 assert arr.dtype == np.float32, mask.describe()
@@ -299,13 +300,13 @@ def owners(a):
 
 
 class TestTapeContract:
-    """The tape holds the rmsnorm caches, the recurrent decay and the
-    softmax statistics: no (T, T) term, no state history, no sigmoid and no
-    product with a weight. The backward rebuilds the normalised inputs, the
-    weight products, the sigmoids and gate products, the attention
-    probabilities and context and the state history, the last two a group
-    of batch rows at a time, by the forward's own expressions, bit for
-    bit."""
+    """The tape holds the tokens, each planned layer's plan entry, input
+    rows and FFN input rows, and the rows the head reads: no (T, T) term, no
+    state history, no sigmoid and no product with a weight. The backward
+    rebuilds the normalised inputs, the weight products, the sigmoids and
+    gate products, the attention probabilities and context and the state
+    history, the last two a group of batch rows at a time, by the forward's
+    own functions and expressions, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cfg", [TINY_PAR, TINY_SEQ, TINY_TRA],
@@ -329,7 +330,17 @@ class TestTapeContract:
             | ({"ssm_block"} if cfg.arch != "transformer" else set()))
         alive = [(name, key) for name, key, ref in refs if ref() is not None]
         assert alive == []
-        assert tape["layers"] and logits.shape == (*x.shape, cfg.vocab_size)
+        assert logits.shape == (*x.shape, cfg.vocab_size)
+        tokens, *layers, final = tape
+        np.testing.assert_array_equal(tokens, x)
+        assert ([lp.index for lp, _, _ in layers]
+                == [lp.index for lp in layer_plan(cfg, wc, None)])
+        rows = (*x.shape, cfg.d_model)
+        for lp, h_in, h_ffn in layers:
+            assert type(lp) is model_module.LayerPlan
+            assert h_in.shape == h_ffn.shape == rows
+            assert h_in.dtype == h_ffn.dtype == dtype
+        assert final.shape == rows and final.dtype == dtype
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T", [5, 17, 40])
@@ -355,17 +366,17 @@ class TestTapeContract:
         # is recorded as it stands when its backward rebinds or deletes the
         # name or returns: the attention probabilities once per group of
         # batch rows, the FFN's ``act``, ``pre`` and ``sig`` before they are
-        # freed. The normalised inputs are what rmsnorm_output returns to
-        # each backward, and the SSM backward's scans, one per group of
-        # batch rows, each rebuild that group's states in their first half
+        # freed. The normalised inputs are what rmsnorm returns to each
+        # backward, and the SSM backward's scans, one per group of batch
+        # rows, each rebuild that group's states in their first half
         def backward_record(frame, event, value):
             name = frame.f_code.co_name
-            if name == "rmsnorm_output":
+            if name == "rmsnorm":
                 if event == "return":
                     caller = frame.f_back.f_code.co_name
                     key = (BACKWARDS[caller],
                            "hn" if caller == "backward_train" else "xs")
-                    rebuilt.setdefault(key, []).append([value.copy()])
+                    rebuilt.setdefault(key, []).append([value[0].copy()])
                 return
             if name == "_linear_scan":
                 if event == "return":
@@ -401,7 +412,7 @@ class TestTapeContract:
         assert not [a.shape for a in taped
                     if a.ndim == 4 and a.shape[-2:] == (cfg.d_model, cfg.d_state)]
         _, dlogits = cross_entropy(logits, y)
-        traced(on_lines((model_module.rmsnorm_output,
+        traced(on_lines((model_module.rmsnorm,
                          model_module._linear_scan, training._ssm_bwd,
                          training._attn_bwd, training._ffn_bwd),
                         backward_record),
@@ -426,24 +437,26 @@ class TestTapeContract:
 
 class TestSsmBackwardPeak:
     def test_peak_stays_under_two_histories(self):
-        # per recurrent layer, what the tape holds for the backward plus the
-        # backward's peak: the tape holds no state history and no sigmoid,
-        # and the backward rebuilds the gate sigmoid and the history, and
-        # scans the reverse-time recurrence, two batch rows at a time
+        # per recurrent layer, what the tape holds for the backward (its
+        # input rows and its plan's decay) plus the backward's peak: the
+        # tape holds no state history and no sigmoid, and the backward
+        # rebuilds the gate sigmoid and the history, and scans the
+        # reverse-time recurrence, two batch rows at a time
         cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
         wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
         x, _ = small_batch(cfg, b=8, t=96)
         _, tape = forward_train(cfg, wc, None, x)
-        p, cache = tape["layers"][0]["ssm"]
+        lp, h, _ = tape[1]
         history = x.size * cfg.d_model * cfg.d_state * 4
-        taped = sum({id(a): a.nbytes for a in tape_arrays(cache)}.values())
+        taped = h.nbytes + lp.decay.nbytes
         dout = np.random.default_rng(0).normal(0, 1, (*x.shape, cfg.d_model))
         dout = dout.astype(np.float32)
         grads = {n: np.zeros_like(a) for n, a in wc.items()}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            training._ssm_bwd(p, dout, cache, grads, "layers.0.ssm.")
+            training._ssm_bwd(lp.ssm, lp.decay, h, dout, grads,
+                              "layers.0.ssm.")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -452,27 +465,28 @@ class TestSsmBackwardPeak:
 
 class TestAttnBackwardPeak:
     def test_peak_stays_under_three_probabilities(self):
-        # per attention layer, what the tape holds for the backward plus the
-        # backward's peak, in one layer's (B, heads, T, T) probabilities: the
-        # tape holds none of them, and the backward rebuilds them, and forms
-        # the gradients through them, two batch rows at a time. It reads
-        # 2.59 (0.19 taped, 2.40 the backward's peak, 0.75 of it a group's
-        # probabilities, their gradient and its product with them), so the
-        # bound leaves 0.41; over all rows at once it read 4.37
+        # per attention layer, what the tape holds for the backward (its
+        # input rows) plus the backward's peak, in one layer's (B, heads, T,
+        # T) probabilities: the tape holds none of them, and the backward
+        # rebuilds them, and forms the gradients through them, two batch
+        # rows at a time. It reads 2.57 (0.17 taped, 2.40 the backward's
+        # peak, 0.75 of it a group's probabilities, their gradient and its
+        # product with them), so the bound leaves 0.43; over all rows at
+        # once the backward's peak alone read 4.18
         cfg = ModelConfig("parallel_hybrid", n_layers=1, d_model=64, d_state=8)
         wc = {n: a.astype(np.float32) for n, a in init_weights(cfg, 3).items()}
         x, _ = small_batch(cfg, b=8, t=96)
         _, tape = forward_train(cfg, wc, None, x)
-        p, cache = tape["layers"][0]["attn"]
+        lp, h, _ = tape[1]
         probabilities = x.size * cfg.n_heads * x.shape[1] * 4
-        taped = sum({id(a): a.nbytes for a in tape_arrays(cache)}.values())
+        taped = h.nbytes
         dout = np.random.default_rng(0).normal(0, 1, (*x.shape, cfg.d_model))
         dout = dout.astype(np.float32)
         grads = {n: np.zeros_like(a) for n, a in wc.items()}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            training._attn_bwd(p, dout, cache, cfg.n_heads, grads,
+            training._attn_bwd(lp.attn, h, cfg.n_heads, dout, grads,
                                "layers.0.attn.")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -490,14 +504,14 @@ class TestAttnBackwardPeak:
         wc = {n: a.astype(dtype) for n, a in init_weights(cfg, 3).items()}
         x, _ = small_batch(cfg, seed=T, b=3, t=T)
         _, tape = forward_train(cfg, wc, None, x)
-        p, cache = tape["layers"][-1]["attn"]
+        lp, h, _ = tape[-2]
         dout = np.random.default_rng(T).normal(0, 1, (*x.shape, cfg.d_model))
         prefix = "layers.1.attn."
         results = []
         for bwd in (training._attn_bwd, broadcast_form.attn_bwd):
             grads = {n: np.zeros_like(a) for n, a in wc.items()
                      if n.startswith(prefix)}
-            results.append((bwd(p, dout.astype(dtype), cache, cfg.n_heads,
+            results.append((bwd(lp.attn, h, cfg.n_heads, dout.astype(dtype),
                                 grads, prefix), grads))
         (dh, grads), (ref_dh, ref_grads) = results
         broadcast_form.assert_same_bits(dh, ref_dh)
@@ -583,11 +597,11 @@ class TestTrainLoop:
             alive_at_entry.append(sum(ref() is not None for ref in owned))
             inputs.append((args[1]["head_w"].dtype, args[2]))
             logits, tape = original(*args)
-            # the logits, the head's rmsnorm input and the first layer's
-            # softmax denominator
+            # the logits, the head's rows, and the first layer's input rows
+            # and its plan entry's decay
+            lp, h, _ = tape[1]
             owned.extend(weakref.ref(a) for a in
-                         (logits, tape["final_norm"][0],
-                          tape["layers"][0]["attn"][1][2]))
+                         (logits, tape[-1], h, lp.decay))
             return logits, tape
 
         monkeypatch.setattr(training, "forward_train", watched)
